@@ -16,33 +16,31 @@ from .certify import (BetaSumReport, CertificateReport, ExponentialCertificate,
                       check_condition_exp, check_condition_poly,
                       check_local_bounded_beta_sum, default_grid,
                       gronwall_bound_poly, tau_tail_bound_poly, zeta_partial)
-from .errors import (ConfigError, NonFiniteError, SwitchDiffError,
-                     TailUnresolvable, TruncationLeak)
+from .errors import (ConfigError, SwitchDiffError, TailUnresolvable,
+                     TruncationLeak)
 from .hybrid import (HybridPath, PathStatus, SimConfig, Switch, auto_truncation,
-                     simulate, simulate_truncated,
-                     simulate_with_truncated_coefficients)
-from .integrate import BrownianGrid, integrate_segment, make_grid
+                     simulate)
+from .integrate import BrownianGrid, make_grid
 from .jumps import JumpStream, extend_stream, sample_stream, thin
 from .model import (DenseRates, FunctionRates, IntervalRow, RateMatrix,
                     RegimeModel, interval_row, mark_displacement,
                     truncate_coefficients)
 from .models import list_models, make_model, model_names
 from .probe import (ProbeReport, ctmc_oracle, estimate_moment,
-                    estimate_tau_tail, feller_probe)
+                    estimate_tau_tail, feller_probe, run_ensemble)
 
 __all__ = [
     "__version__",
     "BetaSumReport", "BrownianGrid", "CertificateReport", "ConfigError",
     "DenseRates", "ExponentialCertificate", "FunctionRates", "GridSpec",
-    "HybridPath", "IntervalRow", "JumpStream", "NonFiniteError", "PathStatus",
+    "HybridPath", "IntervalRow", "JumpStream", "PathStatus",
     "PolynomialCertificate", "PowerLawRates", "ProbeReport", "RateMatrix",
     "RegimeModel", "SimConfig", "Switch", "SwitchDiffError", "TailUnresolvable",
     "TruncationLeak", "auto_truncation", "check_condition_exp",
     "check_condition_poly", "check_local_bounded_beta_sum", "ctmc_oracle",
     "default_grid", "estimate_moment", "estimate_tau_tail", "extend_stream",
-    "feller_probe", "gronwall_bound_poly", "integrate_segment", "interval_row",
+    "feller_probe", "gronwall_bound_poly", "interval_row",
     "list_models", "make_grid", "make_model", "mark_displacement",
-    "model_names", "sample_stream", "simulate", "simulate_truncated",
-    "simulate_with_truncated_coefficients", "tau_tail_bound_poly", "thin",
-    "truncate_coefficients", "zeta_partial",
+    "model_names", "run_ensemble", "sample_stream", "simulate",
+    "tau_tail_bound_poly", "thin", "truncate_coefficients", "zeta_partial",
 ]

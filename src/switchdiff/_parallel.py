@@ -7,6 +7,7 @@ independent of worker count and scheduling.
 """
 
 import multiprocessing as mp
+import os
 
 _PAYLOAD = None
 
@@ -20,12 +21,13 @@ def _chunk_worker(bounds):
 def map_indices(fn, n, threads=1):
     """Evaluate fn(k) for k in range(n), optionally across forked workers.
 
-    fn must return a picklable record (tuples of plain floats/ints).  Falls
-    back to the serial path when fork is unavailable or n is small.
+    fn must return a picklable record (tuples of plain floats/ints).  The
+    worker count is capped at the number of CPUs.  Falls back to the serial
+    path when fork is unavailable or n is small.
     """
     if threads is None:
         threads = 1
-    threads = max(1, int(threads))
+    threads = max(1, min(int(threads), os.cpu_count() or 1))
     if threads == 1 or n < 4 * threads or "fork" not in mp.get_all_start_methods():
         return [fn(k) for k in range(n)]
     global _PAYLOAD

@@ -385,8 +385,12 @@ def _sigma_integral(model, grid):
     return float(np.trapezoid(sup, times))
 
 
-def _collect_margins(model, grid, lhs_fn, rhs_fn):
-    """Shared sweep: min margin, worst node, violations, over (y, j, t)."""
+def _collect_margins(model, grid, series_fn, lhs_fn, rhs_fn):
+    """Shared sweep: min margin, worst node, violations, over (y, j, t).
+
+    series_fn(y, j) evaluates the regime series once per (y, j); lhs_fn(y, j,
+    t, series) and rhs_fn(y, j, t) are the two sides at each node.
+    """
     pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
     margin = np.inf
     worst = (pts[0], 1, grid.times[0])
@@ -396,7 +400,7 @@ def _collect_margins(model, grid, lhs_fn, rhs_fn):
     for a, y in enumerate(pts):
         for j in range(1, grid.regimes + 1):
             try:
-                series = lhs_fn.series(y, j)
+                series = series_fn(y, j)
             except TailUnresolvable as exc:
                 if exc.definitive:
                     raise
@@ -404,7 +408,7 @@ def _collect_margins(model, grid, lhs_fn, rhs_fn):
                 continue
             for t in grid.times:
                 nodes += 1
-                m = rhs_fn(y, j, t) - lhs_fn.value(y, j, t, series)
+                m = rhs_fn(y, j, t) - lhs_fn(y, j, t, series)
                 if m < margin:
                     margin = m
                     worst = (y, j, t)
@@ -424,22 +428,21 @@ def check_condition_poly(model, cert, grid, rel_tol=SERIES_REL_TOL,
     rates = model.rates
     p, beta = cert.p, cert.beta
 
-    class _LHS:
-        def series(self, y, j):
-            val, half = signed_beta_series(rates, j, y, beta, rel_tol, max_terms)
-            return val + half  # sound upper end
+    def series(y, j):
+        val, half = signed_beta_series(rates, j, y, beta, rel_tol, max_terms)
+        return val + half  # sound upper end
 
-        def value(self, y, j, t, series_hi):
-            y2 = float(y @ y)
-            b = np.asarray(model.drift(y, j, t), dtype=float)
-            drift_term = 2.0 * float(y @ b) + (2.0 * p - 1.0) * _sigma_hs2(model, y, j, t)
-            return series_hi / (1.0 + y2) ** p + drift_term / (1.0 + y2)
+    def lhs(y, j, t, series_hi):
+        y2 = float(y @ y)
+        b = np.asarray(model.drift(y, j, t), dtype=float)
+        drift_term = 2.0 * float(y @ b) + (2.0 * p - 1.0) * _sigma_hs2(model, y, j, t)
+        return series_hi / (1.0 + y2) ** p + drift_term / (1.0 + y2)
 
     def rhs(y, j, t):
         y2 = float(y @ y)
         return cert.growth_at(t) * (1.0 + float(j) ** beta / (1.0 + y2) ** p)
 
-    margin, worst, violations, nodes, failed = _collect_margins(model, grid, _LHS(), rhs)
+    margin, worst, violations, nodes, failed = _collect_margins(model, grid, series, lhs, rhs)
     sigma_integral = _sigma_integral(model, grid)
     certified = (margin >= 0 and not failed and np.isfinite(sigma_integral))
     return CertificateReport("polynomial", certified, float(margin), worst,
@@ -459,23 +462,22 @@ def check_condition_exp(model, cert, grid, rel_tol=SERIES_REL_TOL,
     alpha, c, beta, horizon = cert.alpha, cert.c, cert.beta, cert.horizon
     discount = math.exp(-alpha * c * horizon)
 
-    class _LHS:
-        def series(self, y, j):
-            up, half = _upward_series(rates, j, y, beta, rel_tol, max_terms)
-            return (_downward_series(rates, j, y, beta), up + half)
+    def series(y, j):
+        up, half = _upward_series(rates, j, y, beta, rel_tol, max_terms)
+        return (_downward_series(rates, j, y, beta), up + half)
 
-        def value(self, y, j, t, series):
-            down, up_hi = series
-            y2 = float(y @ y)
-            v = (1.0 + y2) ** alpha
-            b = np.asarray(model.drift(y, j, t), dtype=float)
-            hs2 = _sigma_hs2(model, y, j, t)
-            term1 = (2.0 * float(y @ b) + (1.0 + 2.0 * alpha * v) * hs2) / (1.0 + y2)
-            w_down = v * math.exp(v) if v < 700.0 else np.inf
-            w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
-            t2 = down / w_down if np.isfinite(w_down) else 0.0
-            t3 = up_hi / w_up if np.isfinite(w_up) else 0.0
-            return term1 + t2 + t3
+    def lhs(y, j, t, series):
+        down, up_hi = series
+        y2 = float(y @ y)
+        v = (1.0 + y2) ** alpha
+        b = np.asarray(model.drift(y, j, t), dtype=float)
+        hs2 = _sigma_hs2(model, y, j, t)
+        term1 = (2.0 * float(y @ b) + (1.0 + 2.0 * alpha * v) * hs2) / (1.0 + y2)
+        w_down = v * math.exp(v) if v < 700.0 else np.inf
+        w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
+        t2 = down / w_down if np.isfinite(w_down) else 0.0
+        t3 = up_hi / w_up if np.isfinite(w_up) else 0.0
+        return term1 + t2 + t3
 
     def rhs(y, j, t):
         y2 = float(y @ y)
@@ -484,7 +486,7 @@ def check_condition_exp(model, cert, grid, rel_tol=SERIES_REL_TOL,
         extra = float(j) ** beta / w_up if np.isfinite(w_up) else 0.0
         return c * (1.0 + extra)
 
-    margin, worst, violations, nodes, failed = _collect_margins(model, grid, _LHS(), rhs)
+    margin, worst, violations, nodes, failed = _collect_margins(model, grid, series, lhs, rhs)
     sigma_integral = _sigma_integral(model, grid)
     certified = (margin >= 0 and not failed and np.isfinite(sigma_integral))
     return CertificateReport("exponential", certified, float(margin), worst,

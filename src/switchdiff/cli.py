@@ -22,14 +22,11 @@ from .certify import (ExponentialCertificate, PolynomialCertificate,
                       check_condition_exp, check_condition_poly, default_grid)
 from .errors import SwitchDiffError
 from .hybrid import SimConfig, simulate
-from .jumps import sample_stream
 from .models import list_models, make_model, model_params
-from .probe import ctmc_oracle, estimate_moment, estimate_tau_tail, feller_probe
+from .probe import (ctmc_oracle, estimate_moment, estimate_tau_tail,
+                    feller_probe, run_ensemble)
 
 CSV_SCHEMA = "# switchdiff-csv v1"
-
-COMMANDS = ("simulate", "ensemble", "certify", "moments", "tau-tail",
-            "feller", "oracle")
 
 
 def _floats(s):
@@ -265,42 +262,26 @@ def _cmd_simulate(cfg, model, sim, prefix, threads, dump_stream):
     _write_csv(p, ["t", "from", "to", "z"], _switch_rows(path))
     files.append(p)
     if dump_stream:
-        rate = sim.stream_rate
-        if rate == "auto":
-            from .hybrid import auto_truncation
-            rate = auto_truncation(model, sim.stop_level)
-        horizon = model.horizon if sim.horizon is None else sim.horizon
-        stream = sample_stream(rate, horizon, sim.seed, 0)
         p = prefix + "_stream.csv"
-        _write_csv(p, ["time", "mark"], list(zip(stream.times, stream.marks)))
+        _write_csv(p, ["time", "mark"], zip(path.stream.times, path.stream.marks))
         files.append(p)
     return files, [f"status = {_status_str(path.status)}"]
 
 
-def _cmd_ensemble(cfg, model, sim, prefix, threads):
-    from ._parallel import map_indices
+def _cmd_ensemble(cfg, model, sim, prefix, threads, *_):
     x0 = np.asarray(cfg.get("x0", [0.0] * model.dim), dtype=float)
-    i0 = cfg.get("i0", 1)
-    n = cfg.get("n", 100)
-    dim = model.dim
-
-    def one(k):
-        path = simulate(model, x0, i0, sim, traj=k, record="events")
-        te, xe, le = path.terminal
-        st = path.status
-        return (k, st.kind, -1.0 if st.tau is None else st.tau, te,
-                tuple(float(v) for v in xe), le, len(path.switches))
-
-    recs = map_indices(one, n, threads)
-    rows = [[k, kind, tau, te] + list(xe) + [le, ns]
-            for (k, kind, tau, te, xe, le, ns) in recs]
+    ens = run_ensemble(model, x0, cfg.get("i0", 1), sim, cfg.get("n", 100),
+                       threads=threads)
+    tau = np.where(np.isnan(ens["tau"]), -1.0, ens["tau"])
+    rows = [[k, ens["kind"][k], tau[k], ens["t_end"][k]] + list(ens["x_end"][k])
+            + [ens["lam_end"][k], ens["switches"][k]] for k in range(tau.size)]
     p = prefix + "_report.csv"
     _write_csv(p, ["traj", "status", "tau", "t_end"] +
-               [f"x_{c+1}" for c in range(dim)] + ["lambda", "switches"], rows)
+               [f"x_{c+1}" for c in range(model.dim)] + ["lambda", "switches"], rows)
     return [p], []
 
 
-def _cmd_certify(cfg, model, prefix):
+def _cmd_certify(cfg, model, sim, prefix, *_):
     cert = _certificate(cfg)
     grid = _grid(cfg, model)
     if isinstance(cert, PolynomialCertificate):
@@ -324,7 +305,7 @@ def _probe_files(report, prefix):
     return [p]
 
 
-def _cmd_moments(cfg, model, sim, prefix, threads):
+def _cmd_moments(cfg, model, sim, prefix, threads, *_):
     cert = _certificate(cfg)
     if not isinstance(cert, PolynomialCertificate):
         raise _Exit(2, "moments requires cert.kind=poly")
@@ -335,7 +316,7 @@ def _cmd_moments(cfg, model, sim, prefix, threads):
     return _probe_files(report, prefix), []
 
 
-def _cmd_tau_tail(cfg, model, sim, prefix, threads):
+def _cmd_tau_tail(cfg, model, sim, prefix, threads, *_):
     cert = _certificate(cfg) if "cert.kind" in cfg else None
     x0 = cfg.get("x0", [0.0] * model.dim)
     report = estimate_tau_tail(model, x0, cfg.get("i0", 1), cfg.get("t", 1.0),
@@ -345,7 +326,7 @@ def _cmd_tau_tail(cfg, model, sim, prefix, threads):
     return _probe_files(report, prefix), []
 
 
-def _cmd_feller(cfg, model, sim, prefix, threads):
+def _cmd_feller(cfg, model, sim, prefix, threads, *_):
     fname = cfg.get("f", "indicator_positive")
     if fname not in TEST_FUNCTIONS:
         raise _Exit(2, f"unknown test function {fname!r}; "
@@ -358,7 +339,7 @@ def _cmd_feller(cfg, model, sim, prefix, threads):
     return _probe_files(report, prefix), []
 
 
-def _cmd_oracle(cfg, model, sim, prefix, threads):
+def _cmd_oracle(cfg, model, sim, prefix, threads, *_):
     x0 = cfg.get("x0")
     x0 = None if x0 is None else np.asarray(x0, dtype=float)
     times = cfg.get("times", [cfg.get("t", 1.0)])
@@ -374,12 +355,25 @@ def _cmd_oracle(cfg, model, sim, prefix, threads):
     return [p], []
 
 
+# The command names and their handlers, called as
+# handler(cfg, model, sim, prefix, threads, dump_stream).
+COMMANDS = {
+    "simulate": _cmd_simulate,
+    "ensemble": _cmd_ensemble,
+    "certify": _cmd_certify,
+    "moments": _cmd_moments,
+    "tau-tail": _cmd_tau_tail,
+    "feller": _cmd_feller,
+    "oracle": _cmd_oracle,
+}
+
+
 def run(config_path, seed=None, out=None, threads=None, dump_stream=False):
     """Execute the command named in the config file; returns written files."""
     cfg = parse_config(config_path)
     command = cfg.get("command")
     if command not in COMMANDS:
-        raise _Exit(2, f"command must be one of {COMMANDS}, got {command!r}")
+        raise _Exit(2, f"command must be one of {tuple(COMMANDS)}, got {command!r}")
     if seed is not None:
         cfg["seed"] = int(seed)
     if "seed" not in cfg:
@@ -396,20 +390,8 @@ def run(config_path, seed=None, out=None, threads=None, dump_stream=False):
     os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
 
     try:
-        if command == "simulate":
-            files, extra = _cmd_simulate(cfg, model, sim, prefix, n_threads, dump_stream)
-        elif command == "ensemble":
-            files, extra = _cmd_ensemble(cfg, model, sim, prefix, n_threads)
-        elif command == "certify":
-            files, extra = _cmd_certify(cfg, model, prefix)
-        elif command == "moments":
-            files, extra = _cmd_moments(cfg, model, sim, prefix, n_threads)
-        elif command == "tau-tail":
-            files, extra = _cmd_tau_tail(cfg, model, sim, prefix, n_threads)
-        elif command == "feller":
-            files, extra = _cmd_feller(cfg, model, sim, prefix, n_threads)
-        else:
-            files, extra = _cmd_oracle(cfg, model, sim, prefix, n_threads)
+        files, extra = COMMANDS[command](cfg, model, sim, prefix, n_threads,
+                                         dump_stream)
     except _Exit:
         raise
     except SwitchDiffError as exc:

@@ -21,19 +21,5 @@ class TailUnresolvable(SwitchDiffError):
         self.definitive = definitive
 
 
-class NonFiniteError(SwitchDiffError):
-    """A state coordinate became NaN or infinite during integration.
-
-    Carries the failure time and the finite prefix of the segment so the
-    caller can treat the event as an explosion candidate.
-    """
-
-    def __init__(self, time, times, states):
-        super().__init__(f"state became non-finite at t={time!r}")
-        self.time = time
-        self.times = times
-        self.states = states
-
-
 class TruncationLeak(SwitchDiffError):
     """Simulated regime mass above the oracle truncation exceeded tolerance."""

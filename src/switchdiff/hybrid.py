@@ -17,9 +17,10 @@ ceiling declares an operational explosion.  Explosion is declared
 operationally -- ceiling exceeded or non-finite state -- since true blow-up
 is unobservable in finite precision.
 
-The Euler step here is node-for-node the recursion of
-``integrate.integrate_segment`` on the same grid; the equivalence is pinned
-by tests.
+``_run_level`` holds the package's only Euler-Maruyama loop.  Between
+events it is the plain fixed-regime recursion on the grid nodes, so with
+zero rates a path is that recursion node for node; the tests pin this
+against a reference loop.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from ._rng import BROWNIAN, substream
 from .errors import ConfigError
 from .integrate import make_grid
-from .jumps import extend_stream, sample_stream
-from .model import mark_displacement, truncate_coefficients
+from .jumps import JumpStream, extend_stream, sample_stream
+from .model import mark_displacement
 
 
 def _as_state(x0, dim):
@@ -62,7 +63,6 @@ class SimConfig:
     horizon: Optional[float] = None
     max_stop_level: Optional[int] = None
     seed: int = 0
-    extend_streams: bool = True
 
     def __post_init__(self):
         if self.stop_level < 1:
@@ -119,7 +119,8 @@ class HybridPath:
     regimes[k] is the regime on [times[k], times[k+1]) (right-continuous:
     a switch node carries the post-switch regime); the x-component is
     continuous across switches.  escalations records (level, tau) for every
-    stop-level hit, in order.
+    stop-level hit, in order.  stream is the master stream the path
+    consumed, including any extension bands added for higher levels.
     """
 
     times: np.ndarray
@@ -128,6 +129,7 @@ class HybridPath:
     switches: List[Switch]
     status: PathStatus
     escalations: List[Tuple[int, float]] = field(default_factory=list)
+    stream: Optional[JumpStream] = None
 
     @property
     def terminal(self):
@@ -175,10 +177,6 @@ class _Done(Exception):
     pass
 
 
-def _radius(x, d):
-    return abs(float(x[0])) if d == 1 else float(np.sqrt(x @ x))
-
-
 def _run_level(model, x0, lam0, t_start, stop_level, cutoff, stream, brng,
                dt_target, horizon, record, initial_marks=()):
     """Run one fixed-level trajectory piece from (t_start, x0, lam0).
@@ -191,7 +189,7 @@ def _run_level(model, x0, lam0, t_start, stop_level, cutoff, stream, brng,
     x = np.array(x0, dtype=float)
     lam = int(lam0)
     switches: List[Switch] = []
-    r = _radius(x, d)
+    r = abs(x[0]) if d == 1 else np.sqrt(x @ x)
     if not (r + lam < stop_level):
         kind = "stopped" if np.isfinite(r) else "exploded"
         status = PathStatus(kind, float(t_start), stop_level if kind == "stopped" else None)
@@ -261,7 +259,7 @@ def _run_level(model, x0, lam0, t_start, stop_level, cutoff, stream, brng,
                         span = k
                         switches.append(Switch(float(nodes[k]), lam, lam + dlt, z))
                         lam += dlt
-                        r = _radius(x, d)
+                        # x is unchanged since r was last computed
                         if not (r + lam < stop_level):
                             end = k
                             status = PathStatus("stopped", float(nodes[k]), stop_level)
@@ -293,7 +291,7 @@ def _single_node_piece(t, x, lam, status, switches=None, pending=None):
                        list(pending or []))
 
 
-def _assemble(pieces, status, escalations):
+def _assemble(pieces, status, escalations, stream):
     # later pieces win the junction node, so a switch applied at a restart
     # time keeps the path right-continuous in the regime
     times = [p.times[:-1] for p in pieces[:-1]] + [pieces[-1].times]
@@ -301,7 +299,8 @@ def _assemble(pieces, status, escalations):
     regimes = [p.regimes[:-1] for p in pieces[:-1]] + [pieces[-1].regimes]
     switches = [s for p in pieces for s in p.switches]
     return HybridPath(np.concatenate(times), np.vstack(states),
-                      np.concatenate(regimes), switches, status, escalations)
+                      np.concatenate(regimes), switches, status, escalations,
+                      stream)
 
 
 def _resolve_horizon(cfg, model):
@@ -317,29 +316,6 @@ def _resolve_cutoff(cfg, model, stop_level):
     return float(cfg.mark_cutoff)
 
 
-def simulate_truncated(model, x0, i0, cfg, stream, *, traj=0, record="nodes"):
-    """One fixed-level trajectory against an explicit master stream.
-
-    The stream must cover the horizon and its mark ceiling must be at least
-    the (resolved) cutoff.  Runs that share (stream, seed, traj) and differ
-    only in a cutoff at or above ``auto_truncation(model, cfg.stop_level)``
-    are bit-identical up to and including the stop time.
-    """
-    horizon = _resolve_horizon(cfg, model)
-    if stream.horizon < horizon:
-        raise ConfigError("stream horizon does not cover the simulation horizon")
-    cutoff = _resolve_cutoff(cfg, model, cfg.stop_level)
-    if cutoff > stream.k_max:
-        raise ConfigError(
-            f"stream mark ceiling {stream.k_max} below required cutoff {cutoff}")
-    brng = substream(cfg.seed, traj, BROWNIAN)
-    piece = _run_level(model, _as_state(x0, model.dim), i0, 0.0,
-                       cfg.stop_level, cutoff, stream, brng,
-                       cfg.dt_target, horizon, record)
-    esc = [(cfg.stop_level, piece.status.tau)] if piece.status.stopped else []
-    return _assemble([piece], piece.status, esc)
-
-
 def _level_schedule(cfg):
     ceiling = cfg.max_stop_level if cfg.max_stop_level is not None else cfg.stop_level
     levels = [int(cfg.stop_level)]
@@ -348,15 +324,21 @@ def _level_schedule(cfg):
     return levels
 
 
-def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None):
+def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
+             stream=None):
     """Full trajectory with stop-level escalation.
 
     Runs fixed-level pieces through ``levels`` (default: stop_level doubling
     up to max_stop_level), restarting each stopped piece from its stopped
-    state.  The master stream is reused across levels and extended by
-    superposition when the auto-selected cutoff outgrows it; with
-    extend_streams False such growth raises ConfigError.  A stop at the last
-    level is an operational explosion.
+    state.  A stop at the last level is an operational explosion.
+
+    The master stream is sampled from (cfg.seed, traj), reused across levels
+    and extended by superposition when the auto-selected cutoff outgrows it.
+    A caller-supplied ``stream`` must cover the horizon and is never
+    extended: a level whose cutoff exceeds ``stream.k_max`` raises
+    ConfigError.  Runs that share (stream, seed, traj) and differ only in a
+    cutoff at or above ``auto_truncation`` at the stop level are
+    bit-identical up to and including the stop time.
     """
     if levels is None:
         levels = _level_schedule(cfg)
@@ -365,11 +347,15 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None):
         if not all(b > a for a, b in zip(levels, levels[1:])):
             raise ConfigError("levels must be strictly increasing")
     horizon = _resolve_horizon(cfg, model)
-    if cfg.stream_rate == "auto":
-        rate = max(_resolve_cutoff(cfg, model, levels[0]), 0.0)
-    else:
-        rate = float(cfg.stream_rate)
-    stream = sample_stream(rate, horizon, cfg.seed, traj)
+    supplied = stream is not None
+    if not supplied:
+        if cfg.stream_rate == "auto":
+            rate = max(_resolve_cutoff(cfg, model, levels[0]), 0.0)
+        else:
+            rate = float(cfg.stream_rate)
+        stream = sample_stream(rate, horizon, cfg.seed, traj)
+    elif stream.horizon < horizon:
+        raise ConfigError("stream horizon does not cover the simulation horizon")
     brng = substream(cfg.seed, traj, BROWNIAN)
 
     x = _as_state(x0, model.dim)
@@ -382,10 +368,9 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None):
     for li, level in enumerate(levels):
         cutoff = _resolve_cutoff(cfg, model, level)
         if cutoff > stream.k_max:
-            if not cfg.extend_streams:
+            if supplied:
                 raise ConfigError(
-                    f"stream rate {stream.k_max} cannot cover cutoff {cutoff} "
-                    "and extension is disabled")
+                    f"stream mark ceiling {stream.k_max} below required cutoff {cutoff}")
             stream = extend_stream(stream, cutoff, cfg.seed, traj, chunk=li)
         piece = _run_level(model, x, lam, t, level, cutoff, stream, brng,
                            cfg.dt_target, horizon, record, initial_marks=marks)
@@ -399,15 +384,4 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None):
             break
         t, x, lam = piece.end_time, piece.end_state, piece.end_regime
         marks = tuple(piece.pending_marks)
-    return _assemble(pieces, status, escalations)
-
-
-def simulate_with_truncated_coefficients(model, x0, i0, cfg, coeff_level, *,
-                                         traj=0, record="nodes", levels=None):
-    """Simulate with drift/dispersion zeroed outside {|x| <= coeff_level, t <= coeff_level}.
-
-    Under a shared seed the path agrees bit-exactly with the untruncated run
-    until the first time |X| exceeds coeff_level or t exceeds it.
-    """
-    return simulate(truncate_coefficients(model, coeff_level), x0, i0, cfg,
-                    traj=traj, record=record, levels=levels)
+    return _assemble(pieces, status, escalations, stream)

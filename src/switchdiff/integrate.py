@@ -1,4 +1,4 @@
-"""Per-environment Euler-Maruyama integration on a breakpoint-aligned grid.
+"""Breakpoint-aligned Brownian grids for per-environment Euler-Maruyama.
 
 The grid is induced by prescribed breakpoints (jump candidate times plus the
 window endpoints): each inter-breakpoint span is subdivided into equal steps
@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -59,46 +57,3 @@ def make_grid(breakpoints, dt_target, dim, rng):
     steps = np.diff(nodes)
     incr = rng.standard_normal((steps.size, dim)) * np.sqrt(steps)[:, None]
     return BrownianGrid(nodes, steps, incr, bidx, dim)
-
-
-def integrate_segment(model, x0, regime, t0, t1, grid):
-    """Euler-Maruyama over the grid nodes in [t0, t1] with a frozen regime.
-
-    t0 and t1 must be grid nodes.  Returns (times, states) with states[k] the
-    solution at times[k] and states[0] == x0.  Raises NonFiniteError carrying
-    the finite prefix if any coordinate becomes NaN or infinite; the caller
-    treats that as an explosion candidate at the reported node time.
-    """
-    nodes = grid.nodes
-    a = int(np.searchsorted(nodes, t0))
-    b = int(np.searchsorted(nodes, t1))
-    if not (t0 < t1 and a < nodes.size and b < nodes.size
-            and nodes[a] == t0 and nodes[b] == t1):
-        raise ValueError("segment endpoints must be grid nodes with t0 < t1")
-    drift, dispersion = model.drift, model.dispersion
-    steps, incr = grid.steps, grid.increments
-    m = b - a
-    states = np.empty((m + 1, model.dim))
-    x = np.asarray(x0, dtype=float)
-    states[0] = x
-    i = int(regime)
-    fail_at = None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            t = t0
-            for k in range(a, b):
-                x = x + drift(x, i, t) * steps[k] + dispersion(x, i, t) @ incr[k]
-                states[k - a + 1] = x
-                t = nodes[k + 1]
-        except (OverflowError, FloatingPointError):
-            fail_at = k - a + 1
-            states[fail_at:] = np.nan
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        if fail_at is not None:
-            bad = min(bad, fail_at)
-        # finite prefix only; the failure node itself is reported via .time
-        raise NonFiniteError(float(nodes[a + bad]), nodes[a:a + bad].copy(),
-                             states[:bad])
-    return nodes[a:b + 1], states

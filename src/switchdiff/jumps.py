@@ -23,7 +23,6 @@ class JumpStream:
     horizon: float
     times: np.ndarray
     marks: np.ndarray
-    seed_token: tuple
 
     def __len__(self):
         return self.times.size
@@ -44,8 +43,7 @@ def sample_stream(k_max, horizon, seed, traj=0):
     times = np.sort(rng.uniform(0.0, horizon, n))
     marks = rng.uniform(0.0, k_max, n)
     keep = times > 0.0
-    return JumpStream(float(k_max), float(horizon), times[keep], marks[keep],
-                      (int(seed), int(traj)))
+    return JumpStream(float(k_max), float(horizon), times[keep], marks[keep])
 
 
 def thin(stream, cutoff):
@@ -58,7 +56,7 @@ def thin(stream, cutoff):
         raise ValueError(f"cutoff {cutoff} outside (0, k_max={stream.k_max}]")
     keep = stream.marks < cutoff
     return JumpStream(float(cutoff), stream.horizon, stream.times[keep],
-                      stream.marks[keep], stream.seed_token + ("thin", float(cutoff)))
+                      stream.marks[keep])
 
 
 def extend_stream(stream, new_k_max, seed, traj=0, chunk=1):
@@ -79,5 +77,4 @@ def extend_stream(stream, new_k_max, seed, traj=0, chunk=1):
     times = np.concatenate([stream.times, t2[keep]])
     marks = np.concatenate([stream.marks, z2[keep]])
     order = np.argsort(times, kind="stable")
-    return JumpStream(float(new_k_max), stream.horizon, times[order], marks[order],
-                      stream.seed_token + ("extend", float(new_k_max), int(chunk)))
+    return JumpStream(float(new_k_max), stream.horizon, times[order], marks[order])

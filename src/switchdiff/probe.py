@@ -4,10 +4,10 @@ Estimates the quantities the non-explosion certificates and the continuity
 theory make checkable: growth-functional moments against their Gronwall
 bound, stop-time tail probabilities across localization levels, semigroup
 continuity profiles under common random numbers, and a matrix-exponential
-law check for the pure switching mechanism.  Every probe consumes
-trajectories from the hybrid solver; none re-implements dynamics.
-Accumulation is per-trajectory-index, so estimates do not depend on worker
-count or scheduling.
+law check for the pure switching mechanism.  Every probe reduces over the
+terminal records of ``run_ensemble``; none re-implements dynamics.
+Records are merged by trajectory index, so estimates do not depend on
+worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ._parallel import map_indices
 from ._rng import AUX, substream
 from .certify import gronwall_bound_poly, tau_tail_bound_poly
 from .errors import TruncationLeak
-from .hybrid import simulate
+from .hybrid import _level_schedule, simulate
 
 
 @dataclass
@@ -49,6 +49,47 @@ class ProbeReport:
         diag = ";".join(f"{k}={v}" for k, v in sorted(self.diagnostics.items()))
         return [[self.name, par, lab, est, hw, self.n, diag]
                 for lab, est, hw in zip(self.labels, self.estimates, self.half_widths)]
+
+
+def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
+    """Simulate trajectories traj0 .. traj0 + n - 1 and return their terminal records.
+
+    The result maps each field to one array indexed by trajectory:
+    ``t_end``, ``x_end`` (n, dim), ``lam_end``, ``kind`` (the status kind),
+    ``tau`` (NaN when the status has none), ``nonfinite``, ``hit`` (n,
+    len(levels): the stop time of each level, inf when not reached; a
+    non-finite blow-up hits every level it did not stop at),
+    ``max_regime`` and ``switches`` (switch count).  ``levels`` is passed to
+    ``simulate``; by default the config's escalation schedule.
+    """
+    hit_levels = _level_schedule(cfg) if levels is None else [int(m) for m in levels]
+
+    def terminal(k):
+        path = simulate(model, x0, i0, cfg, traj=traj0 + k, record="events",
+                        levels=levels)
+        te, xe, le = path.terminal
+        st = path.status
+        hit = dict(path.escalations)
+        if st.nonfinite:
+            for lv in hit_levels:
+                hit.setdefault(lv, st.tau)
+        return (te, tuple(float(v) for v in xe), le, st.kind,
+                math.nan if st.tau is None else st.tau, st.nonfinite,
+                tuple(hit.get(lv, math.inf) for lv in hit_levels),
+                path.max_regime, len(path.switches))
+
+    cols = list(zip(*map_indices(terminal, n, threads))) or [()] * 9
+    return {
+        "t_end": np.array(cols[0], dtype=float),
+        "x_end": np.array(cols[1], dtype=float).reshape(n, model.dim),
+        "lam_end": np.array(cols[2], dtype=np.int64),
+        "kind": np.array(cols[3], dtype=str),
+        "tau": np.array(cols[4], dtype=float),
+        "nonfinite": np.array(cols[5], dtype=bool),
+        "hit": np.array(cols[6], dtype=float).reshape(n, len(hit_levels)),
+        "max_regime": np.array(cols[7], dtype=np.int64),
+        "switches": np.array(cols[8], dtype=np.int64),
+    }
 
 
 def _mean_ci(values):
@@ -82,20 +123,11 @@ def estimate_moment(model, cert, x0, i0, t, n, cfg, *, threads=1):
             ["moment", "gronwall_bound"],
             [v0, gronwall_bound_poly(cert, x0, i0, 0.0)],
             [0.0, 0.0], n, {"explosions": 0, "level_stops": 0})
-    run_cfg = replace(cfg, horizon=float(t))
-
-    def one(k):
-        path = simulate(model, x0, i0, run_cfg, traj=k, record="events")
-        _, xe, le = path.terminal
-        st = path.status
-        if st.nonfinite:
-            return (float("nan"), 1.0, 1.0)
-        val = (1.0 + float(xe @ xe)) ** p + p * float(le) ** beta
-        return (val, 1.0 if st.exploded else 0.0, 0.0)
-
-    recs = np.array(map_indices(one, n, threads), dtype=float)
-    ok = ~np.isnan(recs[:, 0])
-    est, hw = _mean_ci(recs[ok, 0])
+    ens = run_ensemble(model, x0, i0, replace(cfg, horizon=float(t)), n,
+                       threads=threads)
+    ok = ~ens["nonfinite"]
+    est, hw = _mean_ci([(1.0 + float(xe @ xe)) ** p + p * float(le) ** beta
+                        for xe, le in zip(ens["x_end"][ok], ens["lam_end"][ok])])
     bound = gronwall_bound_poly(cert, x0, i0, t)
     return ProbeReport(
         "moment",
@@ -104,7 +136,8 @@ def estimate_moment(model, cert, x0, i0, t, n, cfg, *, threads=1):
         [est, bound],
         [hw, 0.0],
         int(ok.sum()),
-        {"explosions": int(n - ok.sum()), "level_stops": int(recs[ok, 1].sum())},
+        {"explosions": int(n - ok.sum()),
+         "level_stops": int((ens["kind"][ok] == "exploded").sum())},
     )
 
 
@@ -133,20 +166,9 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
     tails = np.zeros((len(starts), len(levels)))
     explosions = 0
     for si, y in enumerate(starts):
-        def one(k, _y=y):
-            path = simulate(model, _y, i0, run_cfg, traj=k, record="events",
-                            levels=levels)
-            hit = {lv: tau for lv, tau in path.escalations}
-            if path.status.nonfinite:
-                # a non-finite blow-up exits every remaining level by then
-                for lv in levels:
-                    hit.setdefault(lv, path.status.tau)
-            return tuple(hit.get(lv, math.inf) for lv in levels) + (
-                1.0 if path.status.nonfinite else 0.0,)
-
-        recs = np.array(map_indices(one, n, threads), dtype=float)
-        explosions += int(recs[:, -1].sum())
-        tails[si] = (recs[:, :-1] <= horizon).mean(axis=0)
+        ens = run_ensemble(model, y, i0, run_cfg, n, threads=threads, levels=levels)
+        explosions += int(ens["nonfinite"].sum())
+        tails[si] = (ens["hit"] <= horizon).mean(axis=0)
 
     labels, ests, hws = [], [], []
     for li, lv in enumerate(levels):
@@ -193,17 +215,11 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
     truncated = np.zeros(len(deltas), dtype=int)
     for di, dv in enumerate(deltas):
         y = x + dv
-        base = 0 if couple else di * n
-
-        def one(k, _y=y, _b=base):
-            path = simulate(model, _y, i, run_cfg, traj=_b + k, record="events")
-            _, xe, le = path.terminal
-            bad = 1.0 if not path.status.reached_horizon else 0.0
-            return (float(f(xe, le)), bad)
-
-        recs = np.array(map_indices(one, n, threads), dtype=float)
-        vals[di] = recs[:, 0]
-        truncated[di] = int(recs[:, 1].sum())
+        ens = run_ensemble(model, y, i, run_cfg, n, threads=threads,
+                           traj0=0 if couple else di * n)
+        vals[di] = [float(f(xe, int(le)))
+                    for xe, le in zip(ens["x_end"], ens["lam_end"])]
+        truncated[di] = int((ens["kind"] != "horizon").sum())
 
     labels, ests, hws = [], [], []
     for di, dv in enumerate(deltas):
@@ -260,20 +276,18 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1,
     level = J + 2 + int(math.ceil(float(np.linalg.norm(x0))))
     run_cfg = replace(cfg, horizon=float(t), stop_level=level, max_stop_level=level)
 
-    def one(k):
-        if t <= 0.0:
-            return (float(i0), float(i0), 0.0)
-        path = simulate(model, x0, i0, run_cfg, traj=k, record="events")
-        return (float(path.terminal[2]), float(path.max_regime),
-                1.0 if path.status.nonfinite else 0.0)
-
-    recs = np.array(map_indices(one, n, threads), dtype=float)
-    stayed = recs[:, 1] <= J
+    if t > 0.0:
+        ens = run_ensemble(model, x0, i0, run_cfg, n, threads=threads)
+        lam, top, nonfinite = ens["lam_end"], ens["max_regime"], ens["nonfinite"]
+    else:
+        lam = top = np.full(n, i0)
+        nonfinite = np.zeros(n, dtype=bool)
+    stayed = top <= J
     leak_sim = float(1.0 - stayed.mean())
     if leak_sim > leak_tol:
         raise TruncationLeak(
             f"simulated mass {leak_sim:.3g} above truncation {J} exceeds {leak_tol:g}")
-    counts = np.bincount(recs[stayed, 0].astype(int), minlength=J + 1)[1:J + 1]
+    counts = np.bincount(lam[stayed], minlength=J + 1)[1:J + 1]
     p_hat = counts / n
     tv = 0.5 * (np.abs(p_hat - p_exact).sum() + abs(leak_sim - leak_exact))
 
@@ -293,5 +307,5 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1,
         "ctmc_oracle",
         {"t": t, "i0": i0, "j_trunc": J, "x0": list(map(float, x0))},
         labels, ests, hws, n,
-        {"explosions": int(recs[:, 2].sum()), "stayed": int(stayed.sum())},
+        {"explosions": int(nonfinite.sum()), "stayed": int(stayed.sum())},
     )

@@ -12,10 +12,9 @@ import numpy as np
 from switchdiff import (PolynomialCertificate, SimConfig, auto_truncation,
                         check_condition_poly, check_local_bounded_beta_sum,
                         ctmc_oracle, estimate_moment, estimate_tau_tail,
-                        feller_probe, integrate_segment, make_grid, make_model,
-                        sample_stream, simulate, simulate_truncated)
+                        feller_probe, make_model, run_ensemble, sample_stream,
+                        simulate)
 from switchdiff._parallel import map_indices
-from switchdiff._rng import BROWNIAN, substream
 from switchdiff.certify import GridSpec, PowerLawRates, default_grid
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -46,8 +45,8 @@ def test_c01_cutoff_stability_regression():
             for cutoff in (k_auto, k_auto * 1.5):
                 cfg = SimConfig(stop_level=level, mark_cutoff=cutoff,
                                 seed=1000, dt_target=0.01)
-                runs.append(simulate_truncated(model, [1.0], 1, cfg, stream,
-                                               traj=traj, record="nodes"))
+                runs.append(simulate(model, [1.0], 1, cfg, traj=traj,
+                                     record="nodes", stream=stream))
             assert bit_identical(runs[0], runs[1]), (name, traj)
     announce(1, "cutoff stability (zero tolerance)")
 
@@ -147,16 +146,11 @@ def test_c07_integrator_weak_order():
                        sigma1=sigma, sigma2=sigma, q12=0.0, q21=0.0)
     n = 100_000
     dts = [2.0 ** -6, 2.0 ** -7, 2.0 ** -8]
-    start = np.array([x0])
     biases = []
     for li, dt in enumerate(dts):
-        def one(k, _dt=dt, _li=li):
-            g = make_grid([0.0, t_end], _dt, 1,
-                          substream(700 + _li, k, BROWNIAN))
-            _, xs = integrate_segment(model, start, 1, 0.0, t_end, g)
-            return (float(xs[-1, 0]),)
-
-        vals = np.array(map_indices(one, n, THREADS))[:, 0]
+        # zero rates: each path is the Euler-Maruyama recursion on [0, t_end]
+        cfg = SimConfig(stop_level=64, dt_target=dt, horizon=t_end, seed=700 + li)
+        vals = run_ensemble(model, [x0], 1, cfg, n, threads=THREADS)["x_end"][:, 0]
         biases.append(abs(float(vals.mean()) - x0 * math.exp(-t_end)))
     slope = float(np.polyfit(np.log(dts), np.log(biases), 1)[0])
     assert 0.7 <= slope <= 1.3, (slope, biases)

@@ -1,5 +1,7 @@
 """End-to-end command-line runs in temporary directories."""
 
+import pytest
+
 from switchdiff import SimConfig, ctmc_oracle, make_model
 from switchdiff.cli import main
 
@@ -90,6 +92,27 @@ class TestSimulateCommand:
         lines = (tmp_path / "run_stream.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "time,mark"
+
+    @pytest.mark.parametrize("body", [
+        # an explicit cutoff sizes the stream below the stop level's bound
+        "model = ou2\nsim.mark_cutoff = 2.5\nseed = 3\n",
+        # escalation 4 -> 64 superposes extension bands on the stream
+        "model = powerlaw\nmodel.sigma = 6\nx0 = 2\nsim.stop_level = 4\n"
+        "sim.max_stop_level = 64\nseed = 2\n",
+    ], ids=["ou2-cutoff", "powerlaw-escalation"])
+    def test_dump_stream_holds_every_switch_mark(self, tmp_path, body):
+        cfg = write_config(tmp_path / "c.cfg", "command = simulate\n" + body)
+        prefix = str(tmp_path / "run")
+        assert run_cli("--config", cfg, "--out", prefix, "--dump-stream") == 0
+
+        def rows(name):
+            lines = (tmp_path / f"run_{name}.csv").read_text().splitlines()
+            return [[float(v) for v in ln.split(",")] for ln in lines[2:]]
+
+        switches = {(r[0], r[3]) for r in rows("switches")}
+        stream = {(r[0], r[1]) for r in rows("stream")}
+        assert switches
+        assert switches <= stream
 
     def test_path_csv_schema(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", self.CONFIG)

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
-from switchdiff import (ConfigError, SimConfig, auto_truncation,
-                        integrate_segment, make_grid, make_model,
-                        sample_stream, simulate, simulate_truncated,
-                        simulate_with_truncated_coefficients)
+from switchdiff import (ConfigError, DenseRates, RegimeModel, SimConfig,
+                        auto_truncation, make_grid, make_model, sample_stream,
+                        simulate, truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
+from test_integrate import euler_reference
 
 
 def paths_equal(a, b):
@@ -18,6 +20,19 @@ def paths_equal(a, b):
             and np.array_equal(a.regimes, b.regimes)
             and a.switches == b.switches
             and a.status == b.status)
+
+
+EYE = np.eye(1)
+
+# random finite generators: 2 or 3 regimes, off-diagonal rates in [0, 4]
+dense_rates = st.integers(2, 3).flatmap(lambda m: st.lists(
+    st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m),
+    min_size=m, max_size=m)).map(DenseRates)
+
+
+def ou_with_rates(rates):
+    return RegimeModel(1, lambda x, i, t: -x / i, lambda x, i, t: i * EYE,
+                       rates, 1.0)
 
 
 def prefix_equal(short, long):
@@ -56,8 +71,8 @@ class TestCutoffStability:
             runs = []
             for cutoff in (k_auto, k_auto * 1.5):
                 cfg = SimConfig(stop_level=m_level, mark_cutoff=cutoff, seed=500)
-                runs.append(simulate_truncated(model, [1.0], 1, cfg, stream,
-                                               traj=traj))
+                runs.append(simulate(model, [1.0], 1, cfg, traj=traj,
+                                     stream=stream))
             assert paths_equal(runs[0], runs[1])
 
     def test_localization_prefix(self):
@@ -67,37 +82,50 @@ class TestCutoffStability:
         hits = 0
         for traj in range(30):
             stream = sample_stream(rate, model.horizon, seed=7, traj=traj)
-            lo = simulate_truncated(model, [2.0], 1, SimConfig(
-                stop_level=4, mark_cutoff=rate, seed=7), stream, traj=traj)
-            hi = simulate_truncated(model, [2.0], 1, SimConfig(
-                stop_level=12, mark_cutoff=rate, seed=7), stream, traj=traj)
+            lo = simulate(model, [2.0], 1, SimConfig(
+                stop_level=4, mark_cutoff=rate, seed=7), traj=traj, stream=stream)
+            hi = simulate(model, [2.0], 1, SimConfig(
+                stop_level=12, mark_cutoff=rate, seed=7), traj=traj, stream=stream)
             assert prefix_equal(lo, hi)
-            if lo.status.stopped:
+            if lo.escalations:
                 hits += 1
-                if hi.status.stopped:
-                    assert hi.status.tau >= lo.status.tau
+                if hi.escalations:
+                    assert hi.escalations[0][1] >= lo.escalations[0][1]
         assert hits > 0  # the test exercised actual stops
+
+    @settings(max_examples=25, deadline=None)
+    @given(rates=dense_rates, level=st.integers(3, 8),
+           scale=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16),
+           traj=st.integers(0, 99))
+    def test_bit_identical_across_cutoffs_random_rates(self, rates, level,
+                                                       scale, seed, traj):
+        model = ou_with_rates(rates)
+        k_auto = auto_truncation(model, level)
+        stream = sample_stream(k_auto * scale, model.horizon, seed, traj)
+        a, b = (simulate(model, [1.0], 1, SimConfig(
+                    stop_level=level, mark_cutoff=cutoff, seed=seed),
+                    traj=traj, stream=stream)
+                for cutoff in (k_auto, k_auto * scale))
+        assert paths_equal(a, b)
 
     def test_stream_below_cutoff_rejected(self):
         model = make_model("ou2")
         stream = sample_stream(1.0, model.horizon, seed=0)
         cfg = SimConfig(stop_level=6, mark_cutoff=5.0, seed=0)
         with pytest.raises(ConfigError):
-            simulate_truncated(model, [0.0], 1, cfg, stream)
+            simulate(model, [0.0], 1, cfg, stream=stream)
 
 
 class TestAgainstIntegrator:
     def test_no_jump_path_equals_integrate_segment(self):
-        # with no switching the hybrid walk must reproduce the integrator
-        # recursion node for node
+        # with no switching the hybrid walk must reproduce the plain
+        # Euler-Maruyama recursion node for node
         model = make_model("ou2", q12=0.0, q21=0.0)
         cfg = SimConfig(stop_level=50, seed=31, dt_target=0.02)
         path = simulate(model, [1.0], 1, cfg, record="nodes")
         grid = make_grid([0.0, model.horizon], 0.02, 1, substream(31, 0, BROWNIAN))
-        times, states = integrate_segment(model, np.array([1.0]), 1, 0.0,
-                                          model.horizon, grid)
-        assert np.array_equal(path.times, times)
-        assert np.array_equal(path.states, states)
+        assert np.array_equal(path.times, grid.nodes)
+        assert np.array_equal(path.states, euler_reference(model, [1.0], 1, grid))
         assert path.switches == []
         assert path.status.reached_horizon
 
@@ -121,8 +149,8 @@ class TestSwitchLaw:
         rate = auto_truncation(model, 8)
         for traj in range(10):
             stream = sample_stream(rate, model.horizon, seed=3, traj=traj)
-            p = simulate_truncated(model, [1.0], 1, SimConfig(
-                stop_level=8, seed=3), stream, traj=traj, record="events")
+            p = simulate(model, [1.0], 1, SimConfig(stop_level=8, seed=3),
+                         traj=traj, record="events", stream=stream)
             assert len(p.switches) <= len(stream)
 
     def test_regimes_stay_positive(self):
@@ -153,9 +181,9 @@ class TestExplosion:
     def test_immediate_stop_when_already_outside(self):
         model = make_model("ou2")
         stream = sample_stream(3.0, model.horizon, seed=0)
-        p = simulate_truncated(model, [5.0], 2, SimConfig(
-            stop_level=4, mark_cutoff=3.0, seed=0), stream)
-        assert p.status.stopped and p.status.tau == 0.0
+        p = simulate(model, [5.0], 2, SimConfig(
+            stop_level=4, mark_cutoff=3.0, seed=0), stream=stream)
+        assert p.escalations == [(4, 0.0)]
 
 
 class TestEscalation:
@@ -187,12 +215,16 @@ class TestEscalation:
         assert found > 0
 
     def test_extension_disabled_raises(self):
+        # a supplied stream sized for the first level is never extended, so
+        # the first escalation that needs a larger cutoff is rejected
         model = make_model("powerlaw")
-        cfg = SimConfig(stop_level=4, max_stop_level=8, stream_rate="auto",
-                        seed=9, extend_streams=False)
+        cfg = SimConfig(stop_level=4, max_stop_level=8, seed=9)
+        rate = auto_truncation(model, 4)
         with pytest.raises(ConfigError):
             for traj in range(200):
-                simulate(model, [2.5], 1, cfg, traj=traj, record="events")
+                stream = sample_stream(rate, model.horizon, seed=9, traj=traj)
+                simulate(model, [2.5], 1, cfg, traj=traj, record="events",
+                         stream=stream)
 
     def test_determinism(self):
         model = make_model("powerlaw")
@@ -203,11 +235,10 @@ class TestEscalation:
 
 
 class TestPendingMarkAtStopNode:
-    def test_escalation_replays_unclassified_stop_node_mark(self, monkeypatch):
+    def test_escalation_replays_unclassified_stop_node_mark(self):
         # deterministic drift reaches the stop level exactly at an event
         # node; the level check fires before classification, so the mark
         # must be replayed by the continuation level
-        import switchdiff.hybrid as hybrid_mod
         from switchdiff.jumps import JumpStream
         from switchdiff import DenseRates, RegimeModel
 
@@ -215,18 +246,16 @@ class TestPendingMarkAtStopNode:
         zmat = np.zeros((1, 1))
         model = RegimeModel(1, lambda x, i, t: one, lambda x, i, t: zmat,
                             DenseRates([[0.0, 5.0], [0.0, 0.0]]), 1.0)
-        hand = JumpStream(5.0, 1.0, np.array([0.5]), np.array([0.3]), (0,))
-        monkeypatch.setattr(hybrid_mod, "sample_stream",
-                            lambda rate, horizon, seed, traj=0: hand)
+        hand = JumpStream(5.0, 1.0, np.array([0.5]), np.array([0.3]))
         cfg = SimConfig(stop_level=4, max_stop_level=8, mark_cutoff=5.0,
-                        stream_rate=5.0, dt_target=0.25, seed=0)
-        path = simulate(model, [2.5], 1, cfg, record="nodes")
+                        dt_target=0.25, seed=0)
+        path = simulate(model, [2.5], 1, cfg, record="nodes", stream=hand)
         assert path.escalations == [(4, 0.5)]
         assert [(s.time, s.src, s.dst) for s in path.switches] == [(0.5, 1, 2)]
         assert path.status.reached_horizon
         # agrees with a direct run at the higher level on the same stream
-        direct = simulate_truncated(model, [2.5], 1, SimConfig(
-            stop_level=8, mark_cutoff=5.0, seed=0), hand)
+        direct = simulate(model, [2.5], 1, SimConfig(
+            stop_level=8, mark_cutoff=5.0, seed=0), stream=hand)
         assert [(s.time, s.src, s.dst) for s in direct.switches] \
             == [(0.5, 1, 2)]
         assert path.terminal[0] == direct.terminal[0]
@@ -243,8 +272,8 @@ class TestTruncatedCoefficients:
     def test_far_start_freezes_diffusion(self):
         model = make_model("ou2")
         cfg = SimConfig(stop_level=16, seed=4, dt_target=0.01)
-        p = simulate_with_truncated_coefficients(model, [3.0], 1, cfg, 1.0,
-                                                 record="nodes")
+        p = simulate(truncate_coefficients(model, 1.0), [3.0], 1, cfg,
+                     record="nodes")
         assert (p.states == 3.0).all()
 
     def test_shared_seed_agreement_until_exit(self):
@@ -254,8 +283,8 @@ class TestTruncatedCoefficients:
         checked = 0
         for traj in range(25):
             plain = simulate(model, [1.0], 1, cfg, traj=traj, record="nodes")
-            trunc = simulate_with_truncated_coefficients(
-                model, [1.0], 1, cfg, level, traj=traj, record="nodes")
+            trunc = simulate(truncate_coefficients(model, level), [1.0], 1, cfg,
+                             traj=traj, record="nodes")
             radii = np.abs(plain.states[:, 0])
             inside = radii <= level
             if inside.all():
@@ -270,8 +299,8 @@ class TestTruncatedCoefficients:
         model = make_model("ou2")
         cfg = SimConfig(stop_level=8, seed=6)
         a = simulate(model, [1.0], 1, cfg, traj=1, record="nodes")
-        b = simulate_with_truncated_coefficients(model, [1.0], 1, cfg, 1e9,
-                                                 traj=1, record="nodes")
+        b = simulate(truncate_coefficients(model, 1e9), [1.0], 1, cfg,
+                     traj=1, record="nodes")
         assert paths_equal(a, b)
 
 

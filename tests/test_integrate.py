@@ -1,14 +1,37 @@
-"""Grid construction and the fixed-regime Euler-Maruyama integrator."""
+"""Grid construction and the fixed-regime Euler-Maruyama recursion.
+
+The recursion runs through ``simulate`` on zero-rate models, where a path is
+the Euler-Maruyama recursion on its grid; ``euler_reference`` is the plain
+loop the solver is compared against.
+"""
 
 import numpy as np
 import pytest
 
-from switchdiff import (DenseRates, NonFiniteError, RegimeModel,
-                        integrate_segment, make_grid)
+from switchdiff import (DenseRates, RegimeModel, SimConfig, make_grid,
+                        simulate)
 from switchdiff._rng import BROWNIAN, substream
 from switchdiff.integrate import BrownianGrid
 
 NO_RATES = DenseRates(np.zeros((1, 1)))
+
+
+def euler_reference(model, x0, regime, grid):
+    """Euler-Maruyama over every node of grid with a frozen regime."""
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for k in range(grid.steps.size):
+        t = grid.nodes[k]
+        x = (x + model.drift(x, regime, t) * grid.steps[k]
+             + model.dispersion(x, regime, t) @ grid.increments[k])
+        states.append(x)
+    return np.array(states)
+
+
+def terminal(model, x0, dt, seed=0, traj=0, horizon=1.0):
+    """Terminal state of a zero-rate path on the grid [0, horizon]."""
+    cfg = SimConfig(stop_level=2 ** 40, dt_target=dt, horizon=horizon, seed=seed)
+    return simulate(model, x0, 1, cfg, traj=traj, record="events").terminal[1]
 
 
 def diffusion_model(b, s, dim=1, horizon=10.0):
@@ -56,20 +79,22 @@ class TestMakeGrid:
 
 
 class TestIntegrateSegment:
+    """The fixed-regime recursion, run through simulate with zero rates."""
+
     def test_frozen_dynamics(self):
         m = diffusion_model(lambda x, i, t: np.zeros(1),
                             lambda x, i, t: np.zeros((1, 1)))
-        g = make_grid([0.0, 1.0], 0.1, 1, substream(0, 0, BROWNIAN))
-        _, xs = integrate_segment(m, np.array([2.5]), 1, 0.0, 1.0, g)
-        assert (xs == 2.5).all()
+        cfg = SimConfig(stop_level=8, dt_target=0.1, horizon=1.0)
+        p = simulate(m, [2.5], 1, cfg, record="nodes")
+        assert p.times.size == 11
+        assert (p.states == 2.5).all()
 
     def test_constant_drift_exact_any_dt(self):
         m = diffusion_model(lambda x, i, t: np.ones(1),
                             lambda x, i, t: np.zeros((1, 1)))
         for dt in (0.5, 0.13, 0.011):
-            g = make_grid([0.0, 2.0], dt, 1, substream(0, 0, BROWNIAN))
-            _, xs = integrate_segment(m, np.array([1.0]), 1, 0.0, 2.0, g)
-            assert xs[-1, 0] == pytest.approx(3.0, abs=1e-12)
+            xe = terminal(m, [1.0], dt, horizon=2.0)
+            assert xe[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_ou_terminal_mean(self):
         # closed-form oracle: E X_1 = x0 * exp(-1); weak-order-1 bias allowed
@@ -77,9 +102,7 @@ class TestIntegrateSegment:
         n, dt = 20_000, 1.0 / 32.0
         total = 0.0
         for k in range(n):
-            g = make_grid([0.0, 1.0], dt, 1, substream(77, k, BROWNIAN))
-            _, xs = integrate_segment(m, np.array([1.0]), 1, 0.0, 1.0, g)
-            total += xs[-1, 0]
+            total += terminal(m, [1.0], dt, seed=77, traj=k)[0]
         mean = total / n
         sd_terminal = np.sqrt(1 - np.exp(-2.0))
         tol = 3 * sd_terminal / np.sqrt(n) + 2.0 * dt
@@ -87,18 +110,9 @@ class TestIntegrateSegment:
 
     def test_determinism(self):
         m = ou_model()
-        outs = []
-        for _ in range(2):
-            g = make_grid([0.0, 1.0], 0.01, 1, substream(3, 9, BROWNIAN))
-            _, xs = integrate_segment(m, np.array([1.0]), 1, 0.0, 1.0, g)
-            outs.append(xs)
+        cfg = SimConfig(stop_level=64, dt_target=0.01, horizon=1.0, seed=3)
+        outs = [simulate(m, [1.0], 1, cfg, traj=9).states for _ in range(2)]
         assert np.array_equal(outs[0], outs[1])
-
-    def test_segment_endpoints_must_be_nodes(self):
-        m = ou_model()
-        g = make_grid([0.0, 1.0], 0.1, 1, substream(0, 0, BROWNIAN))
-        with pytest.raises(ValueError):
-            integrate_segment(m, np.array([1.0]), 1, 0.05, 1.0, g)
 
     def test_breakpoint_transparency_constant_coefficients(self):
         # splitting one step with consistent increments leaves the terminal
@@ -122,8 +136,8 @@ class TestIntegrateSegment:
             increments=np.array([[0.5 * z[0]], [0.5 * z[1]], [np.sqrt(0.5) * z[2]]]),
             break_index=np.array([0, 3]),
             dim=1)
-        _, xs_c = integrate_segment(m, np.array([0.2]), 1, 0.0, 1.0, coarse)
-        _, xs_f = integrate_segment(m, np.array([0.2]), 1, 0.0, 1.0, fine)
+        xs_c = euler_reference(m, [0.2], 1, coarse)
+        xs_f = euler_reference(m, [0.2], 1, fine)
         assert xs_f[-1, 0] == pytest.approx(xs_c[-1, 0], abs=1e-12)
 
     def test_refinement_bias_slope(self):
@@ -131,21 +145,22 @@ class TestIntegrateSegment:
         theta = 1.0
         m = diffusion_model(lambda x, i, t: -theta * x,
                             lambda x, i, t: np.zeros((1, 1)))
-        x0 = np.array([1.0])
         biases = []
         dts = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
         for dt in dts:
-            g = make_grid([0.0, 1.0], dt, 1, substream(0, 0, BROWNIAN))
-            _, xs = integrate_segment(m, x0, 1, 0.0, 1.0, g)
-            biases.append(abs(xs[-1, 0] - np.exp(-1.0)))
+            biases.append(abs(terminal(m, [1.0], dt)[0] - np.exp(-1.0)))
         slope = np.polyfit(np.log(dts), np.log(biases), 1)[0]
         assert 0.8 < slope < 1.2
 
     def test_nonfinite_raises_with_failure_time(self):
+        # the state overflows between two level checks: a non-finite
+        # explosion near t = 1/x0, with a finite path before it
         m = diffusion_model(lambda x, i, t: x * x,
                             lambda x, i, t: np.zeros((1, 1)))
-        g = make_grid([0.0, 1.0], 1e-3, 1, substream(0, 0, BROWNIAN))
-        with pytest.raises(NonFiniteError) as err:
-            integrate_segment(m, np.array([2.0]), 1, 0.0, 1.0, g)
-        assert 0.4 < err.value.time < 0.6
-        assert np.isfinite(err.value.states).all()
+        cfg = SimConfig(stop_level=2 ** 1000, dt_target=1e-3, horizon=1.0)
+        p = simulate(m, [2.0], 1, cfg, record="nodes")
+        assert p.status.nonfinite
+        assert 0.4 < p.status.tau < 0.6
+        assert p.times[-1] == p.status.tau
+        assert np.isfinite(p.states[:-1]).all()
+        assert not np.isfinite(p.states[-1]).all()

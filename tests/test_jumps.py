@@ -59,7 +59,7 @@ class TestThin:
 
     def test_mark_filter_example(self):
         from switchdiff.jumps import JumpStream
-        s = JumpStream(5.0, 1.0, np.array([0.3, 0.7]), np.array([1.2, 3.8]), (0,))
+        s = JumpStream(5.0, 1.0, np.array([0.3, 0.7]), np.array([1.2, 3.8]))
         t = thin(s, 2.0)
         assert t.times.tolist() == [0.3]
         assert t.marks.tolist() == [1.2]

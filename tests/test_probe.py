@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchdiff import (DenseRates, PolynomialCertificate, RegimeModel,
                         SimConfig, TruncationLeak, ctmc_oracle, estimate_moment,
-                        estimate_tau_tail, feller_probe, make_model)
+                        estimate_tau_tail, feller_probe, make_model,
+                        run_ensemble)
+from switchdiff import _parallel
+from test_hybrid import dense_rates, ou_with_rates
 
 
 def frozen_model(horizon=1.0):
@@ -151,3 +156,56 @@ class TestReportRows:
         rows = rep.rows()
         assert all(len(r) == 7 for r in rows)
         assert rows[0][0] == "ctmc_oracle"
+
+
+class TestRunEnsemble:
+    @settings(max_examples=4, deadline=None)
+    @given(rates=dense_rates, seed=st.integers(0, 2 ** 16))
+    def test_records_independent_of_threads(self, rates, seed):
+        # n = 8 is the smallest ensemble that forks a pool of 2 workers
+        model = ou_with_rates(rates)
+        cfg = SimConfig(stop_level=4, max_stop_level=16, seed=seed)
+        serial = run_ensemble(model, [1.0], 1, cfg, 8, threads=1)
+        forked = run_ensemble(model, [1.0], 1, cfg, 8, threads=2)
+        assert serial.keys() == forked.keys()
+        for key, arr in serial.items():
+            assert np.array_equal(arr, forked[key],
+                                  equal_nan=arr.dtype.kind == "f"), key
+
+    def test_nonfinite_blowup_hits_every_level(self):
+        model = RegimeModel(1, lambda x, i, t: x * x, lambda x, i, t: np.zeros((1, 1)),
+                            DenseRates(np.zeros((1, 1))), 1.0)
+        cfg = SimConfig(stop_level=2 ** 998, max_stop_level=2 ** 1000, dt_target=1e-3)
+        ens = run_ensemble(model, [2.0], 1, cfg, 2)
+        assert ens["nonfinite"].all()
+        assert ens["kind"].tolist() == ["exploded", "exploded"]
+        assert ens["hit"].shape == (2, 3)
+        assert (ens["hit"] == ens["tau"][:, None]).all()
+
+
+class TestWorkerCap:
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(_parallel.mp, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.setattr(_parallel.mp, "get_context", lambda method: FakeContext)
+        out = _parallel.map_indices(lambda k: k * k, 100, threads=64)
+        assert out == [k * k for k in range(100)]
+        assert sizes == [3]
