@@ -9,18 +9,15 @@ events stay grid breakpoints), so two runs that differ only in the mark
 cutoff consume identical randomness and produce bit-identical paths while
 |X| + regime stays below the stop level.
 
-The path is stopped at the first grid time where |X| + regime reaches the
-stop level.  ``simulate`` restarts a stopped trajectory from its stopped
-state with a doubled level (extending the stream by superposition when the
-required cutoff outgrows it) until the horizon is reached or the level
-ceiling declares an operational explosion.  Explosion is declared
-operationally -- ceiling exceeded or non-finite state -- since true blow-up
-is unobservable in finite precision.
-
-``_run_level`` holds the package's only Euler-Maruyama loop.  Between
-events it is the plain fixed-regime recursion on the grid nodes, so with
-zero rates a path is that recursion node for node; the tests pin this
-against a reference loop.
+When |X| + regime reaches the stop level at a grid node, ``simulate``
+raises the level in place: it extends the stream by superposition if the
+new cutoff outgrows it, classifies the node's remaining marks and walks on
+over a grid drawn from that node, so every lower-level path is a prefix of
+the higher-level one.  Reaching the level ceiling or a non-finite state is
+an operational explosion, since true blow-up is unobservable in finite
+precision.  ``simulate`` holds the package's only Euler-Maruyama loop;
+with zero rates a path is the plain recursion on the grid nodes, which the
+tests pin against a reference loop.
 """
 
 from __future__ import annotations
@@ -35,13 +32,6 @@ from .errors import ConfigError
 from .integrate import make_grid
 from .jumps import JumpStream, extend_stream, sample_stream
 from .model import mark_displacement
-
-
-def _as_state(x0, dim):
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (dim,):
-        raise ConfigError(f"initial state shape {x.shape} does not match dim {dim}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -84,11 +74,11 @@ class Switch(NamedTuple):
 class PathStatus:
     """How a trajectory ended.
 
-    kind is one of "horizon" (ran to the time horizon), "stopped" (hit the
-    stop level; tau and level are set), "exploded" (operational explosion:
-    either the escalation ceiling was exceeded, with level set to it, or a
-    state coordinate became non-finite, with level None; tau estimates the
-    failure time).
+    kind is "horizon" (ran to the time horizon) or "exploded" (operational
+    explosion: either the last level was reached, with level set to it, or
+    a state coordinate became non-finite, with level None; tau estimates the
+    failure time).  Hits of lower levels are recorded in
+    ``HybridPath.escalations``.
     """
 
     kind: str
@@ -98,10 +88,6 @@ class PathStatus:
     @property
     def reached_horizon(self):
         return self.kind == "horizon"
-
-    @property
-    def stopped(self):
-        return self.kind == "stopped"
 
     @property
     def exploded(self):
@@ -158,158 +144,6 @@ def auto_truncation(model, stop_level):
     return k
 
 
-@dataclass
-class _LevelPiece:
-    times: np.ndarray
-    states: np.ndarray
-    regimes: np.ndarray
-    switches: List[Switch]
-    status: PathStatus
-    end_time: float
-    end_state: np.ndarray
-    end_regime: int
-    # marks at the stop node left unclassified because the level check fired
-    # on arrival; the continuation level must process them at its start time
-    pending_marks: List[float]
-
-
-class _Done(Exception):
-    pass
-
-
-def _run_level(model, x0, lam0, t_start, stop_level, cutoff, stream, brng,
-               dt_target, horizon, record, initial_marks=()):
-    """Run one fixed-level trajectory piece from (t_start, x0, lam0).
-
-    initial_marks are marks firing exactly at t_start, inherited from a
-    lower level that stopped on arrival at an event node before classifying
-    them; they are processed first, under this level's cutoff.
-    """
-    d = model.dim
-    x = np.array(x0, dtype=float)
-    lam = int(lam0)
-    switches: List[Switch] = []
-    r = abs(x[0]) if d == 1 else np.sqrt(x @ x)
-    if not (r + lam < stop_level):
-        kind = "stopped" if np.isfinite(r) else "exploded"
-        status = PathStatus(kind, float(t_start), stop_level if kind == "stopped" else None)
-        return _single_node_piece(t_start, x, lam, status, switches,
-                                  list(initial_marks))
-    for mi, z in enumerate(initial_marks):
-        if z < cutoff:
-            dlt = mark_displacement(model, lam, x, z)
-            if dlt:
-                switches.append(Switch(float(t_start), lam, lam + dlt, float(z)))
-                lam += dlt
-                if not (r + lam < stop_level):
-                    status = PathStatus("stopped", float(t_start), stop_level)
-                    return _single_node_piece(t_start, x, lam, status, switches,
-                                              list(initial_marks[mi + 1:]))
-    if t_start >= horizon:
-        return _single_node_piece(t_start, x, lam, PathStatus("horizon"), switches, [])
-
-    lo = int(np.searchsorted(stream.times, t_start, side="right"))
-    hi = int(np.searchsorted(stream.times, horizon, side="left"))
-    ev_t = stream.times[lo:hi]
-    ev_z = stream.marks[lo:hi]
-    bp = np.unique(np.concatenate((np.array([t_start, horizon]), ev_t)))
-    grid = make_grid(bp, dt_target, d, brng)
-    nodes, steps, incr = grid.nodes, grid.steps, grid.increments
-    ev_node = grid.break_index[np.searchsorted(bp, ev_t)]
-    n_nodes = nodes.size
-    n_ev = ev_t.size
-
-    drift, dispersion = model.drift, model.dispersion
-    X = np.empty((n_nodes, d))
-    X[0] = x
-    LAM = np.empty(n_nodes, dtype=np.int64)
-    status = None
-    end = n_nodes - 1
-    span = 0
-    k = 0
-    e = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            while True:
-                target = int(ev_node[e]) if e < n_ev else n_nodes - 1
-                t = nodes[k]
-                while k < target:
-                    x = x + drift(x, lam, t) * steps[k] + dispersion(x, lam, t) @ incr[k]
-                    k += 1
-                    X[k] = x
-                    t = nodes[k]
-                    r = abs(x[0]) if d == 1 else np.sqrt(x @ x)
-                    if not (r + lam < stop_level):
-                        end = k
-                        if np.isfinite(r):
-                            status = PathStatus("stopped", float(t), stop_level)
-                        else:
-                            status = PathStatus("exploded", float(t), None)
-                        raise _Done
-                if e >= n_ev:
-                    end = k
-                    status = PathStatus("horizon")
-                    raise _Done
-                z = float(ev_z[e])
-                e += 1
-                if z < cutoff:
-                    dlt = mark_displacement(model, lam, x, z)
-                    if dlt:
-                        LAM[span:k] = lam
-                        span = k
-                        switches.append(Switch(float(nodes[k]), lam, lam + dlt, z))
-                        lam += dlt
-                        # x is unchanged since r was last computed
-                        if not (r + lam < stop_level):
-                            end = k
-                            status = PathStatus("stopped", float(nodes[k]), stop_level)
-                            raise _Done
-        except _Done:
-            pass
-        except (OverflowError, FloatingPointError):
-            # a coefficient evaluation failed mid-step: non-finite next node
-            end = min(k + 1, n_nodes - 1)
-            X[end] = np.nan
-            status = PathStatus("exploded", float(nodes[end]), None)
-    LAM[span:end + 1] = lam
-    pending = [float(ev_z[i]) for i in range(e, n_ev) if ev_node[i] == end]
-
-    if record == "nodes":
-        keep = np.arange(end + 1)
-    else:
-        keep = np.unique(np.concatenate(
-            (np.array([0, end], dtype=np.intp), ev_node[ev_node <= end])))
-    return _LevelPiece(nodes[keep].copy(), X[keep].copy(), LAM[keep].copy(),
-                       switches, status, float(nodes[end]), X[end].copy(), lam,
-                       pending)
-
-
-def _single_node_piece(t, x, lam, status, switches=None, pending=None):
-    return _LevelPiece(np.array([float(t)]), np.array([x], dtype=float),
-                       np.array([lam], dtype=np.int64), list(switches or []),
-                       status, float(t), np.array(x, dtype=float), int(lam),
-                       list(pending or []))
-
-
-def _assemble(pieces, status, escalations, stream):
-    # later pieces win the junction node, so a switch applied at a restart
-    # time keeps the path right-continuous in the regime
-    times = [p.times[:-1] for p in pieces[:-1]] + [pieces[-1].times]
-    states = [p.states[:-1] for p in pieces[:-1]] + [pieces[-1].states]
-    regimes = [p.regimes[:-1] for p in pieces[:-1]] + [pieces[-1].regimes]
-    switches = [s for p in pieces for s in p.switches]
-    return HybridPath(np.concatenate(times), np.vstack(states),
-                      np.concatenate(regimes), switches, status, escalations,
-                      stream)
-
-
-def _resolve_horizon(cfg, model):
-    h = cfg.horizon if cfg.horizon is not None else model.horizon
-    if not h > 0:
-        raise ConfigError("horizon must be positive")
-    return float(h)
-
-
 def _resolve_cutoff(cfg, model, stop_level):
     if cfg.mark_cutoff == "auto":
         return auto_truncation(model, stop_level)
@@ -324,13 +158,37 @@ def _level_schedule(cfg):
     return levels
 
 
+def _enter_level(cfg, model, level, stream, supplied, traj, li):
+    """Cutoff of the li-th level, and the stream extended to cover it."""
+    cutoff = _resolve_cutoff(cfg, model, level)
+    if cutoff > stream.k_max:
+        if supplied:
+            raise ConfigError(
+                f"stream mark ceiling {stream.k_max} below required cutoff {cutoff}")
+        stream = extend_stream(stream, cutoff, cfg.seed, traj, chunk=li)
+    return cutoff, stream
+
+
+def _keep(T, S, record, nodes, X, ev_at, end):
+    """Append a grid's recorded times and states before node ``end``."""
+    if record == "nodes":
+        keep = slice(0, end)
+    else:
+        keep = np.unique(np.append(0, ev_at[ev_at < end]))
+    T.append(nodes[keep])
+    S.append(X[keep])
+
+
 def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
              stream=None):
     """Full trajectory with stop-level escalation.
 
-    Runs fixed-level pieces through ``levels`` (default: stop_level doubling
-    up to max_stop_level), restarting each stopped piece from its stopped
-    state.  A stop at the last level is an operational explosion.
+    Walks the trajectory once through ``levels`` (default: stop_level
+    doubling up to max_stop_level).  When |X| + regime reaches the current
+    level at a node, the level is raised in place: (level, t) is appended to
+    ``escalations``, the node's remaining marks are classified under the new
+    level's cutoff, and the walk goes on over a fresh grid drawn from that
+    node.  Reaching the last level is an operational explosion.
 
     The master stream is sampled from (cfg.seed, traj), reused across levels
     and extended by superposition when the auto-selected cutoff outgrows it.
@@ -346,7 +204,10 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
         levels = [int(m) for m in levels]
         if not all(b > a for a, b in zip(levels, levels[1:])):
             raise ConfigError("levels must be strictly increasing")
-    horizon = _resolve_horizon(cfg, model)
+    horizon = cfg.horizon if cfg.horizon is not None else model.horizon
+    if not horizon > 0:
+        raise ConfigError("horizon must be positive")
+    horizon = float(horizon)
     supplied = stream is not None
     if not supplied:
         if cfg.stream_rate == "auto":
@@ -358,30 +219,97 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
         raise ConfigError("stream horizon does not cover the simulation horizon")
     brng = substream(cfg.seed, traj, BROWNIAN)
 
-    x = _as_state(x0, model.dim)
+    d = model.dim
+    drift, dispersion = model.drift, model.dispersion
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x.shape != (d,):
+        raise ConfigError(f"initial state shape {x.shape} does not match dim {d}")
+    r = abs(x[0]) if d == 1 else np.sqrt(x @ x)
     lam = int(i0)
     t = 0.0
-    marks = ()
-    pieces = []
+    li, level = 0, levels[0]
+    cutoff, stream = _enter_level(cfg, model, level, stream, supplied, traj, 0)
+    switches: List[Switch] = []
     escalations = []
-    status = None
-    for li, level in enumerate(levels):
-        cutoff = _resolve_cutoff(cfg, model, level)
-        if cutoff > stream.k_max:
-            if supplied:
-                raise ConfigError(
-                    f"stream mark ceiling {stream.k_max} below required cutoff {cutoff}")
-            stream = extend_stream(stream, cutoff, cfg.seed, traj, chunk=li)
-        piece = _run_level(model, x, lam, t, level, cutoff, stream, brng,
-                           cfg.dt_target, horizon, record, initial_marks=marks)
-        pieces.append(piece)
-        status = piece.status
-        if not status.stopped:
-            break
-        escalations.append((level, status.tau))
-        if li == len(levels) - 1:
-            status = PathStatus("exploded", status.tau, level)
-            break
-        t, x, lam = piece.end_time, piece.end_state, piece.end_regime
-        marks = tuple(piece.pending_marks)
-    return _assemble(pieces, status, escalations, stream)
+    T, S = [], []  # recorded times and states of the grids left behind
+    nodes = None
+    k = e = n_ev = 0
+    # set while the grid must be drawn from node k before the next step: at
+    # the start, and once the level was raised at node k
+    stale = True
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            while True:
+                if not (r + lam < level):
+                    if not np.isfinite(r):
+                        status = PathStatus("exploded", float(t), None)
+                        break
+                    escalations.append((level, float(t)))
+                    if li == len(levels) - 1:
+                        status = PathStatus("exploded", float(t), level)
+                        break
+                    stale = True
+                    li += 1
+                    level = levels[li]
+                    cutoff, stream = _enter_level(cfg, model, level, stream,
+                                                  supplied, traj, li)
+                elif e < n_ev and ev_node[e] == k:
+                    z = ev_z[e]
+                    e += 1
+                    if z < cutoff:
+                        dlt = mark_displacement(model, lam, x, z)
+                        if dlt:
+                            switches.append(Switch(float(t), lam, lam + dlt, z))
+                            lam += dlt
+                elif stale:
+                    if t >= horizon:
+                        status = PathStatus("horizon")
+                        break
+                    if nodes is not None:
+                        _keep(T, S, record, nodes, X, ev_at, k)
+                    lo = int(np.searchsorted(stream.times, t, side="right"))
+                    hi = int(np.searchsorted(stream.times, horizon, side="left"))
+                    ev_t = stream.times[lo:hi]
+                    bp = np.unique(np.concatenate((np.array([t, horizon]), ev_t)))
+                    grid = make_grid(bp, cfg.dt_target, d, brng)
+                    nodes, steps, incr = grid.nodes, grid.steps, grid.increments
+                    ev_at = grid.break_index[np.searchsorted(bp, ev_t)]
+                    ev_node, ev_z = ev_at.tolist(), stream.marks[lo:hi].tolist()
+                    n_nodes, n_ev = nodes.size, len(ev_node)
+                    X = np.empty((n_nodes, d))
+                    X[0] = x
+                    t = nodes[0]
+                    k = e = 0
+                    stale = False
+                else:
+                    target = ev_node[e] if e < n_ev else n_nodes - 1
+                    while k < target:
+                        x = x + drift(x, lam, t) * steps[k] + dispersion(x, lam, t) @ incr[k]
+                        k += 1
+                        X[k] = x
+                        t = nodes[k]
+                        r = abs(x[0]) if d == 1 else np.sqrt(x @ x)
+                        if not (r + lam < level):
+                            break
+                    else:
+                        if e == n_ev:
+                            status = PathStatus("horizon")
+                            break
+        except (OverflowError, FloatingPointError):
+            # an overflow while classifying a mark carried over a level change
+            # propagates; one in a step or in-grid classification ends the
+            # path at a non-finite next node
+            if stale:
+                raise
+            k = min(k + 1, n_nodes - 1)
+            t = nodes[k]
+            x = np.full(d, np.nan)
+            status = PathStatus("exploded", float(t), None)
+    if nodes is not None:
+        _keep(T, S, record, nodes, X, ev_at, k)
+    times = np.concatenate(T + [[t]])
+    # each node carries the regime after the switches at its time
+    dst = np.array([int(i0)] + [s.dst for s in switches], dtype=np.int64)
+    regimes = dst[np.searchsorted([s.time for s in switches], times, side="right")]
+    return HybridPath(times, np.concatenate(S + [[x]]), regimes, switches, status,
+                      escalations, stream)

@@ -38,8 +38,11 @@ def sample_stream(k_max, horizon, seed, traj=0):
         raise ValueError("k_max must be nonnegative")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
+    if k_max == 0:
+        # no events; the POISSON substream is independent of every other one
+        return JumpStream(float(k_max), float(horizon), np.empty(0), np.empty(0))
     rng = substream(seed, traj, POISSON)
-    n = int(rng.poisson(k_max * horizon)) if k_max > 0 else 0
+    n = int(rng.poisson(k_max * horizon))
     times = np.sort(rng.uniform(0.0, horizon, n))
     marks = rng.uniform(0.0, k_max, n)
     keep = times > 0.0

@@ -114,6 +114,23 @@ class TestSimulateCommand:
         assert switches
         assert switches <= stream
 
+    def test_shared_stream_rate_makes_cutoffs_lossless(self, tmp_path):
+        # auto resolves to q12 + q21 = 4 here; every cutoff from 4 up to the
+        # shared stream rate of 6 reads the same stream and loses no switch
+        def outputs(sub, extra):
+            cfg = write_config(tmp_path / f"{sub}.cfg",
+                               self.CONFIG + "sim.horizon = 3.0\n" + extra)
+            assert run_cli("--config", cfg, "--out", str(tmp_path / sub)) == 0
+            return [(tmp_path / f"{sub}_{name}.csv").read_bytes()
+                    for name in ("path", "switches")]
+
+        runs = [outputs(f"k{i}", f"sim.stream_rate = 6\nsim.mark_cutoff = {cut}\n")
+                for i, cut in enumerate(("auto", "4.5", "6.0"))]
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0][1].splitlines()) - 2 >= 3  # several switches
+        # without the shared rate, auto samples its own, smaller stream
+        assert outputs("plain", "") != runs[0]
+
     def test_path_csv_schema(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", self.CONFIG)
         prefix = str(tmp_path / "run")

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
-from switchdiff import (ConfigError, DenseRates, RegimeModel, SimConfig,
-                        auto_truncation, make_grid, make_model, sample_stream,
-                        simulate, truncate_coefficients)
+from switchdiff import (ConfigError, DenseRates, FunctionRates, PowerLawRates,
+                        RegimeModel, SimConfig, auto_truncation, make_grid,
+                        make_model, sample_stream, simulate,
+                        truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
 from test_integrate import euler_reference
 
@@ -28,6 +29,9 @@ EYE = np.eye(1)
 dense_rates = st.integers(2, 3).flatmap(lambda m: st.lists(
     st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m),
     min_size=m, max_size=m)).map(DenseRates)
+# the infinite power-law family with summable rows
+powerlaw_rates = st.builds(PowerLawRates, gamma=st.floats(2.5, 4.0),
+                           p=st.floats(1.0, 2.0))
 
 
 def ou_with_rates(rates):
@@ -94,7 +98,7 @@ class TestCutoffStability:
         assert hits > 0  # the test exercised actual stops
 
     @settings(max_examples=25, deadline=None)
-    @given(rates=dense_rates, level=st.integers(3, 8),
+    @given(rates=st.one_of(dense_rates, powerlaw_rates), level=st.integers(3, 8),
            scale=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16),
            traj=st.integers(0, 99))
     def test_bit_identical_across_cutoffs_random_rates(self, rates, level,
@@ -178,6 +182,24 @@ class TestExplosion:
         assert p.status.level == 8
         assert not p.status.nonfinite
 
+    def test_rate_overflow_during_classification_is_nonfinite(self):
+        # x ** 4 overflows a Python float once |x| passes ~1e77, while the
+        # Euler step of x' = x^2 still has a finite value there; every node
+        # is an event node, so classification overflows first
+        def q(x):
+            v = 1.0 + float(x[0]) ** 4
+            return [[0.0, v], [v, 0.0]]
+
+        model = RegimeModel(1, lambda x, i, t: x * x,
+                            lambda x, i, t: np.zeros((1, 1)),
+                            FunctionRates(2, q, 4000.0), 0.05)
+        cfg = SimConfig(stop_level=10 ** 300, dt_target=1.0, seed=0)
+        p = simulate(model, [50.0], 1, cfg)
+        assert p.status.nonfinite
+        assert np.isnan(p.states[-1]).all()
+        assert np.isfinite(p.states[:-1]).all()
+        assert abs(p.states[-2, 0]) > 1e77
+
     def test_immediate_stop_when_already_outside(self):
         model = make_model("ou2")
         stream = sample_stream(3.0, model.horizon, seed=0)
@@ -214,6 +236,30 @@ class TestEscalation:
                 assert full.escalations[0] == (4, lone.status.tau)
         assert found > 0
 
+    @settings(max_examples=20, deadline=None)
+    @given(rates=st.one_of(dense_rates, powerlaw_rates), level=st.integers(2, 5),
+           x0=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 16),
+           traj=st.integers(0, 99))
+    def test_single_level_run_is_prefix_of_escalated_run(self, rates, level,
+                                                         x0, seed, traj):
+        model = ou_with_rates(rates)
+        lone, full = (simulate(model, [x0], 1, SimConfig(
+                          stop_level=level, max_stop_level=ceiling, seed=seed),
+                          traj=traj)
+                      for ceiling in (level, 2 * level))
+        if not lone.escalations:  # horizon or non-finite: nothing escalates
+            assert paths_equal(lone, full) and full.escalations == []
+            return
+        assert lone.status.exploded and lone.status.level == level
+        assert full.escalations[0] == (level, lone.status.tau)
+        n = lone.times.size
+        assert np.array_equal(lone.times, full.times[:n])
+        assert np.array_equal(lone.states, full.states[:n])
+        # the stop node's regime may still change by marks classified there
+        # under the next level
+        assert np.array_equal(lone.regimes[:-1], full.regimes[:n - 1])
+        assert full.switches[:len(lone.switches)] == lone.switches
+
     def test_extension_disabled_raises(self):
         # a supplied stream sized for the first level is never extended, so
         # the first escalation that needs a larger cutoff is rejected
@@ -238,7 +284,7 @@ class TestPendingMarkAtStopNode:
     def test_escalation_replays_unclassified_stop_node_mark(self):
         # deterministic drift reaches the stop level exactly at an event
         # node; the level check fires before classification, so the mark
-        # must be replayed by the continuation level
+        # is classified at that node under the next level
         from switchdiff.jumps import JumpStream
         from switchdiff import DenseRates, RegimeModel
 
@@ -261,7 +307,7 @@ class TestPendingMarkAtStopNode:
         assert path.terminal[0] == direct.terminal[0]
         assert path.terminal[1] == pytest.approx(direct.terminal[1], abs=1e-12)
         assert path.terminal[2] == direct.terminal[2]
-        # the junction node carries the post-switch regime (right-continuity)
+        # the stop node carries the post-switch regime (right-continuity)
         at_tau = int(np.searchsorted(path.times, 0.5))
         assert path.times[at_tau] == 0.5
         assert path.regimes[at_tau] == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from switchdiff import extend_stream, sample_stream, thin
+from switchdiff import extend_stream, jumps, sample_stream, thin
 
 
 class TestSampleStream:
@@ -44,6 +44,18 @@ class TestSampleStream:
 
     def test_zero_rate_empty(self):
         assert len(sample_stream(0.0, 1.0, 3)) == 0
+
+    def test_zero_rate_builds_no_generator(self, monkeypatch):
+        # a zero mark ceiling has no events to draw; the POISSON substream is
+        # independent of every other one, so skipping it changes nothing else
+        def no_generator(*args):
+            raise AssertionError("substream built for an empty stream")
+
+        monkeypatch.setattr(jumps, "substream", no_generator)
+        s = sample_stream(0.0, 2.5, 7, traj=3)
+        assert (s.k_max, s.horizon) == (0.0, 2.5)
+        for a in (s.times, s.marks):
+            assert a.dtype == np.float64 and a.shape == (0,)
 
 
 class TestThin:
