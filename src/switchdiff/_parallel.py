@@ -1,9 +1,10 @@
 """Fork-based trajectory fan-out with index-stable merging.
 
-Workers receive index ranges only; the work closure is inherited through
-fork, so models built from arbitrary callables need no pickling.  Results
-are reassembled in trajectory order, which makes every downstream estimate
-independent of worker count and scheduling.
+Workers receive index ranges only, and the work closure runs a whole range
+at once (the solver steps a block of trajectories together); the closure is
+inherited through fork, so models built from arbitrary callables need no
+pickling.  Results are reassembled in trajectory order, which makes every
+downstream estimate independent of worker count and scheduling.
 """
 
 import multiprocessing as mp
@@ -13,25 +14,25 @@ _PAYLOAD = None
 
 
 def _chunk_worker(bounds):
-    lo, hi = bounds
-    fn = _PAYLOAD
-    return [fn(k) for k in range(lo, hi)]
+    return _PAYLOAD(*bounds)
 
 
 def map_indices(fn, n, threads=1):
-    """Evaluate fn(k) for k in range(n), optionally across forked workers.
+    """Evaluate fn(lo, hi) over blocks covering range(n), optionally in forked workers.
 
-    fn must return a picklable record (tuples of plain floats/ints).  The
-    worker count is capped at the number of CPUs.  Falls back to the serial
-    path when fork is unavailable or n is small.
+    fn returns a list with one picklable record (tuples of plain
+    floats/ints) per index in [lo, hi); the lists are joined in index
+    order.  The worker count is capped at the number of CPUs.  Serially, or
+    when fork is unavailable or n is small, fn sees the single block
+    (0, n).
     """
     if threads is None:
         threads = 1
     threads = max(1, min(int(threads), os.cpu_count() or 1))
     if threads == 1 or n < 4 * threads or "fork" not in mp.get_all_start_methods():
-        return [fn(k) for k in range(n)]
+        return list(fn(0, n))
     global _PAYLOAD
-    chunk = max(1, -(-n // (threads * 8)))
+    chunk = max(1, -(-n // (threads * 4)))
     bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     ctx = mp.get_context("fork")
     _PAYLOAD = fn

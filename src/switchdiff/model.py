@@ -12,7 +12,7 @@ A uniform mark landing in the interval of (i, j) triggers the switch i -> j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -183,6 +183,15 @@ class RegimeModel:
     drift and dispersion must be total for every regime i >= 1, finite x and
     t in [0, horizon], and pure (no hidden state): a model is then safely
     shareable across concurrent trajectory workers.
+
+    drift_batch and noise_batch are an optional batch form of the same
+    coefficients over rows: ``drift_batch(X, lam, t)`` with X of shape
+    (n, d), lam (n,) integer regimes and t (n,) times returns the n drift
+    rows, and ``noise_batch(X, lam, t, dW)`` returns each row's dispersion
+    applied to its increment row of dW.  Every row must equal the per-row
+    ``drift(x, i, t)`` and ``dispersion(x, i, t) @ dw`` bit for bit (for a
+    dispersion ``s * I``, ``s * dw`` is exact); the solver then steps whole
+    blocks of trajectories with one array expression.  Give both or neither.
     """
 
     dim: int
@@ -190,22 +199,27 @@ class RegimeModel:
     dispersion: Callable[[np.ndarray, int, float], np.ndarray]
     rates: RateMatrix
     horizon: float
+    drift_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    noise_batch: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        if (self.drift_batch is None) != (self.noise_batch is None):
+            raise ValueError("drift_batch and noise_batch come together")
 
 
 @dataclass(frozen=True)
 class IntervalRow:
     """The materialized prefix of one regime row's mark-interval layout.
 
-    ``segments`` holds (target regime, lo, hi) with hi - lo = q_ij(x),
-    ascending in target, contiguous from ``anchor``; zero-width columns are
-    skipped entirely.  ``exhausted`` is True when the whole row mass was
-    materialized (the certified tail hit zero).
+    ``segments`` holds (target regime, lo, hi) with hi - lo = q_ij(x) up to
+    rounding, ascending in target and contiguous from ``anchor``: each hi is
+    the next lo exactly.  Zero-width columns are skipped entirely.
+    ``exhausted`` is True when the whole row mass was materialized (the
+    certified tail hit zero).
     """
 
     regime: int
@@ -241,8 +255,10 @@ def interval_row(model, regime, x, mark, max_terms=DEFAULT_MAX_TERMS):
             continue
         w = rates.rate(i, j, x)
         if w > 0.0:
-            segments.append((j, anchor + cum, anchor + cum + w))
+            lo = anchor + cum
             cum += w
+            # a segment ends where the next begins, bit for bit
+            segments.append((j, lo, anchor + cum))
             if cum > target:
                 return IntervalRow(i, anchor, segments, False)
         tail = rates.row_tail(i, x, j + 1)

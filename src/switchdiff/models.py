@@ -16,8 +16,13 @@ from .model import DenseRates, RegimeModel
 
 def _ou_pair(thetas, sigmas, rates, horizon, dim):
     thetas = np.asarray(thetas, dtype=float)
-    mats = [sg * np.eye(dim) for sg in np.asarray(sigmas, dtype=float)]
+    sigmas = np.asarray(sigmas, dtype=float)
+    mats = [sg * np.eye(dim) for sg in sigmas]
     n_th, n_sg = thetas.size, len(mats)
+    # columns indexed by regime (row 0 unused); take(mode="clip") sends
+    # every regime above the last to the last, like min(i, n)
+    neg_col = np.concatenate(([0.0], -thetas))[:, None]
+    sig_col = np.concatenate(([0.0], sigmas))[:, None]
 
     def drift(x, i, t):
         return -thetas[min(i, n_th) - 1] * x
@@ -25,7 +30,20 @@ def _ou_pair(thetas, sigmas, rates, horizon, dim):
     def dispersion(x, i, t):
         return mats[min(i, n_sg) - 1]
 
-    return RegimeModel(dim, drift, dispersion, rates, horizon)
+    def drift_batch(X, lam, t):
+        return neg_col.take(lam, axis=0, mode="clip") * X
+
+    def noise_batch(X, lam, t, dW):
+        return sig_col.take(lam, axis=0, mode="clip") * dW
+
+    return RegimeModel(dim, drift, dispersion, rates, horizon, drift_batch, noise_batch)
+
+
+def _frozen(drift, drift_batch, rates, horizon):
+    """One-dimensional model without noise."""
+    zmat = np.zeros((1, 1))
+    return RegimeModel(1, drift, lambda x, i, t: zmat, rates, horizon, drift_batch,
+                       lambda X, lam, t, dW: np.zeros_like(dW))
 
 
 def build_ou2(theta1=1.0, theta2=0.5, sigma1=1.0, sigma2=1.0,
@@ -39,8 +57,8 @@ def build_ctmc2(q12=1.0, q21=2.0, horizon=1.0):
     """Pure switching between two regimes; the diffusion is frozen."""
     rates = DenseRates([[0.0, q12], [q21, 0.0]])
     zero = np.zeros(1)
-    zmat = np.zeros((1, 1))
-    return RegimeModel(1, lambda x, i, t: zero, lambda x, i, t: zmat, rates, horizon)
+    return _frozen(lambda x, i, t: zero, lambda X, lam, t: np.zeros_like(X), rates,
+                   horizon)
 
 
 def build_ctmcn(n_regimes=5, scale=1.0, horizon=2.0):
@@ -54,9 +72,8 @@ def build_ctmcn(n_regimes=5, scale=1.0, horizon=2.0):
             if a != b:
                 q[a, b] = scale / abs(a - b)
     zero = np.zeros(1)
-    zmat = np.zeros((1, 1))
-    return RegimeModel(1, lambda x, i, t: zero, lambda x, i, t: zmat,
-                       DenseRates(q), horizon)
+    return _frozen(lambda x, i, t: zero, lambda X, lam, t: np.zeros_like(X),
+                   DenseRates(q), horizon)
 
 
 def build_powerlaw(gamma=3.0, p=1.0, theta=1.0, sigma=1.0, horizon=1.0, dim=1):
@@ -80,8 +97,7 @@ def build_blowup(horizon=1.0):
     def drift(x, i, t):
         return x * x
 
-    zmat = np.zeros((1, 1))
-    return RegimeModel(1, drift, lambda x, i, t: zmat, rates, horizon)
+    return _frozen(drift, lambda X, lam, t: X * X, rates, horizon)
 
 
 def build_degenerate(theta=1.0, sigma=1.0, q12=1.0, q21=1.0, horizon=1.0):
@@ -96,7 +112,13 @@ def build_degenerate(theta=1.0, sigma=1.0, q12=1.0, q21=1.0, horizon=1.0):
     def dispersion(x, i, t):
         return smat if i == 1 else zmat
 
-    return RegimeModel(1, drift, dispersion, rates, horizon)
+    def drift_batch(X, lam, t):
+        return -theta * X
+
+    def noise_batch(X, lam, t, dW):
+        return np.where(lam == 1, sigma, 0.0)[:, None] * dW
+
+    return RegimeModel(1, drift, dispersion, rates, horizon, drift_batch, noise_batch)
 
 
 _REGISTRY = {

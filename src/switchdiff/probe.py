@@ -22,8 +22,9 @@ from scipy.linalg import expm
 from ._parallel import map_indices
 from ._rng import AUX, substream
 from .certify import gronwall_bound_poly, tau_tail_bound_poly
-from .errors import TruncationLeak
-from .hybrid import _level_schedule, simulate
+from .errors import ConfigError, TruncationLeak
+# simulate stays importable from here for code that looks it up in this module
+from .hybrid import _level_schedule, simulate, walk  # noqa: F401
 
 
 @dataclass
@@ -59,36 +60,52 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     ``tau`` (NaN when the status has none), ``nonfinite``, ``hit`` (n,
     len(levels): the stop time of each level, inf when not reached; a
     non-finite blow-up hits every level it did not stop at),
-    ``max_regime`` and ``switches`` (switch count).  ``levels`` is passed to
-    ``simulate``; by default the config's escalation schedule.
+    ``max_regime`` and ``switches`` (switch count).  ``levels`` is the
+    level schedule; by default the config's escalation schedule.  Every
+    record equals the one ``simulate`` gives for the same trajectory.
+
+    x0 may also hold several starts as an (m, dim) array; every array then
+    gains a leading start axis, and traj0 is one first trajectory index for
+    all starts or a sequence with one per start.  All m * n trajectories are
+    walked by ``hybrid.walk`` in lockstep blocks, over one worker pool.
     """
     hit_levels = _level_schedule(cfg) if levels is None else [int(m) for m in levels]
+    several = np.ndim(x0) == 2
+    starts = list(np.asarray(x0, dtype=float)) if several else [x0]
+    m = len(starts)
+    first = [int(traj0)] * m if np.ndim(traj0) == 0 else [int(k) for k in traj0]
+    if len(first) != m:
+        raise ConfigError("traj0 needs one entry per start")
 
-    def terminal(k):
-        path = simulate(model, x0, i0, cfg, traj=traj0 + k, record="events",
-                        levels=levels)
-        te, xe, le = path.terminal
-        st = path.status
-        hit = dict(path.escalations)
+    def terminal(row):
+        st = row.status
+        hit = dict(row.escalations)
         if st.nonfinite:
             for lv in hit_levels:
                 hit.setdefault(lv, st.tau)
-        return (te, tuple(float(v) for v in xe), le, st.kind,
+        return (float(row.t), tuple(float(v) for v in row.x), row.lam, st.kind,
                 math.nan if st.tau is None else st.tau, st.nonfinite,
                 tuple(hit.get(lv, math.inf) for lv in hit_levels),
-                path.max_regime, len(path.switches))
+                max([int(i0)] + [s.dst for s in row.switches]), len(row.switches))
 
-    cols = list(zip(*map_indices(terminal, n, threads))) or [()] * 9
+    def block(lo, hi):
+        rows = range(lo, hi)
+        return [terminal(row) for row in walk(
+            model, [starts[r // n] for r in rows], i0, cfg,
+            [first[r // n] + r % n for r in rows], levels=levels)]
+
+    cols = list(zip(*map_indices(block, m * n, threads))) or [()] * 9
+    lead = (m, n) if several else (n,)
     return {
-        "t_end": np.array(cols[0], dtype=float),
-        "x_end": np.array(cols[1], dtype=float).reshape(n, model.dim),
-        "lam_end": np.array(cols[2], dtype=np.int64),
-        "kind": np.array(cols[3], dtype=str),
-        "tau": np.array(cols[4], dtype=float),
-        "nonfinite": np.array(cols[5], dtype=bool),
-        "hit": np.array(cols[6], dtype=float).reshape(n, len(hit_levels)),
-        "max_regime": np.array(cols[7], dtype=np.int64),
-        "switches": np.array(cols[8], dtype=np.int64),
+        "t_end": np.array(cols[0], dtype=float).reshape(lead),
+        "x_end": np.array(cols[1], dtype=float).reshape(lead + (model.dim,)),
+        "lam_end": np.array(cols[2], dtype=np.int64).reshape(lead),
+        "kind": np.array(cols[3], dtype=str).reshape(lead),
+        "tau": np.array(cols[4], dtype=float).reshape(lead),
+        "nonfinite": np.array(cols[5], dtype=bool).reshape(lead),
+        "hit": np.array(cols[6], dtype=float).reshape(lead + (len(hit_levels),)),
+        "max_regime": np.array(cols[7], dtype=np.int64).reshape(lead),
+        "switches": np.array(cols[8], dtype=np.int64).reshape(lead),
     }
 
 
@@ -163,12 +180,10 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
                       max_stop_level=levels[-1])
     horizon = float(t)
 
-    tails = np.zeros((len(starts), len(levels)))
-    explosions = 0
-    for si, y in enumerate(starts):
-        ens = run_ensemble(model, y, i0, run_cfg, n, threads=threads, levels=levels)
-        explosions += int(ens["nonfinite"].sum())
-        tails[si] = (ens["hit"] <= horizon).mean(axis=0)
+    ens = run_ensemble(model, np.array(starts), i0, run_cfg, n, threads=threads,
+                       levels=levels)
+    explosions = int(ens["nonfinite"].sum())
+    tails = (ens["hit"] <= horizon).mean(axis=1)
 
     labels, ests, hws = [], [], []
     for li, lv in enumerate(levels):
@@ -211,15 +226,12 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
         deltas.append(np.full(d, float(o)) if o.size == 1 and d > 1 else o)
     run_cfg = replace(cfg, horizon=float(t))
 
-    vals = np.empty((len(deltas), n))
-    truncated = np.zeros(len(deltas), dtype=int)
-    for di, dv in enumerate(deltas):
-        y = x + dv
-        ens = run_ensemble(model, y, i, run_cfg, n, threads=threads,
-                           traj0=0 if couple else di * n)
-        vals[di] = [float(f(xe, int(le)))
-                    for xe, le in zip(ens["x_end"], ens["lam_end"])]
-        truncated[di] = int((ens["kind"] != "horizon").sum())
+    ens = run_ensemble(model, np.array([x + dv for dv in deltas]), i, run_cfg, n,
+                       threads=threads,
+                       traj0=0 if couple else [di * n for di in range(len(deltas))])
+    vals = np.array([[float(f(xe, int(le))) for xe, le in zip(xs, ls)]
+                     for xs, ls in zip(ens["x_end"], ens["lam_end"])])
+    truncated = (ens["kind"] != "horizon").sum(axis=1)
 
     labels, ests, hws = [], [], []
     for di, dv in enumerate(deltas):

@@ -14,7 +14,6 @@ from switchdiff import (PolynomialCertificate, SimConfig, auto_truncation,
                         ctmc_oracle, estimate_moment, estimate_tau_tail,
                         feller_probe, make_model, run_ensemble, sample_stream,
                         simulate)
-from switchdiff._parallel import map_indices
 from switchdiff.certify import GridSpec, PowerLawRates, default_grid
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -56,13 +55,8 @@ def test_c02_thinning_law_oracle():
     model = make_model("ctmc2", q12=1.0, q21=2.0)
     n = 100_000
     cfg = SimConfig(stop_level=5, seed=2025, dt_target=1.0)
-
-    def one(k):
-        path = simulate(model, [0.0], 1, cfg, traj=k, record="events")
-        return (1.0 if path.terminal[2] == 2 else 0.0,)
-
-    hits = np.array(map_indices(one, n, THREADS))[:, 0]
-    p_hat = float(hits.mean())
+    lam = run_ensemble(model, [0.0], 1, cfg, n, threads=THREADS)["lam_end"]
+    p_hat = float((lam == 2).mean())
     p_true = (1.0 / 3.0) * (1.0 - math.exp(-3.0))
     tol = 3.0 * math.sqrt(p_true * (1.0 - p_true) / n)
     assert abs(p_hat - p_true) < tol, (p_hat, p_true, tol)

@@ -34,6 +34,20 @@ powerlaw_rates = st.builds(PowerLawRates, gamma=st.floats(2.5, 4.0),
                            p=st.floats(1.0, 2.0))
 
 
+def growing_rates(a, b):
+    """q(x) = a + b |x| on 2 or 3 regimes; the block bound is its sup over |x| <= level."""
+    A, B = np.array(a), np.array(b)
+    return FunctionRates(len(a), lambda x: A + B * abs(float(x[0])),
+                         lambda level: float(A.sum() + B.sum() * level))
+
+
+# random state-dependent generators: 2 or 3 regimes, q_ij(x) = a_ij + b_ij |x|
+function_rates = st.integers(2, 3).flatmap(lambda m: st.tuples(*(
+    st.lists(st.lists(st.floats(0.0, hi), min_size=m, max_size=m),
+             min_size=m, max_size=m) for hi in (3.0, 1.0)))).map(
+    lambda ab: growing_rates(*ab))
+
+
 def ou_with_rates(rates):
     return RegimeModel(1, lambda x, i, t: -x / i, lambda x, i, t: i * EYE,
                        rates, 1.0)
@@ -97,8 +111,9 @@ class TestCutoffStability:
                     assert hi.escalations[0][1] >= lo.escalations[0][1]
         assert hits > 0  # the test exercised actual stops
 
-    @settings(max_examples=25, deadline=None)
-    @given(rates=st.one_of(dense_rates, powerlaw_rates), level=st.integers(3, 8),
+    @settings(max_examples=30, deadline=None)
+    @given(rates=st.one_of(dense_rates, powerlaw_rates, function_rates),
+           level=st.integers(3, 8),
            scale=st.floats(1.0, 3.0), seed=st.integers(0, 2 ** 16),
            traj=st.integers(0, 99))
     def test_bit_identical_across_cutoffs_random_rates(self, rates, level,
@@ -200,6 +215,30 @@ class TestExplosion:
         assert np.isfinite(p.states[:-1]).all()
         assert abs(p.states[-2, 0]) > 1e77
 
+    def test_rate_overflow_on_a_carried_mark_is_nonfinite(self):
+        # marks at a stop node are classified under the next level; when
+        # that classification overflows, the path ends at the stop time with
+        # a NaN state, as an in-grid overflow does one node later
+        def q(x):
+            v = 1.0 + float(x[0]) ** 4
+            return [[0.0, v], [v, 0.0]]
+
+        model = RegimeModel(1, lambda x, i, t: x * x,
+                            lambda x, i, t: np.zeros((1, 1)),
+                            FunctionRates(2, q, 4000.0), 0.05)
+        cfg = SimConfig(stop_level=10 ** 100, dt_target=1.0, seed=0)
+        carried = 0
+        for traj in range(12):
+            p = simulate(model, [50.0], 1, cfg, traj=traj, levels=[10 ** 100, 10 ** 290])
+            assert p.status.nonfinite
+            assert np.isnan(p.states[-1]).all()
+            assert np.isfinite(p.states[:-1]).all()
+            if p.escalations and p.escalations[-1][1] == p.status.tau:
+                carried += 1
+                assert p.times[-1] == p.status.tau
+                assert p.escalations == [(10 ** 100, p.status.tau)]
+        assert carried > 0
+
     def test_immediate_stop_when_already_outside(self):
         model = make_model("ou2")
         stream = sample_stream(3.0, model.horizon, seed=0)
@@ -236,8 +275,9 @@ class TestEscalation:
                 assert full.escalations[0] == (4, lone.status.tau)
         assert found > 0
 
-    @settings(max_examples=20, deadline=None)
-    @given(rates=st.one_of(dense_rates, powerlaw_rates), level=st.integers(2, 5),
+    @settings(max_examples=30, deadline=None)
+    @given(rates=st.one_of(dense_rates, powerlaw_rates, function_rates),
+           level=st.integers(2, 5),
            x0=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 16),
            traj=st.integers(0, 99))
     def test_single_level_run_is_prefix_of_escalated_run(self, rates, level,

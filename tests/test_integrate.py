@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from switchdiff import (DenseRates, RegimeModel, SimConfig, make_grid,
-                        simulate)
+                        run_ensemble, simulate)
 from switchdiff._rng import BROWNIAN, substream
 from switchdiff.integrate import BrownianGrid
 
@@ -100,9 +100,10 @@ class TestIntegrateSegment:
         # closed-form oracle: E X_1 = x0 * exp(-1); weak-order-1 bias allowed
         m = ou_model()
         n, dt = 20_000, 1.0 / 32.0
+        cfg = SimConfig(stop_level=2 ** 40, dt_target=dt, horizon=1.0, seed=77)
         total = 0.0
-        for k in range(n):
-            total += terminal(m, [1.0], dt, seed=77, traj=k)[0]
+        for x in run_ensemble(m, [1.0], 1, cfg, n)["x_end"][:, 0]:
+            total += x
         mean = total / n
         sd_terminal = np.sqrt(1 - np.exp(-2.0))
         tol = 3 * sd_terminal / np.sqrt(n) + 2.0 * dt

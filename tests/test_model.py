@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchdiff import (DenseRates, FunctionRates, RegimeModel, TailUnresolvable,
                         interval_row, mark_displacement, truncate_coefficients)
@@ -151,6 +153,34 @@ class TestPartitionAndThinning:
                 assert lo >= prev_hi
                 assert hi > lo
                 prev_hi = hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), regime=st.integers(1, 4), x=st.floats(-3.0, 3.0),
+           frac=st.floats(0.0, 0.95))
+    def test_segments_contiguous_with_rate_widths(self, data, regime, x, frac):
+        m = data.draw(st.integers(2, 4))
+        square = st.lists(st.lists(st.floats(0.0, 4.0), min_size=m, max_size=m),
+                          min_size=m, max_size=m)
+        a, b = np.array(data.draw(square)), np.array(data.draw(square))
+        rates = data.draw(st.sampled_from([
+            DenseRates(a),
+            FunctionRates(m, lambda y: a + b * abs(float(y[0])), 100.0),
+            PowerLawRates(gamma=2.5 + float(a[0, 0]) / 4.0, p=1.0 + float(b[0, 0]) / 4.0)]))
+        y = np.array([x])
+        anchor, total = rates.anchor(regime, y), rates.row_sum(regime, y)
+        row = interval_row(zero_coeff_model(rates), regime, y, anchor + frac * total)
+        assert row.anchor == anchor
+        prev_hi = anchor
+        for j, lo, hi in row.segments:
+            # each segment starts where the last ended: no gap, no overlap
+            assert lo == prev_hi
+            assert j != regime
+            assert hi - lo == pytest.approx(rates.rate(regime, j, y),
+                                            rel=1e-12, abs=1e-12 * hi)
+            prev_hi = hi
+        if row.segments:
+            assert [j for j, _, _ in row.segments] == sorted(
+                {j for j, _, _ in row.segments})
 
     def test_thinning_law_binomial(self, model3):
         # uniform marks on [0, K] switch 2 -> 3 with probability q_23 / K

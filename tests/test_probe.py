@@ -206,6 +206,7 @@ class TestWorkerCap:
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(_parallel.mp, "get_all_start_methods", lambda: ["fork"])
         monkeypatch.setattr(_parallel.mp, "get_context", lambda method: FakeContext)
-        out = _parallel.map_indices(lambda k: k * k, 100, threads=64)
+        out = _parallel.map_indices(lambda lo, hi: [k * k for k in range(lo, hi)], 100,
+                                    threads=64)
         assert out == [k * k for k in range(100)]
         assert sizes == [3]
