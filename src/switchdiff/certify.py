@@ -103,8 +103,9 @@ class PowerLawRates(RateMatrix):
         if key != self._growth_key:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             r = abs(float(x[0])) if x.size == 1 else float(np.sqrt(x @ x))
-            self._growth_key = key
+            # an overflow must leave the memo as it was
             self._growth_val = r ** self.p
+            self._growth_key = key
         return self._growth_val
 
     def _growth(self, i, x):
@@ -147,6 +148,13 @@ class PowerLawRates(RateMatrix):
         self._ensure(i)
         gp = self._radius_pow(x)
         return float(self._A_weighted[i - 1]) + gp * float(self._A_plain[i - 1])
+
+    def territory_batch(self, lam, R):
+        self._ensure(int(lam.max()))
+        gp = R ** self.p
+        k = lam - 1
+        lo = self._A_weighted[k] + gp * self._A_plain[k]
+        return lo, lo + (lam + gp) * self._S[k]
 
     def beta_tail(self, i, x, n, beta):
         """Bracket for sum_{k>=n} (k^b - i^b) q_ik(x), n > i.

@@ -265,7 +265,8 @@ def _cmd_simulate(cfg, model, sim, prefix, threads, dump_stream):
         p = prefix + "_stream.csv"
         _write_csv(p, ["time", "mark"], zip(path.stream.times, path.stream.marks))
         files.append(p)
-    return files, [f"status = {_status_str(path.status)}"]
+    return files, [f"status = {_status_str(path.status)}",
+                   f"escalations = {path.escalations!r}", f"cutoffs = {path.cutoffs!r}"]
 
 
 def _cmd_ensemble(cfg, model, sim, prefix, threads, *_):

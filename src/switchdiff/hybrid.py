@@ -26,11 +26,21 @@ raises levels, draws grids and ends rows exactly as a single walk would, so
 a row's result does not depend on its block.  The update uses a model's
 batch coefficients when it has them and the per-row ``drift`` and
 ``dispersion`` otherwise.  ``simulate`` is a batch of one.
+
+Most marks fall outside the current regime's row.  When at least
+``SCREEN_ROWS`` rows reach event nodes in one iteration and the rate matrix
+has a ``territory_batch``, one array pass reads each row's mark from the
+block's grid storage and lets the row step on without classification when
+the mark is thinned (at or above the cutoff) or lies outside the row's
+territory by a relative margin, where ``mark_displacement`` would return 0.
+Marks near or inside the territory, several marks at one node and
+non-finite bounds go to the per-row code, so the screen changes no result.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple, Union
 
@@ -44,6 +54,9 @@ from .model import mark_displacement
 
 # Most rows stepped together; bounds a block's grid storage.
 BLOCK_ROWS = 256
+# Fewest rows at event nodes in one iteration that the mark screen takes:
+# for fewer, its array pass costs more than the classifications it saves.
+SCREEN_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,8 @@ class HybridPath:
     a switch node carries the post-switch regime); the x-component is
     continuous across switches.  escalations records (level, tau) for every
     stop-level hit, in order.  stream is the master stream the path
-    consumed, including any extension bands added for higher levels.
+    consumed, including any extension bands added for higher levels, and
+    cutoffs records (level, mark cutoff) for every level the path entered.
     """
 
     times: np.ndarray
@@ -128,6 +142,7 @@ class HybridPath:
     status: PathStatus
     escalations: List[Tuple[int, float]] = field(default_factory=list)
     stream: Optional[JumpStream] = None
+    cutoffs: List[Tuple[int, float]] = field(default_factory=list)
 
     @property
     def terminal(self):
@@ -174,6 +189,11 @@ def _radius(x):
     return abs(x[0]) if x.size == 1 else np.sqrt(x @ x)
 
 
+def _radii(X):
+    """The radius of every row of X, as the lockstep loop measures it."""
+    return np.abs(X[:, 0]) if X.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
 def _below(level):
     """A float threshold under ``level`` by far more than rounding error.
 
@@ -185,6 +205,16 @@ def _below(level):
         return float(level) * (1.0 - 2.0 ** -30)
     except OverflowError:
         return math.inf
+
+
+def _outside(z, lo, hi):
+    """Marks z outside their territories [lo, hi) by far more than rounding error.
+
+    The relative margin absorbs any difference between the batch bounds and
+    the scalar ``anchor`` and ``row_sum``; a non-finite bound never counts,
+    so a scalar overflow still reaches ``mark_displacement``.
+    """
+    return ((z < lo * (1.0 - 2.0 ** -30)) | (z >= hi * (1.0 + 2.0 ** -30))) & np.isfinite(hi)
 
 
 def _step_terms(model, X, lam, t, dt, dW):
@@ -221,31 +251,44 @@ class _Grids:
     A grid of n nodes takes n consecutive rows of ``table`` from its offset,
     one per node: the node time, the step leaving the node and its Brownian
     increment (both unused at the last node).  When paths are recorded,
-    ``states`` holds the state at each node.  A redrawn grid is appended, so
+    ``states`` holds the state at each node.  For the mark screen, ``mark``
+    holds the mark at each event node and ``next`` the flat row of the
+    row's next target (the next event node, or the grid's last node); the
+    last node's mark, and every mark of a grid with two marks at one node,
+    is NaN, which the screen never skips.  A redrawn grid is appended, so
     nothing stored earlier moves.
     """
 
-    def __init__(self, d, record):
+    def __init__(self, d, record, screen):
         self.used = 0
         self.table = np.empty((0, 2 + d))
         self.states = np.empty((0, d)) if record else None
+        self.mark = np.empty(0) if screen else None
+        self.next = np.empty(0, dtype=np.intp) if screen else None
 
-    def append(self, grid):
+    def append(self, grid, marks):
+        """Store a grid and, for the screen, the marks at its event nodes."""
         n = grid.nodes.size
         off = self.used
         self.used += n
         if self.used > len(self.table):
             cap = max(2 * len(self.table), self.used, 1024)
-            for name in ("table", "states"):
+            for name in ("table", "states", "mark", "next"):
                 old = getattr(self, name)
                 if old is not None:
-                    new = np.empty((cap, old.shape[1]))
+                    new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
                     new[:off] = old[:off]
                     setattr(self, name, new)
         rows = self.table[off:off + n]
         rows[:, 0] = grid.nodes
         rows[:-1, 1] = grid.steps
         rows[:-1, 2:] = grid.increments
+        if self.mark is not None:
+            # the breakpoints: the first node, the event nodes, the last node
+            ev = off + grid.break_index
+            self.mark[ev[-1]] = np.nan
+            self.mark[ev[1:-1]] = marks
+            self.next[ev[1:-1]] = ev[2:]
         return off
 
 
@@ -257,14 +300,16 @@ class _Row:
     grid); ``target`` is the node the row steps to next.  li indexes the
     current level; stale is set while the grid must be drawn again from node
     k.  Marks e .. n_ev - 1 of the grid are still to be classified, at nodes
-    ``ev_node``.  ``kept`` lists (offset, event nodes, end) of the recorded
-    grids left behind.  Once ``status`` is set the row has ended.
+    ``ev_node``; while the row is in ``_Walk.lockstep``, e and target lag
+    behind the marks the screen skipped.  ``kept`` lists (offset, event
+    nodes, end) of the recorded grids left behind.  Once ``status`` is set
+    the row has ended.
     """
 
     __slots__ = ("traj", "stream", "brng", "x", "r", "lam", "t", "li", "level",
                  "cutoff", "stale", "off", "k", "target", "e", "n_ev", "n_nodes",
                  "ev_node", "ev_z", "ev_at", "kept", "switches", "escalations",
-                 "status", "times", "states")
+                 "cutoffs", "status", "times", "states")
 
 
 class _Walk:
@@ -286,12 +331,13 @@ class _Walk:
         self.model, self.cfg, self.levels = model, cfg, levels
         self.stream, self.record, self.dim = stream, record, model.dim
         self.thresholds = [_below(m) for m in levels]
-        self.grids = None
+        self.grids = self.screen = None
 
     def enter_level(self, row):
         """Set the row's cutoff for its level, extending its stream to cover it."""
         row.level = self.levels[row.li]
         row.cutoff = _resolve_cutoff(self.cfg, self.model, row.level)
+        row.cutoffs.append((row.level, row.cutoff))
         if row.cutoff > row.stream.k_max:
             if self.stream is not None:
                 raise ConfigError(f"stream mark ceiling {row.stream.k_max} "
@@ -317,6 +363,7 @@ class _Walk:
             raise ConfigError(f"initial state shape {x.shape} does not match dim {self.dim}")
         row.x, row.r, row.lam, row.t = x, _radius(x), int(i0), 0.0
         row.li = 0
+        row.cutoffs = []
         self.enter_level(row)
         row.stale = True
         row.off = -1
@@ -384,14 +431,18 @@ class _Walk:
         stream, t = row.stream, row.t
         lo = int(np.searchsorted(stream.times, t, side="right"))
         hi = int(np.searchsorted(stream.times, self.horizon, side="left"))
-        ev_t = stream.times[lo:hi]
-        bp = np.unique(np.concatenate((np.array([t, self.horizon]), ev_t)))
+        ev_t, marks = stream.times[lo:hi], stream.marks[lo:hi]
+        # the events lie strictly between t and the horizon, in order
+        bp = np.concatenate(([t], ev_t, [self.horizon]))
+        tied = ev_t.size > 1 and not (ev_t[1:] > ev_t[:-1]).all()
+        if tied:
+            bp = np.unique(bp)  # events at one time share a breakpoint
         grid = make_grid(bp, self.cfg.dt_target, self.dim, row.brng)
-        ev_at = grid.break_index[np.searchsorted(bp, ev_t)]
+        ev_at = grid.break_index[np.searchsorted(bp, ev_t) if tied else slice(1, -1)]
         # memoryviews index to Python scalars like lists, without a copy
-        row.ev_node, row.ev_z = memoryview(ev_at), memoryview(stream.marks[lo:hi])
+        row.ev_node, row.ev_z = memoryview(ev_at), memoryview(marks)
         row.n_ev, row.n_nodes = len(ev_at), grid.nodes.size
-        row.off = self.grids.append(grid)
+        row.off = self.grids.append(grid, np.nan if tied else marks)
         if self.record:
             row.ev_at = ev_at
             self.grids.states[row.off] = row.x
@@ -422,15 +473,19 @@ class _Walk:
         """Step every live row to its next event node in one update per node.
 
         Each iteration moves all live rows one node along their own grids.
-        Rows that reach their target node, come near their level or fail
-        drop to ``advance``, which either sends them on or ends them.
+        When at least SCREEN_ROWS rows clear of their level reach event
+        nodes, the screen sends the ones whose mark cannot switch on to
+        their next event node.  The other rows that reach their target
+        node, come near their level or fail drop to ``advance``, which
+        either sends them on or ends them.
         """
-        g, d = self.grids, self.dim
+        g, d, screen = self.grids, self.dim, self.screen
         X = np.array([row.x for row in live])
         pos = np.array([row.off + row.k for row in live])
         end = np.array([row.off + row.target for row in live])
         lam = np.array([row.lam for row in live])
         room = np.array([self.thresholds[row.li] - row.lam for row in live])
+        cut = np.array([row.cutoff for row in live])
         while live:
             node = g.table.take(pos, axis=0)
             bdt, noise, failed = _step_terms(self.model, X, lam, node[:, 0], node[:, 1:2],
@@ -439,12 +494,27 @@ class _Walk:
             pos = pos + 1
             if g.states is not None:
                 g.states[pos] = X
-            r = np.abs(X[:, 0]) if d == 1 else np.sqrt(np.einsum("ij,ij->i", X, X))
+            r = _radii(X)
             go = (r < room) & (pos != end)
             if failed is not None:
                 go &= ~failed
-            if np.count_nonzero(go) == len(live):
+            n_go = np.count_nonzero(go)
+            if n_go == len(live):
                 continue
+            if screen is not None and len(live) - n_go >= SCREEN_ROWS:
+                at = np.flatnonzero((pos == end) & (r < room))
+                if failed is not None:
+                    at = at[~failed[at]]
+                if at.size >= SCREEN_ROWS:
+                    p = pos[at]
+                    z = g.mark[p]
+                    lo, hi = screen(lam[at], r[at])
+                    skip = (z >= cut[at]) | _outside(z, lo, hi)
+                    at = at[skip]
+                    end[at] = g.next[p[skip]]
+                    go[at] = True
+                    if n_go + at.size == len(live):
+                        continue
             ended = []
             for i in np.flatnonzero(~go).tolist():
                 row = live[i]
@@ -457,28 +527,35 @@ class _Walk:
                     continue
                 row.x = X[i].copy()
                 row.r = _radius(row.x)
+                if screen is not None:
+                    # the first mark not skipped is the first at or after this node
+                    row.e = bisect_left(row.ev_node, row.k)
                 if self.advance(row):
                     pos[i], end[i] = row.off + row.k, row.off + row.target
                     lam[i], room[i] = row.lam, self.thresholds[row.li] - row.lam
+                    cut[i] = row.cutoff
                 else:
                     ended.append(i)
             if ended:
                 keep = np.ones(len(live), dtype=bool)
                 keep[ended] = False
                 live = [row for row, kp in zip(live, keep.tolist()) if kp]
-                X, pos, end, lam, room = X[keep], pos[keep], end[keep], lam[keep], room[keep]
+                X, pos, end, lam, room, cut = (X[keep], pos[keep], end[keep], lam[keep],
+                                               room[keep], cut[keep])
 
     def run(self, starts, i0, trajs):
         """Yield the ended rows, walking them in blocks of at most BLOCK_ROWS."""
+        screen = getattr(self.model.rates, "territory_batch", None)
         for lo in range(0, len(trajs), BLOCK_ROWS):
-            self.grids = _Grids(self.dim, self.record)
+            self.screen = screen if len(trajs[lo:lo + BLOCK_ROWS]) >= SCREEN_ROWS else None
+            self.grids = _Grids(self.dim, self.record, self.screen is not None)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 rows = [self.start(x0, i0, traj) for x0, traj in
                         zip(starts[lo:lo + BLOCK_ROWS], trajs[lo:lo + BLOCK_ROWS])]
                 live = [row for row in rows if self.advance(row)]
                 if live:
                     self.lockstep(live)
-            self.grids = None
+            self.grids = self.screen = None
             yield from rows
 
 
@@ -522,4 +599,4 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
     dst = np.array([int(i0)] + [s.dst for s in switches], dtype=np.int64)
     regimes = dst[np.searchsorted([s.time for s in switches], row.times, side="right")]
     return HybridPath(row.times, row.states, regimes, switches, row.status,
-                      row.escalations, row.stream)
+                      row.escalations, row.stream, row.cutoffs)

@@ -39,7 +39,27 @@ class RateMatrix:
       mark cutoff that loses no switch while |x| + regime stays below level.
 
     The diagonal is conservative by convention; ``rate(i, i, x)`` is 0.
+
+    ``territory_batch(lam, R) -> (lo, hi)`` is optional.  For arrays of
+    regimes ``lam`` and state radii ``R`` over rows it returns arrays with
+    row n's territory ``[anchor(i, x), anchor(i, x) + row_sum(i, x))`` for
+    i = lam[n] and any x with |x| = R[n], so only matrices whose anchor and
+    row sum depend on x through |x| can give it.  The solver uses it
+    conservatively: it skips a mark without calling ``mark_displacement``
+    only when the mark lies outside these bounds by a relative margin and
+    the bounds are finite, so they need not match the scalar methods to the
+    last bit.  ``None`` (the default) means no screen: every mark below the
+    cutoff is classified.  A subclass that overrides ``anchor`` or
+    ``row_sum`` without giving its own ``territory_batch`` gets ``None``.
     """
+
+    territory_batch = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # an inherited screen is only valid for the layout it was written for
+        if "territory_batch" not in vars(cls) and {"anchor", "row_sum"} & vars(cls).keys():
+            cls.territory_batch = None
 
     def rate(self, i, j, x):
         raise NotImplementedError
@@ -129,6 +149,10 @@ class DenseRates(RateMatrix):
 
     def anchor(self, i, x):
         return float(self._cum[min(i - 1, self.size)])
+
+    def territory_batch(self, lam, R):
+        # _cum[i] is _cum[i - 1] + row_sum(i); regimes beyond size sit at _cum[size]
+        return self._cum.take(lam - 1, mode="clip"), self._cum.take(lam, mode="clip")
 
     def beta_tail(self, i, x, n, beta):
         if n > self.size:

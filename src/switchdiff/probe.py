@@ -223,7 +223,7 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
     deltas = [np.zeros(d)]
     for off in offsets:
         o = np.atleast_1d(np.asarray(off, dtype=float))
-        deltas.append(np.full(d, float(o)) if o.size == 1 and d > 1 else o)
+        deltas.append(np.full(d, o[0]) if o.size == 1 and d > 1 else o)
     run_cfg = replace(cfg, horizon=float(t))
 
     ens = run_ensemble(model, np.array([x + dv for dv in deltas]), i, run_cfg, n,

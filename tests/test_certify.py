@@ -50,6 +50,17 @@ class TestPowerLawSandwich:
         assert rates.rate(3, 3, x) == 0.0
 
 
+    def test_radius_overflow_leaves_no_stale_growth(self):
+        # |x|^p overflows; a second query at the same x must not reuse the
+        # growth of an earlier state
+        rates = PowerLawRates(3.0, 3.0)
+        assert rates.anchor(2, np.array([1.0])) == pytest.approx(2 * rates.zeta)
+        huge = np.array([1e150])
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                rates.anchor(2, huge)
+
+
 class TestBetaSeries:
     def test_pi_squared_over_six(self):
         # row 1 at x=0, beta=1, gamma=3: the series telescopes to zeta(2)

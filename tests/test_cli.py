@@ -2,7 +2,7 @@
 
 import pytest
 
-from switchdiff import SimConfig, ctmc_oracle, make_model
+from switchdiff import SimConfig, auto_truncation, ctmc_oracle, make_model, simulate
 from switchdiff.cli import main
 
 
@@ -76,6 +76,22 @@ class TestSimulateCommand:
             assert "seed = 42" in meta
             assert "switchdiff" in meta
         assert outs[0] == outs[1]
+
+    def test_meta_records_escalations_and_cutoffs(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg",
+                           "command = simulate\nmodel = powerlaw\nmodel.sigma = 6\n"
+                           "x0 = 2\nsim.stop_level = 4\nsim.max_stop_level = 64\nseed = 2\n")
+        prefix = str(tmp_path / "r")
+        assert run_cli("--config", cfg, "--out", prefix) == 0
+        meta = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "r_meta.txt").read_text().splitlines()[1:])
+        model = make_model("powerlaw", sigma=6.0)
+        path = simulate(model, [2.0], 1, SimConfig(stop_level=4, max_stop_level=64, seed=2))
+        assert path.escalations == [(4, 0.07161363119410413), (8, 0.15431759128739975)]
+        assert meta["escalations"] == repr(path.escalations)
+        # the first level and the two it escalated to, each with its auto cutoff
+        assert path.cutoffs == [(lv, auto_truncation(model, lv)) for lv in (4, 8, 16)]
+        assert meta["cutoffs"] == repr(path.cutoffs)
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", self.CONFIG)
@@ -204,3 +220,16 @@ class TestProbeCommands:
             assert run_cli("--config", cfg, "--out", prefix) == 0, command
             report = (tmp_path / f"{command}_report.csv").read_text()
             assert report.startswith("# switchdiff-csv v1")
+
+    def test_feller_in_two_dimensions(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg",
+                           "command = feller\nmodel = ou2\nmodel.dim = 2\n"
+                           "x0 = 0.0,0.0\nn = 20\nt = 0.5\nsim.stop_level = 8\nseed = 3\n")
+        prefix = str(tmp_path / "f")
+        assert run_cli("--config", cfg, "--out", prefix, "--threads", "1") == 0
+        labels = [r.split(",")[-5] for r in
+                  (tmp_path / "f_report.csv").read_text().splitlines()[2:]]
+        # the default offsets 0.05 and 0.5 move both coordinates
+        assert labels == ["ptf[delta=0]", "diff[delta=0]",
+                          "ptf[delta=0.0707107]", "diff[delta=0.0707107]",
+                          "ptf[delta=0.707107]", "diff[delta=0.707107]"]

@@ -1,15 +1,16 @@
 """Lockstep kernel: ensemble rows equal single paths at any block split or worker count."""
 
+import copy
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from switchdiff import (FunctionRates, PowerLawRates, RegimeModel, SimConfig,
-                        _parallel, estimate_tau_tail, feller_probe, hybrid, make_model,
-                        run_ensemble, simulate)
+from switchdiff import (DenseRates, FunctionRates, JumpStream, PowerLawRates, RegimeModel,
+                        SimConfig, _parallel, estimate_tau_tail, feller_probe, hybrid,
+                        make_model, run_ensemble, simulate)
 from test_hybrid import dense_rates
 
 EYE = np.eye(1)
@@ -184,3 +185,113 @@ class TestOnePool:
             feller_probe(model, f, 1.0, [0.0], 1, [0.05, 0.5], 8, cfg, couple=couple,
                          threads=2)
             assert pools == [2]
+
+
+def unscreened(rates):
+    """A copy of rates whose class has no territory_batch, so every mark is classified."""
+    plain = copy.copy(rates)
+    plain.__class__ = type("Unscreened", (type(rates),), {"territory_batch": None})
+    return plain
+
+
+def ou_model(rates, dim, batch):
+    eye = np.eye(dim)
+    forms = (lambda X, lam, t: -X / lam[:, None], lambda X, lam, t, dW: lam[:, None] * dW)
+    return RegimeModel(dim, lambda x, i, t: -x / i, lambda x, i, t: i * eye, rates, 1.0,
+                       *(forms if batch else (None, None)))
+
+
+@st.composite
+def screen_cases(draw):
+    """Screened and unscreened models, a start, a regime and a configuration.
+
+    ou escalates (extending the stream and classifying marks at stop nodes
+    under the next level) in one or two dimensions; blowup ends rows at a
+    non-finite state, and cube by an overflow in its per-row drift; huge
+    starts so far out that the power-law rates overflow, which ends rows
+    at their first classified mark.
+    """
+    family = draw(st.sampled_from(["ou", "ou", "ou", "blowup", "cube", "huge"]))
+    i0 = 1
+    gamma = st.floats(2.0, 5.0, exclude_min=True)
+    pl = st.builds(PowerLawRates, gamma=gamma, p=st.floats(1.0, 3.0))
+    seed = draw(st.integers(0, 2 ** 16))
+    if family == "ou":
+        # the auto cutoff grows like level ** (p + 1) on power-law rates
+        rates = draw(st.one_of(dense_rates, st.builds(PowerLawRates, gamma=gamma,
+                                                      p=st.floats(1.0, 1.5))))
+        dim, batch = draw(st.sampled_from([1, 2])), draw(st.booleans())
+        model = lambda r: ou_model(r, dim, batch)  # noqa: E731
+        x0 = draw(st.lists(st.floats(0.0, 2.5), min_size=dim, max_size=dim))
+        stop = draw(st.integers(4, 5))
+        cfg = SimConfig(stop_level=stop, max_stop_level=stop * draw(st.sampled_from([1, 2])),
+                        dt_target=0.05, seed=seed)
+    elif family in ("blowup", "cube"):
+        rates = draw(st.one_of(dense_rates, pl))
+        forms = coefficients(family, draw(st.floats(0.5, 3.0)), True)
+        model = lambda r: RegimeModel(1, forms[0], forms[1], r, 1.0, *forms[2:])  # noqa: E731
+        x0 = [draw(st.floats(0.5, 2.5))]
+        # a fixed cutoff keeps power-law streams small however far x runs
+        cfg = SimConfig(stop_level=2, max_stop_level=10 ** 300, mark_cutoff=30.0,
+                        stream_rate=30.0, dt_target=0.05, seed=seed)
+    else:
+        rates = PowerLawRates(draw(st.floats(2.5, 4.0)), draw(st.floats(2.5, 3.0)))
+        model = lambda r: RegimeModel(1, lambda x, i, t: 0.0 * x,  # noqa: E731
+                                      lambda x, i, t: 1e-3 * EYE, r, 1.0)
+        x0 = [draw(st.sampled_from([1e40, 1e110, 1e150]))]
+        # past regime 1 the territory starts beyond every mark
+        i0 = draw(st.integers(1, 3))
+        cfg = SimConfig(stop_level=10 ** 300, mark_cutoff=30.0, stream_rate=30.0,
+                        dt_target=0.1, seed=seed)
+    return model(rates), model(unscreened(rates)), x0, i0, cfg
+
+
+class TestMarkScreen:
+    @settings(max_examples=40, deadline=None)
+    @given(case=screen_cases(), block=st.integers(1, 8), screen_rows=st.integers(1, 4))
+    def test_records_equal_unscreened_rates(self, case, block, screen_rows):
+        screened, plain, x0, i0, cfg = case
+        assert plain.rates.territory_batch is None
+        calls = []
+        for model in (screened, plain):
+            with mock.patch.object(hybrid, "BLOCK_ROWS", block), \
+                    mock.patch.object(hybrid, "SCREEN_ROWS", screen_rows), \
+                    mock.patch.object(hybrid, "mark_displacement",
+                                      wraps=hybrid.mark_displacement) as md:
+                calls.append((run_ensemble(model, x0, i0, cfg, N), md.call_count))
+        assert_records_equal(calls[0][0], calls[1][0])
+        assert calls[0][1] <= calls[1][1]
+        rec = calls[0][0]
+        event(f"marks skipped: {calls[0][1] < calls[1][1]}")
+        event(f"non-finite rows: {bool(rec['nonfinite'].any())}")
+        event(f"escalated rows: {bool(np.isfinite(rec['hit'][:, 0]).any())}")
+
+    def test_tied_and_carried_marks_match_unscreened(self):
+        # a hand-built stream with several marks at one time; the drift takes
+        # rows through levels 2 and 4, some of them at event nodes, where the
+        # node's marks are classified under the next level.  Regime 1 owns
+        # the marks in [0, 5), regime 2 those in [5, 6); the cutoff is 6.
+        times = [0.2, 0.2, 0.3, 0.45, 0.45, 0.45, 0.55, 0.7, 0.8, 0.9]
+        marks = [5.5, 1.0, 3.0, 7.0, 5.2, 0.5, 9.0, 5.9, 5.5, 2.0]
+        stream = JumpStream(10.0, 1.0, np.array(times), np.array(marks))
+        rates = DenseRates([[0.0, 5.0], [1.0, 0.0]])
+        cfg = SimConfig(stop_level=2, dt_target=0.05, seed=5)
+        rows, calls = [], []
+        for r in (rates, unscreened(rates)):
+            model = RegimeModel(1, lambda x, i, t: np.ones(1), lambda x, i, t: 0.3 * EYE, r, 1.0)
+            with mock.patch.object(hybrid, "SCREEN_ROWS", 1), \
+                    mock.patch.object(hybrid, "mark_displacement",
+                                      wraps=hybrid.mark_displacement) as md:
+                rows.append([(w.t, w.x, w.lam, w.status, w.switches, w.escalations, w.times,
+                              w.states) for w in hybrid.walk(model, [[1.2]] * 16, 1, cfg,
+                                                             list(range(16)), levels=[2, 4, 8],
+                                                             stream=stream, record="nodes")])
+            calls.append(md.call_count)
+        for a, b in zip(*rows):
+            assert a[2:6] == b[2:6]
+            assert a[0] == b[0] and np.array_equal(a[1], b[1])
+            assert np.array_equal(a[6], b[6]) and np.array_equal(a[7], b[7])
+        escalated = {t for w in rows[0] for _, t in w[5]}
+        assert escalated & set(times) and any(w[4] for w in rows[0])
+        # the marks at 0.3 and 0.8 lie outside the row's territory
+        assert calls[0] < calls[1]

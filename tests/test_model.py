@@ -242,3 +242,82 @@ class TestTruncateCoefficients:
     def test_rates_unchanged(self):
         m = truncate_coefficients(self.base, 5.0)
         assert m.rates is self.base.rates
+
+
+def scalar_territory(rates, i, x):
+    """(anchor, anchor + row_sum) from the scalar methods, or None on an overflow."""
+    try:
+        a = rates.anchor(i, x)
+        return a, a + rates.row_sum(i, x)
+    except OverflowError:
+        return None
+
+
+territory_rates = st.one_of(
+    st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m),
+        min_size=m, max_size=m)).map(DenseRates),
+    st.builds(PowerLawRates, gamma=st.floats(2.0, 5.0, exclude_min=True),
+              p=st.floats(1.0, 3.0)))
+radii = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e200))
+
+
+class TestTerritoryBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(rates=territory_rates, dim=st.sampled_from([1, 2]),
+           rows=st.lists(st.tuples(st.integers(1, 2000), radii), min_size=1, max_size=12),
+           u=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
+    def test_bounds_match_scalar_and_skipped_marks_never_switch(self, rates, dim, rows, u):
+        from switchdiff.hybrid import _outside, _radii
+        lam = np.array([i for i, _ in rows])
+        X = np.array([np.full(dim, r / np.sqrt(dim)) for _, r in rows])
+        # the kernel measures radii this way and screens only finite ones
+        R = _radii(X)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
+            lo, hi = rates.territory_batch(lam, R)
+        model = zero_coeff_model(rates, dim)
+        for n, (i, x) in enumerate(zip(lam.tolist(), X)):
+            if not np.isfinite(R[n]):
+                continue
+            want = scalar_territory(rates, i, x)
+            if want is None or not np.isfinite(want[1]):
+                # a scalar overflow must reach mark_displacement
+                assert not np.isfinite(hi[n])
+                assert not _outside(np.array([0.0, u[0], 1e300]), lo[n], hi[n]).any()
+                continue
+            assert lo[n] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert hi[n] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+            # marks around both bounds, inside, and far beyond the territory
+            span = want[1] - want[0]
+            marks = [want[0] * (1 - 1e-6 * u[0]), want[0] * (1 - 2.0 ** -29), want[0],
+                     want[0] + u[1] * span, want[1] * (1 - 2.0 ** -52), want[1],
+                     want[1] * (1 + 2.0 ** -29), want[1] * (1 + u[2]), 2.0 * u[3] * want[1]]
+            skipped = _outside(np.array(marks), lo[n], hi[n])
+            for z, out in zip(marks, skipped):
+                if out:
+                    assert mark_displacement(model, i, x, z) == 0, (i, x, z)
+        beyond = [n for n, (i, _) in enumerate(rows) if isinstance(rates, DenseRates)
+                  and i > rates.size]
+        # regimes past a dense matrix own no marks: an empty territory at its total mass
+        assert all(lo[n] == hi[n] == rates.anchor(rates.size + 1, None) for n in beyond)
+
+    def test_subclasses_that_change_the_layout_lose_the_screen(self):
+        class Loose(DenseRates):
+            def row_sum(self, i, x):
+                return super().row_sum(i, x) + 0.5
+
+        class Shifted(PowerLawRates):
+            def anchor(self, i, x):
+                return super().anchor(i, x) + 1.0
+
+        class Relabelled(DenseRates):
+            def rate(self, i, j, x):
+                return super().rate(i, j, x)
+
+        assert DenseRates(Q3).territory_batch is not None
+        assert PowerLawRates(3.0, 1.0).territory_batch is not None
+        assert Loose(Q3).territory_batch is None
+        assert Shifted(3.0, 1.0).territory_batch is None
+        # the territory depends on anchor and row_sum only
+        assert Relabelled(Q3).territory_batch is not None
+        assert FunctionRates(2, lambda x: np.ones((2, 2)), 2.0).territory_batch is None

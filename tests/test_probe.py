@@ -97,6 +97,17 @@ class TestFellerProbe:
         large = rep.value("diff[delta=0.5]")
         assert small < large
 
+    def test_scalar_offsets_in_two_dimensions(self):
+        # a scalar offset moves every coordinate of a d > 1 start
+        model = make_model("ou2", dim=2)
+        f = lambda x, j: float(x[0] > 0)
+        rep = feller_probe(model, f, 0.5, [0.0, 0.0], 1, [0.1, 0.5], 50, CFG)
+        vec = feller_probe(model, f, 0.5, [0.0, 0.0], 1, [[0.1, 0.1], [0.5, 0.5]], 50, CFG)
+        assert rep.labels == vec.labels
+        assert "ptf[delta=0.141421]" in rep.labels
+        assert rep.estimates == vec.estimates
+        assert rep.value("diff[delta=0]") == 0.0
+
     def test_uncoupled_runs(self):
         model = make_model("ou2")
         f = lambda x, j: float(x[0] > 0)
