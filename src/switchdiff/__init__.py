@@ -22,9 +22,8 @@ from .hybrid import (HybridPath, PathStatus, SimConfig, Switch, auto_truncation,
                      simulate)
 from .integrate import BrownianGrid, make_grid
 from .jumps import JumpStream, extend_stream, sample_stream, thin
-from .model import (DenseRates, FunctionRates, IntervalRow, RateMatrix,
-                    RegimeModel, interval_row, mark_displacement,
-                    truncate_coefficients)
+from .model import (DenseRates, FunctionRates, RateMatrix, RegimeModel,
+                    mark_displacement, truncate_coefficients)
 from .models import list_models, make_model, model_names
 from .probe import (ProbeReport, ctmc_oracle, estimate_moment,
                     estimate_tau_tail, feller_probe, run_ensemble)
@@ -33,14 +32,14 @@ __all__ = [
     "__version__",
     "BetaSumReport", "BrownianGrid", "CertificateReport", "ConfigError",
     "DenseRates", "ExponentialCertificate", "FunctionRates", "GridSpec",
-    "HybridPath", "IntervalRow", "JumpStream", "PathStatus",
-    "PolynomialCertificate", "PowerLawRates", "ProbeReport", "RateMatrix",
-    "RegimeModel", "SimConfig", "Switch", "SwitchDiffError", "TailUnresolvable",
-    "TruncationLeak", "auto_truncation", "check_condition_exp",
-    "check_condition_poly", "check_local_bounded_beta_sum", "ctmc_oracle",
-    "default_grid", "estimate_moment", "estimate_tau_tail", "extend_stream",
-    "feller_probe", "gronwall_bound_poly", "interval_row",
-    "list_models", "make_grid", "make_model", "mark_displacement",
-    "model_names", "run_ensemble", "sample_stream", "simulate",
-    "tau_tail_bound_poly", "thin", "truncate_coefficients", "zeta_partial",
+    "HybridPath", "JumpStream", "PathStatus", "PolynomialCertificate",
+    "PowerLawRates", "ProbeReport", "RateMatrix", "RegimeModel", "SimConfig",
+    "Switch", "SwitchDiffError", "TailUnresolvable", "TruncationLeak",
+    "auto_truncation", "check_condition_exp", "check_condition_poly",
+    "check_local_bounded_beta_sum", "ctmc_oracle", "default_grid",
+    "estimate_moment", "estimate_tau_tail", "extend_stream", "feller_probe",
+    "gronwall_bound_poly", "list_models", "make_grid", "make_model",
+    "mark_displacement", "model_names", "run_ensemble", "sample_stream",
+    "simulate", "tau_tail_bound_poly", "thin", "truncate_coefficients",
+    "zeta_partial",
 ]

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import TailUnresolvable
-from .model import RateMatrix
+from .model import RateMatrix, radius
 
 SERIES_REL_TOL = 1e-10
 SERIES_MAX_TERMS = 10**6
@@ -61,8 +61,7 @@ class PowerLawRates(RateMatrix):
     C = zeta(gamma); the growth-weighted series sum_k (k^b - j^b) q_jk is
     certifiable for 0 < b < gamma - 1.
 
-    Internal prefix tables grow lazily and the last state query is
-    memoized; share instances across processes (fork), not threads.
+    Internal prefix tables grow lazily with the largest regime queried.
     """
 
     def __init__(self, gamma, p, table=4096):
@@ -90,26 +89,13 @@ class PowerLawRates(RateMatrix):
         self._A_weighted = np.concatenate([[0.0], np.cumsum(ms * s)])
         self._A_plain = np.concatenate([[0.0], np.cumsum(s)])
         self._size = size
-        self._growth_key = None
-        self._growth_val = 0.0
 
     def _ensure(self, i):
         if i > self._size:
             self._build_tables(max(2 * self._size, int(i) + 1))
 
-    def _radius_pow(self, x):
-        # hot path: one classification queries several rows at the same x
-        key = x.tobytes() if isinstance(x, np.ndarray) else x
-        if key != self._growth_key:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            r = abs(float(x[0])) if x.size == 1 else float(np.sqrt(x @ x))
-            # an overflow must leave the memo as it was
-            self._growth_val = r ** self.p
-            self._growth_key = key
-        return self._growth_val
-
     def _growth(self, i, x):
-        return float(i) + self._radius_pow(x)
+        return float(i) + radius(x) ** self.p
 
     def rate(self, i, j, x):
         if i == j:
@@ -146,7 +132,7 @@ class PowerLawRates(RateMatrix):
 
     def anchor(self, i, x):
         self._ensure(i)
-        gp = self._radius_pow(x)
+        gp = radius(x) ** self.p
         return float(self._A_weighted[i - 1]) + gp * float(self._A_plain[i - 1])
 
     def territory_batch(self, lam, R):

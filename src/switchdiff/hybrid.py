@@ -39,7 +39,7 @@ non-finite bounds go to the per-row code, so the screen changes no result.
 
 from __future__ import annotations
 
-import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -50,7 +50,7 @@ from ._rng import BROWNIAN, substream
 from .errors import ConfigError
 from .integrate import make_grid
 from .jumps import JumpStream, extend_stream, sample_stream
-from .model import mark_displacement
+from .model import mark_displacement, radius
 
 # Most rows stepped together; bounds a block's grid storage.
 BLOCK_ROWS = 256
@@ -67,8 +67,9 @@ class SimConfig:
     first reaches it.  mark_cutoff "auto" selects the smallest cutoff that
     provably loses no switch below the stop level; stream_rate "auto" sizes
     the master stream to that cutoff.  max_stop_level caps escalation (equal
-    to stop_level by default: no escalation).  All randomness derives from
-    (seed, trajectory index): trajectories sharing both are fully coupled.
+    to stop_level by default: no escalation); no level may exceed the
+    largest float.  All randomness derives from (seed, trajectory index):
+    trajectories sharing both are fully coupled.
     """
 
     stop_level: int
@@ -86,6 +87,7 @@ class SimConfig:
             raise ConfigError("dt_target must be positive")
         if self.max_stop_level is not None and self.max_stop_level < self.stop_level:
             raise ConfigError("max_stop_level must be >= stop_level")
+        _check_levels([self.max_stop_level or self.stop_level])  # the ceiling
 
 
 class Switch(NamedTuple):
@@ -156,6 +158,12 @@ class HybridPath:
         return m
 
 
+def _check_levels(levels):
+    """Reject levels the float arithmetic of the walk cannot compare against."""
+    if any(m > sys.float_info.max for m in levels):
+        raise ConfigError("stop levels must not exceed the largest float")
+
+
 def auto_truncation(model, stop_level):
     """Smallest safe mark cutoff for a stop level: the declared ball block bound.
 
@@ -185,10 +193,6 @@ def _level_schedule(cfg):
     return levels
 
 
-def _radius(x):
-    return abs(x[0]) if x.size == 1 else np.sqrt(x @ x)
-
-
 def _radii(X):
     """The radius of every row of X, as the lockstep loop measures it."""
     return np.abs(X[:, 0]) if X.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", X, X))
@@ -201,10 +205,7 @@ def _below(level):
     this threshold less its regime; closer rows go through the exact
     scalar check ``r + lam < level``.
     """
-    try:
-        return float(level) * (1.0 - 2.0 ** -30)
-    except OverflowError:
-        return math.inf
+    return float(level) * (1.0 - 2.0 ** -30)
 
 
 def _outside(z, lo, hi):
@@ -319,6 +320,7 @@ class _Walk:
         if levels is None:
             levels = _level_schedule(cfg)
         else:
+            _check_levels(levels)
             levels = [int(m) for m in levels]
             if not all(b > a for a, b in zip(levels, levels[1:])):
                 raise ConfigError("levels must be strictly increasing")
@@ -361,7 +363,7 @@ class _Walk:
         x = np.atleast_1d(np.asarray(x0, dtype=float))
         if x.shape != (self.dim,):
             raise ConfigError(f"initial state shape {x.shape} does not match dim {self.dim}")
-        row.x, row.r, row.lam, row.t = x, _radius(x), int(i0), 0.0
+        row.x, row.r, row.lam, row.t = x, radius(x), int(i0), 0.0
         row.li = 0
         row.cutoffs = []
         self.enter_level(row)
@@ -526,7 +528,7 @@ class _Walk:
                     ended.append(i)
                     continue
                 row.x = X[i].copy()
-                row.r = _radius(row.x)
+                row.r = radius(row.x)
                 if screen is not None:
                     # the first mark not skipped is the first at or after this node
                     row.e = bisect_left(row.ev_node, row.k)

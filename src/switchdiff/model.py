@@ -11,8 +11,9 @@ A uniform mark landing in the interval of (i, j) triggers the switch i -> j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -235,78 +236,49 @@ class RegimeModel:
             raise ValueError("drift_batch and noise_batch come together")
 
 
-@dataclass(frozen=True)
-class IntervalRow:
-    """The materialized prefix of one regime row's mark-interval layout.
-
-    ``segments`` holds (target regime, lo, hi) with hi - lo = q_ij(x) up to
-    rounding, ascending in target and contiguous from ``anchor``: each hi is
-    the next lo exactly.  Zero-width columns are skipped entirely.
-    ``exhausted`` is True when the whole row mass was materialized (the
-    certified tail hit zero).
-    """
-
-    regime: int
-    anchor: float
-    segments: List[Tuple[int, float, float]]
-    exhausted: bool
+def radius(x):
+    """|x| as a Python float: |x_1| in one dimension, sqrt(x . x) otherwise."""
+    return abs(float(x[0])) if x.size == 1 else math.sqrt(x @ x)
 
 
-def interval_row(model, regime, x, mark, max_terms=DEFAULT_MAX_TERMS):
-    """Materialize row ``regime`` lazily, just far enough to classify ``mark``.
+def mark_displacement(model, regime, x, mark):
+    """Regime displacement j - i for a mark, or 0 if it lands in no interval.
 
-    Stops as soon as the cumulative width passes ``mark - anchor`` or the
-    declared row tail certifies that no further column can contain it.
-    Raises TailUnresolvable if neither happens within ``max_terms`` columns,
-    which signals an ill-specified rate matrix.
+    Marks below the row anchor, beyond the row's total mass, or inside
+    another row's territory leave the regime unchanged.  Otherwise row
+    ``regime`` is walked lazily from its anchor, column by column, just far
+    enough to classify the mark: the walk stops at the first interval that
+    ends beyond the mark, once the cumulative width passes ``mark - anchor``,
+    or once the declared row tail certifies that no further column can
+    contain it.  Raises TailUnresolvable if none of these happens within
+    ``DEFAULT_MAX_TERMS`` columns, which signals an ill-specified rate
+    matrix.  The result plus ``regime`` is always >= 1 because intervals
+    only target valid regimes.
     """
     rates = model.rates
     i = int(regime)
     anchor = rates.anchor(i, x)
     target = mark - anchor
-    if target < 0:
-        return IntervalRow(i, anchor, [], False)
-    total = rates.row_sum(i, x)
-    if target >= total:
-        # The declared row mass cannot reach the mark: nothing to materialize.
-        return IntervalRow(i, anchor, [], False)
-    segments = []
+    if target < 0 or target >= rates.row_sum(i, x):
+        return 0
     cum = 0.0
-    j = 0
-    for _ in range(max_terms):
-        j += 1
+    for j in range(1, DEFAULT_MAX_TERMS + 1):
         if j == i:
             continue
         w = rates.rate(i, j, x)
         if w > 0.0:
-            lo = anchor + cum
             cum += w
-            # a segment ends where the next begins, bit for bit
-            segments.append((j, lo, anchor + cum))
+            # each interval begins where the last ended, at anchor + cum bit
+            # for bit, so the first end beyond the mark closes its interval
+            if mark < anchor + cum:
+                return j - i
             if cum > target:
-                return IntervalRow(i, anchor, segments, False)
-        tail = rates.row_tail(i, x, j + 1)
-        if cum + tail <= target:
-            return IntervalRow(i, anchor, segments, tail == 0.0)
+                return 0
+        if cum + rates.row_tail(i, x, j + 1) <= target:
+            return 0
     raise TailUnresolvable(
-        f"row {i} classification did not terminate within {max_terms} columns"
+        f"row {i} classification did not terminate within {DEFAULT_MAX_TERMS} columns"
     )
-
-
-def mark_displacement(model, regime, x, mark, max_terms=DEFAULT_MAX_TERMS):
-    """Regime displacement j - i for a mark, or 0 if it lands in no interval.
-
-    Marks below the row anchor, beyond the row's total mass, or inside
-    another row's territory leave the regime unchanged.  The result plus
-    ``regime`` is always >= 1 because intervals only target valid regimes.
-    """
-    row = interval_row(model, regime, x, mark, max_terms)
-    for j, lo, hi in row.segments:
-        if mark < lo:
-            break
-        if mark < hi:
-            return j - int(regime)
-    return 0
 
 
 def truncate_coefficients(model, level):

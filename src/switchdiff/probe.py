@@ -23,8 +23,7 @@ from ._parallel import map_indices
 from ._rng import AUX, substream
 from .certify import gronwall_bound_poly, tau_tail_bound_poly
 from .errors import ConfigError, TruncationLeak
-# simulate stays importable from here for code that looks it up in this module
-from .hybrid import _level_schedule, simulate, walk  # noqa: F401
+from .hybrid import _level_schedule, walk
 
 
 @dataclass

@@ -1,15 +1,21 @@
 """Certificate checkers, series brackets and the power-law rate family."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (DenseRates, ExponentialCertificate,
                         PolynomialCertificate, RegimeModel, TailUnresolvable,
                         check_condition_exp, check_condition_poly,
                         check_local_bounded_beta_sum, default_grid,
-                        gronwall_bound_poly, tau_tail_bound_poly, zeta_partial)
+                        gronwall_bound_poly, mark_displacement, tau_tail_bound_poly,
+                        zeta_partial)
 from switchdiff.certify import GridSpec, PowerLawRates, signed_beta_series
+from switchdiff.model import radius
 
 ZERO_RATES = DenseRates(np.zeros((1, 1)))
 
@@ -59,6 +65,50 @@ class TestPowerLawSandwich:
         for _ in range(2):
             with pytest.raises(OverflowError):
                 rates.anchor(2, huge)
+
+
+def classify(rates, i, x, z):
+    """mark_displacement on a model with these rates, or the type of error it raised."""
+    try:
+        return mark_displacement(model_of(None, None, rates, dim=x.size), i, x, z)
+    except (OverflowError, TailUnresolvable) as exc:
+        return type(exc)
+
+
+class TestSharedPowerLawRates:
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(2.0, 5.0, exclude_min=True), p=st.floats(1.0, 3.0),
+           dim=st.sampled_from([1, 2]), data=st.data())
+    def test_answers_do_not_depend_on_earlier_queries(self, gamma, p, dim, data):
+        # a few states recur often, so queries repeat a state after others
+        coord = st.one_of(st.sampled_from([0.0, 1.5, -3.0, 1e120, -1e200, 1e200]),
+                          st.floats(-1e200, 1e200))
+        states = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                    min_size=1, max_size=3))
+        # regimes past the initial 4096-row tables make the shared tables grow
+        queries = data.draw(st.lists(st.tuples(
+            st.one_of(st.integers(1, 40), st.integers(4090, 4200)),
+            st.integers(0, len(states) - 1),
+            st.one_of(st.floats(-0.2, 0.9), st.floats(1.0, 1.5))), min_size=2, max_size=8))
+        shared = PowerLawRates(gamma, p)
+        # a NaN territory walks to the budget; keep that short
+        with mock.patch("switchdiff.model.DEFAULT_MAX_TERMS", 5_000), \
+                np.errstate(over="ignore", invalid="ignore"):
+            for i, s, u in queries:
+                x = np.array(states[s])
+                fresh = PowerLawRates(gamma, p)
+                try:
+                    z = fresh.anchor(i, x) + u * fresh.row_sum(i, x)
+                except OverflowError:
+                    z = u
+                want = classify(PowerLawRates(gamma, p), i, x, z)
+                # asked again, the shared instance must answer the same
+                got = classify(shared, i, x, z)
+                assert got == want == classify(shared, i, x, z), (i, x, z)
+                try:
+                    radius(x) ** p
+                except OverflowError:
+                    assert got is OverflowError
 
 
 class TestBetaSeries:

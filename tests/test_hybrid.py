@@ -1,5 +1,7 @@
 """Interlacing solver: coupling, localization, escalation, explosion."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,21 @@ class TestEscalation:
         # under the next level
         assert np.array_equal(lone.regimes[:-1], full.regimes[:n - 1])
         assert full.switches[:len(lone.switches)] == lone.switches
+
+    def test_levels_beyond_float_range_rejected(self):
+        # the walk compares radii with levels in float arithmetic; a level
+        # above the largest float used to end ou2 paths as non-finite at
+        # t = 0 and to raise a raw OverflowError on powerlaw
+        for name in ("ou2", "powerlaw"):
+            with pytest.raises(ConfigError):
+                simulate(make_model(name), [0.5], 1, SimConfig(stop_level=2 ** 1100, seed=1))
+        with pytest.raises(ConfigError):
+            SimConfig(stop_level=4, max_stop_level=2 ** 1100)
+        with pytest.raises(ConfigError):
+            simulate(make_model("ou2"), [0.5], 1, SimConfig(stop_level=4, seed=1),
+                     levels=[4, 2 ** 1100])
+        # the largest float itself is a valid ceiling
+        SimConfig(stop_level=4, max_stop_level=int(sys.float_info.max))
 
     def test_extension_disabled_raises(self):
         # a supplied stream sized for the first level is never extended, so

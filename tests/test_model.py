@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchdiff import (DenseRates, FunctionRates, RegimeModel, TailUnresolvable,
-                        interval_row, mark_displacement, truncate_coefficients)
+                        mark_displacement, truncate_coefficients)
 from switchdiff.certify import PowerLawRates
 
 Q3 = np.array([
@@ -42,25 +42,36 @@ def model3():
     return zero_coeff_model(DenseRates(Q3))
 
 
+def assert_layout(model, i, segs, end):
+    """Each (j, lo, hi) classifies as j - i at lo and at its midpoint; the row end as 0."""
+    x = np.zeros(1)
+    for j, lo, hi in segs:
+        assert mark_displacement(model, i, x, lo) == j - i, (j, lo)
+        assert mark_displacement(model, i, x, 0.5 * (lo + hi)) == j - i, (j, lo, hi)
+    assert mark_displacement(model, i, x, end) == 0
+
+
 class TestIntervalRow:
     def test_row2_layout_matches_hand_oracle(self, model3):
         anchor, segs = brute_force_layout(Q3, 2)
         assert anchor == 3.0
         assert segs == [(1, 3.0, 6.0), (3, 6.0, 10.0)]
-        row = interval_row(model3, 2, np.zeros(1), 8.0)
-        assert row.anchor == anchor
-        assert row.segments == segs
+        assert_layout(model3, 2, segs, 10.0)
+        assert mark_displacement(model3, 2, np.zeros(1), np.nextafter(anchor, 0.0)) == 0
 
     def test_row3_first_segment(self, model3):
-        row = interval_row(model3, 3, np.zeros(1), 12.0)
-        assert row.anchor == 10.0
-        assert row.segments[0] == (1, 10.0, 15.0)
+        anchor, segs = brute_force_layout(Q3, 3)
+        assert anchor == 10.0
+        assert segs[0] == (1, 10.0, 15.0)
+        assert_layout(model3, 3, segs, 15.0)
+        assert mark_displacement(model3, 3, np.zeros(1), np.nextafter(anchor, 0.0)) == 0
 
     def test_empty_row(self):
-        m = zero_coeff_model(DenseRates(np.zeros((2, 2))))
-        row = interval_row(m, 1, np.zeros(1), 0.5)
-        assert row.anchor == 0.0
-        assert row.segments == []
+        q = np.zeros((2, 2))
+        m = zero_coeff_model(DenseRates(q))
+        assert brute_force_layout(q, 1) == (0.0, [])
+        assert_layout(m, 1, [], 0.0)
+        assert mark_displacement(m, 1, np.zeros(1), 0.5) == 0
 
     def test_powerlaw_row1_widths(self):
         # row 1 at |x| = 1, growth exponent 1: widths 2/(j-1)^3 for j >= 2
@@ -74,25 +85,39 @@ class TestIntervalRow:
         tail_hi = 2.0 * (n ** -3.0 + 0.5 * n ** -2.0)
         total = rates.row_sum(1, x)
         assert partial <= total <= partial + tail_hi
-        z = partial * 0.9
-        row = interval_row(m, 1, x, z)
-        for k, (j, lo, hi) in enumerate(row.segments):
-            assert j == k + 2
-            assert hi - lo == pytest.approx(2.0 / (j - 1) ** 3, rel=1e-14)
-        # segments are contiguous from the anchor
-        assert row.anchor == 0.0
+        # the intervals are contiguous from the anchor 0 and column j ends at
+        # the oracle's cumulative width: marks just either side of that end
+        # go to j and j + 1
+        assert mark_displacement(m, 1, x, 0.0) == 1
         cums = np.cumsum(widths)
-        assert row.segments[-1][2] == pytest.approx(
-            cums[len(row.segments) - 1], rel=1e-12)
+        for k in range(200):
+            j = k + 2
+            assert mark_displacement(m, 1, x, cums[k] * (1 - 1e-12)) == j - 1
+            assert mark_displacement(m, 1, x, cums[k] * (1 + 1e-12)) == j
 
     def test_lazy_materialization_stops_early(self, model3):
-        row = interval_row(model3, 2, np.zeros(1), 4.0)
-        assert len(row.segments) == 1  # first segment already covers z=4
+        class Counting(DenseRates):
+            calls = 0
 
-    def test_budget_exhaustion_raises(self):
+            def rate(self, i, j, x):
+                Counting.calls += 1
+                return super().rate(i, j, x)
+
+        m = zero_coeff_model(Counting(Q3))
+        # the first interval of row 2, (1, 3, 6), already covers z = 4
+        assert mark_displacement(m, 2, np.zeros(1), 4.0) == -1
+        assert Counting.calls == 1
+
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # a loose row_sum with a row_tail stuck at a positive constant puts
         # the mark in a crack no finite prefix can ever certify
         class Stuck(DenseRates):
+            last = 0
+
+            def rate(self, i, j, x):
+                Stuck.last = j
+                return super().rate(i, j, x)
+
             def row_sum(self, i, x):
                 return super().row_sum(i, x) + 0.5
 
@@ -100,8 +125,10 @@ class TestIntervalRow:
                 return 10.0
 
         m = zero_coeff_model(Stuck(Q3))
+        monkeypatch.setattr("switchdiff.model.DEFAULT_MAX_TERMS", 50)
         with pytest.raises(TailUnresolvable):
-            interval_row(m, 1, np.zeros(1), 3.2, max_terms=50)
+            mark_displacement(m, 1, np.zeros(1), 3.2)
+        assert Stuck.last == 50  # the walk gives up after the budget's columns
 
 
 class TestMarkDisplacement:
@@ -135,24 +162,24 @@ class TestMarkDisplacement:
             z = float(rng.uniform(0, 20))
             assert i + mark_displacement(model3, i, x, z) >= 1
 
-    def test_budget_invariance_after_success(self, model3):
+    def test_budget_invariance_after_success(self, model3, monkeypatch):
         x = np.zeros(1)
-        for z in (0.5, 5.0, 9.9, 11.0, 25.0):
-            small = mark_displacement(model3, 2, x, z, max_terms=10)
-            big = mark_displacement(model3, 2, x, z, max_terms=10**6)
-            assert small == big
+        marks = (0.5, 5.0, 9.9, 11.0, 25.0)
+        big = [mark_displacement(model3, 2, x, z) for z in marks]
+        monkeypatch.setattr("switchdiff.model.DEFAULT_MAX_TERMS", 10)
+        assert [mark_displacement(model3, 2, x, z) for z in marks] == big
 
 
 class TestPartitionAndThinning:
     def test_segments_never_overlap(self, model3):
-        # sorted-interval sweep over every regime's full layout
+        # every regime's full layout, then a sweep: the rows' territories are
+        # disjoint, so no mark switches two regimes
         for i in (1, 2, 3):
-            row = interval_row(model3, i, np.zeros(1), 1e9)
-            prev_hi = row.anchor
-            for j, lo, hi in row.segments:
-                assert lo >= prev_hi
-                assert hi > lo
-                prev_hi = hi
+            anchor, segs = brute_force_layout(Q3, i)
+            assert_layout(model3, i, segs, segs[-1][2])
+        for z in np.linspace(0.0, 16.0, 321):
+            moved = [i for i in (1, 2, 3) if mark_displacement(model3, i, np.zeros(1), z)]
+            assert len(moved) <= 1, (z, moved)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), regime=st.integers(1, 4), x=st.floats(-3.0, 3.0),
@@ -167,20 +194,34 @@ class TestPartitionAndThinning:
             FunctionRates(m, lambda y: a + b * abs(float(y[0])), 100.0),
             PowerLawRates(gamma=2.5 + float(a[0, 0]) / 4.0, p=1.0 + float(b[0, 0]) / 4.0)]))
         y = np.array([x])
+        model = zero_coeff_model(rates)
         anchor, total = rates.anchor(regime, y), rates.row_sum(regime, y)
-        row = interval_row(zero_coeff_model(rates), regime, y, anchor + frac * total)
-        assert row.anchor == anchor
-        prev_hi = anchor
-        for j, lo, hi in row.segments:
-            # each segment starts where the last ended: no gap, no overlap
-            assert lo == prev_hi
-            assert j != regime
-            assert hi - lo == pytest.approx(rates.rate(regime, j, y),
-                                            rel=1e-12, abs=1e-12 * hi)
-            prev_hi = hi
-        if row.segments:
-            assert [j for j, _, _ in row.segments] == sorted(
-                {j for j, _, _ in row.segments})
+        assert mark_displacement(model, regime, y, np.nextafter(anchor, -np.inf)) == 0
+        # walk the columns with positive rate up to anchor + frac * total; each
+        # interval ends where the next begins, at anchor + cum
+        prev, prev_done, end, done, cum, j = None, 0.0, anchor, 0.0, 0.0, 0
+        while cum <= frac * total and j < 200:
+            j += 1
+            w = rates.rate(regime, j, y)
+            if j == regime or not w > 0.0:
+                continue
+            cum += w
+            if anchor + cum > end:
+                # a nonempty interval [end, anchor + cum) for column j; where
+                # end - anchor rounds below the width walked so far, the walk
+                # stops at end itself, so the next column is checked one ulp up
+                z = end if end - anchor >= done else np.nextafter(end, np.inf)
+                if z < anchor + cum:
+                    assert mark_displacement(model, regime, y, z) == j - regime
+                if prev is not None:
+                    # where below - anchor rounds under the width walked
+                    # before column prev, a column too narrow to move the
+                    # float end stops the walk first and claims the mark
+                    below = np.nextafter(end, -np.inf)
+                    want = prev - regime if below - anchor >= prev_done else 0
+                    assert mark_displacement(model, regime, y, below) == want
+                prev, prev_done, end = j, done, anchor + cum
+            done = cum
 
     def test_thinning_law_binomial(self, model3):
         # uniform marks on [0, K] switch 2 -> 3 with probability q_23 / K
