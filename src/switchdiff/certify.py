@@ -17,8 +17,9 @@ A checker can only certify on a finite grid; reports are labelled
 accordingly and are not a proof over all of R^d x S.  Infinite regime series
 are evaluated with certified brackets: a finite prefix plus a
 monotone-integral tail enclosure, tightened until the bracket width falls
-below rel_tol * (1 + |partial sum|); evaluation fails loudly when the rate
-matrix cannot certify the growth-weighted tail.
+below SERIES_REL_TOL * (1 + |partial sum|) within SERIES_MAX_TERMS terms;
+evaluation fails loudly when the rate matrix cannot certify the
+growth-weighted tail.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ from .model import RateMatrix, radius
 
 SERIES_REL_TOL = 1e-10
 SERIES_MAX_TERMS = 10**6
+ZETA_TERMS = 100_000
+# initial row count of the PowerLawRates prefix tables
+POWERLAW_TABLE = 4096
 
 
-def zeta_partial(s, terms=100_000):
+def zeta_partial(s):
     """Bracket midpoint and half-width for zeta(s) via partial sums + integral tail.
 
     The tail sum_{k>=n} k^-s lies in [I, I + n^-s] with I = n^(1-s)/(s-1);
@@ -45,7 +49,7 @@ def zeta_partial(s, terms=100_000):
     """
     if not s > 1:
         raise ValueError("zeta series requires s > 1")
-    n = int(terms)
+    n = ZETA_TERMS
     ks = np.arange(1, n, dtype=float)
     partial = float((ks ** (-s)).sum())
     tail_lo = n ** (1.0 - s) / (s - 1.0)
@@ -64,7 +68,7 @@ class PowerLawRates(RateMatrix):
     Internal prefix tables grow lazily with the largest regime queried.
     """
 
-    def __init__(self, gamma, p, table=4096):
+    def __init__(self, gamma, p):
         if not gamma > 2:
             raise ValueError("gamma must exceed 2")
         if not p >= 1:
@@ -74,7 +78,7 @@ class PowerLawRates(RateMatrix):
         c_mid, c_half = zeta_partial(self.gamma)
         self.zeta = c_mid
         self._zeta_hi = c_mid + c_half
-        self._build_tables(int(table))
+        self._build_tables(POWERLAW_TABLE)
 
     def _build_tables(self, size):
         g = self.gamma
@@ -175,9 +179,9 @@ class PowerLawRates(RateMatrix):
         return lo, hi
 
 
-def _upward_series(rates, j, x, beta, rel_tol=SERIES_REL_TOL,
-                   max_terms=SERIES_MAX_TERMS):
+def _upward_series(rates, j, x, beta):
     """Certified (value, half_width) for sum_{k>j} (k^b - j^b) q_jk(x)."""
+    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     jb = float(j) ** beta
     partial = 0.0
     n = j + 1
@@ -220,10 +224,9 @@ def _downward_series(rates, j, x, beta):
     return float(((ks ** beta - float(j) ** beta) * w).sum())
 
 
-def signed_beta_series(rates, j, x, beta, rel_tol=SERIES_REL_TOL,
-                       max_terms=SERIES_MAX_TERMS):
+def signed_beta_series(rates, j, x, beta):
     """Certified (value, half_width) for sum_{k != j} (k^b - j^b) q_jk(x)."""
-    up, half = _upward_series(rates, j, x, beta, rel_tol, max_terms)
+    up, half = _upward_series(rates, j, x, beta)
     return _downward_series(rates, j, x, beta) + up, half
 
 
@@ -301,29 +304,23 @@ class BetaSumReport:
     failed_nodes: List[Tuple[int, int]]
 
 
-def check_local_bounded_beta_sum(model, beta, grid, rel_tol=SERIES_REL_TOL,
-                                 max_terms=SERIES_MAX_TERMS):
+def check_local_bounded_beta_sum(model, beta, grid):
     """Evaluate sup over the grid of the absolute growth-weighted rate series.
 
     Every node value carries a certified tail; nodes whose tails cannot be
     certified within budget are reported, while parameter combinations the
     rate matrix can never certify raise TailUnresolvable.
     """
-    rates = model.rates
     pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
-    vals = np.zeros((pts.shape[0], grid.regimes))
+
+    def series(y, j):
+        up, _ = _upward_series(model.rates, j, y, beta)
+        return up - _downward_series(model.rates, j, y, beta)
+
+    vals = np.full((pts.shape[0], grid.regimes), np.nan)
     failed = []
-    for a, y in enumerate(pts):
-        for j in range(1, grid.regimes + 1):
-            try:
-                up, _ = _upward_series(rates, j, y, beta, rel_tol, max_terms)
-            except TailUnresolvable as exc:
-                if exc.definitive:
-                    raise
-                failed.append((a, j))
-                vals[a, j - 1] = np.nan
-                continue
-            vals[a, j - 1] = up - _downward_series(rates, j, y, beta)
+    for a, _, j, value in _series_nodes(pts, grid.regimes, series, failed):
+        vals[a, j - 1] = value
     finite = vals[np.isfinite(vals)]
     sup = float(finite.max()) if finite.size else float("nan")
     flat = np.where(np.isfinite(vals), vals, -np.inf)
@@ -359,92 +356,87 @@ class CertificateReport:
                 f"{len(self.violations)} violating nodes)")
 
 
-def _sigma_hs2(model, y, j, t):
-    s = np.asarray(model.dispersion(np.asarray(y, dtype=float), j, t), dtype=float)
-    return float((s * s).sum())
+def _series_nodes(pts, regimes, series, failed):
+    """Yield (a, y, j, series(y, j)) over grid points and regimes 1..regimes.
 
-
-def _sigma_integral(model, grid):
-    times = np.asarray(grid.times, dtype=float)
-    if times.size < 2:
-        return 0.0
-    pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
-    sup = np.zeros(times.size)
-    for ti, t in enumerate(times):
-        m = 0.0
-        for y in pts:
-            for j in range(1, grid.regimes + 1):
-                m = max(m, _sigma_hs2(model, y, j, t))
-        sup[ti] = m
-    return float(np.trapezoid(sup, times))
-
-
-def _collect_margins(model, grid, series_fn, lhs_fn, rhs_fn):
-    """Shared sweep: min margin, worst node, violations, over (y, j, t).
-
-    series_fn(y, j) evaluates the regime series once per (y, j); lhs_fn(y, j,
-    t, series) and rhs_fn(y, j, t) are the two sides at each node.
+    A (y, j) whose series cannot be certified within budget is appended to
+    ``failed`` as (a, j) and skipped; a definitive failure propagates.
     """
-    pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
-    margin = np.inf
-    worst = (pts[0], 1, grid.times[0])
-    violations = []
-    nodes = 0
-    failed = []
     for a, y in enumerate(pts):
-        for j in range(1, grid.regimes + 1):
+        for j in range(1, regimes + 1):
             try:
-                series = series_fn(y, j)
+                value = series(y, j)
             except TailUnresolvable as exc:
                 if exc.definitive:
                     raise
                 failed.append((a, j))
                 continue
-            for t in grid.times:
-                nodes += 1
-                m = rhs_fn(y, j, t) - lhs_fn(y, j, t, series)
-                if m < margin:
-                    margin = m
-                    worst = (y, j, t)
-                if m < 0:
-                    violations.append((float(m), y, j, float(t)))
+            yield a, y, j, value
+
+
+def _sweep(kind, model, grid, series, margin):
+    """One pass over the grid nodes (y, j, t) into a CertificateReport.
+
+    |sigma(y, j, t)|_HS^2 is evaluated once per node, before series(y, j),
+    so its per-time supremum also covers (y, j) whose series failed.
+    margin(y, j, t, series, hs2) is the right side minus the left side.
+    """
+    pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
+    times = grid.times
+    sup = [0.0] * len(times)
+
+    def series_and_hs2(y, j):
+        hs2 = []
+        for ti, t in enumerate(times):
+            s = np.asarray(model.dispersion(y, j, t), dtype=float)
+            hs2.append(float((s * s).sum()))
+            # max() keeps the running value over a NaN; np.maximum would not
+            sup[ti] = max(sup[ti], hs2[-1])
+        return series(y, j), hs2
+
+    margin_min = np.inf
+    worst = (pts[0], 1, times[0])
+    violations = []
+    failed = []
+    for _, y, j, (value, hs2) in _series_nodes(pts, grid.regimes, series_and_hs2, failed):
+        for t, h in zip(times, hs2):
+            m = margin(y, j, t, value, h)
+            if m < margin_min:
+                margin_min = m
+                worst = (y, j, t)
+            if m < 0:
+                violations.append((float(m), y, j, float(t)))
     violations.sort(key=lambda v: v[0])
-    return margin, worst, violations[:5], nodes, failed
+    nodes = (len(pts) * grid.regimes - len(failed)) * len(times)
+    sigma_integral = float(np.trapezoid(sup, times))
+    certified = (margin_min >= 0 and not failed and np.isfinite(sigma_integral))
+    return CertificateReport(kind, certified, float(margin_min), worst, violations[:5],
+                             not failed, sigma_integral, nodes)
 
 
-def check_condition_poly(model, cert, grid, rel_tol=SERIES_REL_TOL,
-                         max_terms=SERIES_MAX_TERMS):
+def check_condition_poly(model, cert, grid):
     """Check the polynomial certificate inequality on every grid node.
 
     The series value enters through its certified upper bracket end, so a
     nonnegative reported margin is sound for the sampled nodes.
     """
-    rates = model.rates
     p, beta = cert.p, cert.beta
 
     def series(y, j):
-        val, half = signed_beta_series(rates, j, y, beta, rel_tol, max_terms)
+        val, half = signed_beta_series(model.rates, j, y, beta)
         return val + half  # sound upper end
 
-    def lhs(y, j, t, series_hi):
+    def margin(y, j, t, series_hi, hs2):
         y2 = float(y @ y)
+        rhs = cert.growth_at(t) * (1.0 + float(j) ** beta / (1.0 + y2) ** p)
         b = np.asarray(model.drift(y, j, t), dtype=float)
-        drift_term = 2.0 * float(y @ b) + (2.0 * p - 1.0) * _sigma_hs2(model, y, j, t)
-        return series_hi / (1.0 + y2) ** p + drift_term / (1.0 + y2)
+        drift_term = 2.0 * float(y @ b) + (2.0 * p - 1.0) * hs2
+        return rhs - (series_hi / (1.0 + y2) ** p + drift_term / (1.0 + y2))
 
-    def rhs(y, j, t):
-        y2 = float(y @ y)
-        return cert.growth_at(t) * (1.0 + float(j) ** beta / (1.0 + y2) ** p)
-
-    margin, worst, violations, nodes, failed = _collect_margins(model, grid, series, lhs, rhs)
-    sigma_integral = _sigma_integral(model, grid)
-    certified = (margin >= 0 and not failed and np.isfinite(sigma_integral))
-    return CertificateReport("polynomial", certified, float(margin), worst,
-                             violations, not failed, sigma_integral, nodes)
+    return _sweep("polynomial", model, grid, series, margin)
 
 
-def check_condition_exp(model, cert, grid, rel_tol=SERIES_REL_TOL,
-                        max_terms=SERIES_MAX_TERMS):
+def check_condition_exp(model, cert, grid):
     """Check the exponential certificate inequality on every grid node.
 
     Downward (k <= j) and upward (k > j) switching sums carry different
@@ -452,39 +444,27 @@ def check_condition_exp(model, cert, grid, rel_tol=SERIES_REL_TOL,
     sum uses its certified upper bracket end.  Rows with no upward rates
     contribute an empty (zero) upward sum.
     """
-    rates = model.rates
     alpha, c, beta, horizon = cert.alpha, cert.c, cert.beta, cert.horizon
     discount = math.exp(-alpha * c * horizon)
 
     def series(y, j):
-        up, half = _upward_series(rates, j, y, beta, rel_tol, max_terms)
-        return (_downward_series(rates, j, y, beta), up + half)
+        up, half = _upward_series(model.rates, j, y, beta)
+        return (_downward_series(model.rates, j, y, beta), up + half)
 
-    def lhs(y, j, t, series):
+    def margin(y, j, t, series, hs2):
         down, up_hi = series
         y2 = float(y @ y)
         v = (1.0 + y2) ** alpha
+        w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
+        rhs = c * (1.0 + (float(j) ** beta / w_up if np.isfinite(w_up) else 0.0))
         b = np.asarray(model.drift(y, j, t), dtype=float)
-        hs2 = _sigma_hs2(model, y, j, t)
         term1 = (2.0 * float(y @ b) + (1.0 + 2.0 * alpha * v) * hs2) / (1.0 + y2)
         w_down = v * math.exp(v) if v < 700.0 else np.inf
-        w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
         t2 = down / w_down if np.isfinite(w_down) else 0.0
         t3 = up_hi / w_up if np.isfinite(w_up) else 0.0
-        return term1 + t2 + t3
+        return rhs - (term1 + t2 + t3)
 
-    def rhs(y, j, t):
-        y2 = float(y @ y)
-        v = (1.0 + y2) ** alpha
-        w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
-        extra = float(j) ** beta / w_up if np.isfinite(w_up) else 0.0
-        return c * (1.0 + extra)
-
-    margin, worst, violations, nodes, failed = _collect_margins(model, grid, series, lhs, rhs)
-    sigma_integral = _sigma_integral(model, grid)
-    certified = (margin >= 0 and not failed and np.isfinite(sigma_integral))
-    return CertificateReport("exponential", certified, float(margin), worst,
-                             violations, not failed, sigma_integral, nodes)
+    return _sweep("exponential", model, grid, series, margin)
 
 
 def _simpson(fn, a, b, intervals=1000):

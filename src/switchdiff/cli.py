@@ -299,10 +299,10 @@ def _cmd_certify(cfg, model, sim, prefix, *_):
     return [p], [report.summary()]
 
 
-def _probe_files(report, prefix):
+def _probe_files(rows, prefix):
     p = prefix + "_report.csv"
     _write_csv(p, ["probe", "parameters", "label", "estimate", "half_width",
-                   "n", "diagnostics"], report.rows())
+                   "n", "diagnostics"], rows)
     return [p]
 
 
@@ -314,7 +314,7 @@ def _cmd_moments(cfg, model, sim, prefix, threads, *_):
     report = estimate_moment(model, cert, x0, cfg.get("i0", 1),
                              cfg.get("t", 1.0), cfg.get("n", 1000), sim,
                              threads=threads)
-    return _probe_files(report, prefix), []
+    return _probe_files(report.rows(), prefix), []
 
 
 def _cmd_tau_tail(cfg, model, sim, prefix, threads, *_):
@@ -324,7 +324,7 @@ def _cmd_tau_tail(cfg, model, sim, prefix, threads, *_):
                                cfg.get("m_list", [8, 16, 32, 64]),
                                cfg.get("delta", 0.1), cfg.get("n", 1000), sim,
                                cert=cert, threads=threads)
-    return _probe_files(report, prefix), []
+    return _probe_files(report.rows(), prefix), []
 
 
 def _cmd_feller(cfg, model, sim, prefix, threads, *_):
@@ -337,7 +337,7 @@ def _cmd_feller(cfg, model, sim, prefix, threads, *_):
                           x0, cfg.get("i0", 1), cfg.get("offsets", [0.05, 0.5]),
                           cfg.get("n", 1000), sim,
                           couple=cfg.get("couple", True), threads=threads)
-    return _probe_files(report, prefix), []
+    return _probe_files(report.rows(), prefix), []
 
 
 def _cmd_oracle(cfg, model, sim, prefix, threads, *_):
@@ -350,10 +350,7 @@ def _cmd_oracle(cfg, model, sim, prefix, threads, *_):
                              cfg.get("j_trunc", 8), cfg.get("n", 10000), sim,
                              x0=x0, threads=threads)
         rows.extend(report.rows())
-    p = prefix + "_report.csv"
-    _write_csv(p, ["probe", "parameters", "label", "estimate", "half_width",
-                   "n", "diagnostics"], rows)
-    return [p], []
+    return _probe_files(rows, prefix), []
 
 
 # The command names and their handlers, called as

@@ -173,6 +173,8 @@ def auto_truncation(model, stop_level):
         k = model.rates.block_bound(int(stop_level))
     except NotImplementedError as exc:
         raise ConfigError("rate matrix declares no ball block bound") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"ball block bound overflows at stop level {stop_level}") from exc
     k = float(k)
     if not (np.isfinite(k) and k >= 0):
         raise ConfigError(f"invalid ball block bound {k!r}")

@@ -8,6 +8,8 @@ coefficient functions with identical behaviour.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .certify import PowerLawRates
@@ -121,22 +123,15 @@ def build_degenerate(theta=1.0, sigma=1.0, q12=1.0, q21=1.0, horizon=1.0):
     return RegimeModel(1, drift, dispersion, rates, horizon, drift_batch, noise_batch)
 
 
+# Each builder's keyword defaults are the model's parameters: a value given
+# for one is cast to the type of its default.
 _REGISTRY = {
-    "ou2": (build_ou2, "two-regime mean-reverting diffusion, constant rates",
-            {"theta1": float, "theta2": float, "sigma1": float, "sigma2": float,
-             "q12": float, "q21": float, "horizon": float, "dim": int}),
-    "ctmc2": (build_ctmc2, "pure two-state switching, frozen diffusion",
-              {"q12": float, "q21": float, "horizon": float}),
-    "ctmcN": (build_ctmcn, "pure n-state switching, rates scale/|i-j|",
-              {"n_regimes": int, "scale": float, "horizon": float}),
-    "powerlaw": (build_powerlaw, "mean-reverting diffusion, power-law rate family",
-                 {"gamma": float, "p": float, "theta": float, "sigma": float,
-                  "horizon": float, "dim": int}),
-    "blowup": (build_blowup, "superlinear drift x^2, no noise, no switching",
-               {"horizon": float}),
-    "degenerate": (build_degenerate, "two regimes, zero dispersion in regime 2",
-                   {"theta": float, "sigma": float, "q12": float, "q21": float,
-                    "horizon": float}),
+    "ou2": (build_ou2, "two-regime mean-reverting diffusion, constant rates"),
+    "ctmc2": (build_ctmc2, "pure two-state switching, frozen diffusion"),
+    "ctmcN": (build_ctmcn, "pure n-state switching, rates scale/|i-j|"),
+    "powerlaw": (build_powerlaw, "mean-reverting diffusion, power-law rate family"),
+    "blowup": (build_blowup, "superlinear drift x^2, no noise, no switching"),
+    "degenerate": (build_degenerate, "two regimes, zero dispersion in regime 2"),
 }
 
 
@@ -144,31 +139,32 @@ def model_names():
     return sorted(_REGISTRY)
 
 
-def model_params(name):
+def _defaults(name):
     if name not in _REGISTRY:
         raise KeyError(f"unknown model {name!r}")
-    return _REGISTRY[name][2]
+    params = inspect.signature(_REGISTRY[name][0]).parameters.values()
+    return {p.name: p.default for p in params}
+
+
+def model_params(name):
+    """The model's parameter names, each with the type of its default."""
+    return {k: type(v) for k, v in _defaults(name).items()}
 
 
 def make_model(name, **params):
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown model {name!r}")
-    builder, _, schema = _REGISTRY[name]
+    schema = model_params(name)
     for key in params:
         if key not in schema:
             raise KeyError(f"model {name!r} has no parameter {key!r}")
     cast = {k: schema[k](v) for k, v in params.items()}
-    return builder(**cast)
+    return _REGISTRY[name][0](**cast)
 
 
 def list_models():
-    """Human-readable registry listing with parameter schemas."""
+    """Human-readable registry listing with parameter defaults."""
     lines = []
     for name in model_names():
-        builder, desc, schema = _REGISTRY[name]
-        defaults = builder.__defaults__ or ()
-        names = builder.__code__.co_varnames[:builder.__code__.co_argcount]
-        pairs = ", ".join(f"{k}={v}" for k, v in zip(names, defaults))
-        lines.append(f"{name:12s} {desc}")
+        pairs = ", ".join(f"{k}={v}" for k, v in _defaults(name).items())
+        lines.append(f"{name:12s} {_REGISTRY[name][1]}")
         lines.append(f"{'':12s} parameters: {pairs}")
     return "\n".join(lines)

@@ -25,6 +25,9 @@ from .certify import gronwall_bound_poly, tau_tail_bound_poly
 from .errors import ConfigError, TruncationLeak
 from .hybrid import _level_schedule, walk
 
+# largest simulated mass above j_trunc that ctmc_oracle accepts
+ORACLE_LEAK_TOL = 1e-3
+
 
 @dataclass
 class ProbeReport:
@@ -256,8 +259,7 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
     )
 
 
-def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1,
-                leak_tol=1e-3):
+def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
     """Compare the simulated switching law against the matrix-exponential law.
 
     Valid for models whose diffusion is frozen (b = sigma = 0) or whose
@@ -266,7 +268,7 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1,
     sub-probability law of paths that never leave {1..j_trunc}; the
     empirical law is restricted the same way, leaving only sampling noise.
     Raises TruncationLeak when the simulated mass above j_trunc exceeds
-    leak_tol.
+    ORACLE_LEAK_TOL.
     """
     J = int(j_trunc)
     if not 2 <= J <= 400:
@@ -295,9 +297,9 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1,
         nonfinite = np.zeros(n, dtype=bool)
     stayed = top <= J
     leak_sim = float(1.0 - stayed.mean())
-    if leak_sim > leak_tol:
-        raise TruncationLeak(
-            f"simulated mass {leak_sim:.3g} above truncation {J} exceeds {leak_tol:g}")
+    if leak_sim > ORACLE_LEAK_TOL:
+        raise TruncationLeak(f"simulated mass {leak_sim:.3g} above truncation {J} "
+                             f"exceeds {ORACLE_LEAK_TOL:g}")
     counts = np.bincount(lam[stayed], minlength=J + 1)[1:J + 1]
     p_hat = counts / n
     tv = 0.5 * (np.abs(p_hat - p_exact).sum() + abs(leak_sim - leak_exact))

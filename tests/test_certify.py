@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (DenseRates, ExponentialCertificate,
-                        PolynomialCertificate, RegimeModel, TailUnresolvable,
+                        PolynomialCertificate, RateMatrix, RegimeModel, TailUnresolvable,
                         check_condition_exp, check_condition_poly,
                         check_local_bounded_beta_sum, default_grid,
-                        gronwall_bound_poly, mark_displacement, tau_tail_bound_poly,
-                        zeta_partial)
+                        gronwall_bound_poly, make_model, mark_displacement,
+                        tau_tail_bound_poly, zeta_partial)
 from switchdiff.certify import GridSpec, PowerLawRates, signed_beta_series
 from switchdiff.model import radius
 
@@ -204,6 +204,54 @@ class TestPolynomialChecker:
         assert rep.certified
 
 
+class EndlessRow2(RateMatrix):
+    """Row 1 has no rates; row 2 reaches every regime and declares no tail bound."""
+
+    def rate(self, i, j, x):
+        return abs(j - i) ** -3.0 if i == 2 and j != 2 else 0.0
+
+    def row_tail(self, i, x, n):
+        return float(max(n - 2, 1)) ** -2.0 if i == 2 else 0.0
+
+
+class TestSweep:
+    def test_one_dispersion_call_per_node(self):
+        # the sweep evaluates sigma once per node and the series once per
+        # certified (y, j), through the module-level signed_beta_series
+        base = make_model("powerlaw")
+        calls = []
+
+        def dispersion(x, i, t):
+            calls.append((i, t))
+            return base.dispersion(x, i, t)
+
+        m = model_of(base.drift, dispersion, base.rates)
+        grid = default_grid(radius=4.0, n_radii=5, regimes=4)
+        with mock.patch("switchdiff.certify.signed_beta_series",
+                        wraps=signed_beta_series) as spy:
+            rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
+        assert rep.tails_certified
+        assert len(calls) == rep.nodes == 9 * 4 * 3
+        assert spy.call_count == 9 * 4
+        calls.clear()
+        check_condition_exp(m, ExponentialCertificate(0.5, 1.0, 1.0, 1.0), grid)
+        assert len(calls) == 9 * 4 * 3
+
+    def test_sigma_integral_covers_failed_series(self):
+        # regime 2's series fails within budget; its dispersion still sets
+        # the per-time supremum of |sigma|^2
+        eye = np.eye(1)
+        m = model_of(lambda x, i, t: -x, lambda x, i, t: (1.0 if i == 1 else 3.0) * eye,
+                     EndlessRow2())
+        grid = GridSpec(np.linspace(-2.0, 2.0, 5)[:, None], regimes=2, times=(0.0, 1.0))
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", 1000):
+            rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 50.0), grid)
+        assert not rep.tails_certified
+        assert not rep.certified
+        assert rep.nodes == 5 * 1 * 2
+        assert rep.sigma_integral == 9.0
+
+
 class TestExponentialChecker:
     def test_trivial_alpha_one(self):
         m = zero_model()
@@ -279,7 +327,8 @@ class TestTailSoundness:
         # the certified bracket must contain a 10x finer direct evaluation
         rates = PowerLawRates(gamma=2.6, p=1.0)
         j, x, beta = 3, np.array([0.8]), 1.2
-        mid, half = signed_beta_series(rates, j, x, beta, rel_tol=1e-6)
+        with mock.patch("switchdiff.certify.SERIES_REL_TOL", 1e-6):
+            mid, half = signed_beta_series(rates, j, x, beta)
         ks = np.arange(1, 2_000_000, dtype=float)
         w = rates.rate_block(j, ks, x)
         brute = float(((ks ** beta - float(j) ** beta) * w).sum())

@@ -317,6 +317,18 @@ class TestEscalation:
         # the largest float itself is a valid ceiling
         SimConfig(stop_level=4, max_stop_level=int(sys.float_info.max))
 
+    def test_block_bound_overflow_rejected(self):
+        # a power-law block bound overflows a float for levels above about
+        # 1.9e154; as a first level it raised a raw OverflowError, and as an
+        # escalation level it ended paths as non-finite explosions
+        with pytest.raises(ConfigError):
+            simulate(make_model("powerlaw"), [0.5], 1, SimConfig(stop_level=10 ** 200, seed=1))
+        model = make_model("powerlaw", sigma=40.0)
+        for traj in range(3):
+            with pytest.raises(ConfigError):
+                simulate(model, [0.5], 1, SimConfig(stop_level=4, seed=1),
+                         levels=[4, 10 ** 200], traj=traj)
+
     def test_extension_disabled_raises(self):
         # a supplied stream sized for the first level is never extended, so
         # the first escalation that needs a larger cutoff is rejected
