@@ -31,7 +31,7 @@ from typing import Callable, List, Tuple, Union
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import TailUnresolvable
+from .errors import ConfigError, TailUnresolvable
 from .model import RateMatrix, radius
 
 SERIES_REL_TOL = 1e-10
@@ -240,9 +240,9 @@ class PolynomialCertificate:
 
     def __post_init__(self):
         if not self.p >= 1:
-            raise ValueError("certificate requires p >= 1")
+            raise ConfigError("certificate requires p >= 1")
         if not self.beta > 0:
-            raise ValueError("certificate requires beta > 0")
+            raise ConfigError("certificate requires beta > 0")
 
     def growth_at(self, t):
         if callable(self.growth):
@@ -261,13 +261,13 @@ class ExponentialCertificate:
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ConfigError("alpha must lie in (0, 1]")
         if not self.c > 0:
-            raise ValueError("c must be positive")
+            raise ConfigError("c must be positive")
         if not self.beta > 0:
-            raise ValueError("beta must be positive")
+            raise ConfigError("beta must be positive")
         if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+            raise ConfigError("horizon must be positive")
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,10 @@ class GridSpec:
     points: np.ndarray
     regimes: int
     times: Tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.points) == 0 or self.regimes < 1 or not self.times:
+            raise ConfigError("grid needs at least one point, one regime and one time")
 
 
 def default_grid(dim=1, radius=10.0, n_radii=21, regimes=12,

@@ -20,13 +20,15 @@ import numpy as np
 from . import __version__
 from .certify import (ExponentialCertificate, PolynomialCertificate,
                       check_condition_exp, check_condition_poly, default_grid)
-from .errors import SwitchDiffError
+from .errors import ConfigError, SwitchDiffError
 from .hybrid import SimConfig, simulate
 from .models import list_models, make_model, model_params
 from .probe import (ctmc_oracle, estimate_moment, estimate_tau_tail,
                     feller_probe, run_ensemble)
 
 CSV_SCHEMA = "# switchdiff-csv v1"
+PROBE_HEADER = ["probe", "parameters", "label", "estimate", "half_width", "n",
+                "diagnostics"]
 
 
 def _floats(s):
@@ -129,51 +131,31 @@ def parse_config(path):
     return raw
 
 
+def _section(cfg, name):
+    """The config keys under ``name.``, without the prefix."""
+    return {k[len(name) + 1:]: v for k, v in cfg.items() if k.startswith(name + ".")}
+
+
 def _resolve_model(cfg):
     name = cfg.get("model")
     if not name:
         raise _Exit(2, "config must name a model")
-    try:
-        schema = model_params(name)
-    except KeyError as exc:
-        raise _Exit(3, str(exc))
-    params = {}
-    for key, val in cfg.items():
-        if key.startswith("model."):
-            pname = key[len("model."):]
-            if pname not in schema:
-                raise _Exit(3, f"model {name!r} has no parameter {pname!r}")
-            try:
-                params[pname] = schema[pname](val)
-            except ValueError as exc:
-                raise _Exit(3, f"bad model parameter {pname!r}: {exc}")
+    params = _section(cfg, "model")
     try:
         model = make_model(name, **params)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise _Exit(3, exc.args[0])
+    except ValueError as exc:
         raise _Exit(3, f"model construction failed: {exc}")
-    return name, params, model
+    schema = model_params(name)
+    return name, {k: schema[k](v) for k, v in params.items()}, model
 
 
-def _sim_config(cfg, seed):
-    return SimConfig(
-        stop_level=cfg.get("sim.stop_level", 16),
-        mark_cutoff=cfg.get("sim.mark_cutoff", "auto"),
-        stream_rate=cfg.get("sim.stream_rate", "auto"),
-        dt_target=cfg.get("sim.dt_target", 0.01),
-        horizon=cfg.get("sim.horizon"),
-        max_stop_level=cfg.get("sim.max_stop_level", cfg.get("sim.stop_level", 16) * 64),
-        seed=seed,
-    )
-
-
-def _grid(cfg, model):
-    return default_grid(
-        dim=model.dim,
-        radius=cfg.get("grid.radius", 10.0),
-        n_radii=cfg.get("grid.n_radii", 21),
-        regimes=cfg.get("grid.regimes", 12),
-        times=tuple(cfg.get("grid.times", [0.0, 0.5, 1.0])),
-    )
+def _sim_config(cfg):
+    sim = _section(cfg, "sim")
+    sim.setdefault("stop_level", 16)
+    sim.setdefault("max_stop_level", 64 * sim["stop_level"])
+    return SimConfig(seed=cfg["seed"], **sim)
 
 
 def _certificate(cfg):
@@ -208,11 +190,11 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_meta(prefix, cfg, model_name, model_par, seed, threads, extra=None):
+def _write_meta(prefix, cfg, model_name, model_par, threads, extra):
     path = prefix + "_meta.txt"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"switchdiff {__version__}\n")
-        fh.write(f"seed = {seed}\n")
+        fh.write(f"seed = {cfg['seed']}\n")
         fh.write(f"threads = {threads}\n")
         fh.write(f"model = {model_name}\n")
         for k in sorted(model_par):
@@ -220,141 +202,92 @@ def _write_meta(prefix, cfg, model_name, model_par, seed, threads, extra=None):
         for k in sorted(cfg):
             if k != "model" and not k.startswith("model."):
                 fh.write(f"{k} = {_fmt(cfg[k])}\n")
-        for line in (extra or []):
+        for line in extra:
             fh.write(line + "\n")
     return path
 
 
-def _path_rows(path_obj, dim):
-    rows = []
-    for k in range(path_obj.times.size):
-        rows.append([path_obj.times[k]] +
-                    [path_obj.states[k, c] for c in range(dim)] +
-                    [int(path_obj.regimes[k])])
-    return rows
+# Each handler is called as handler(cfg, model, sim, x0, i0, threads,
+# dump_stream) and returns ({file suffix: (CSV header, rows)}, meta lines).
 
-
-def _switch_rows(path_obj):
-    return [[s.time, s.src, s.dst, s.mark] for s in path_obj.switches]
-
-
-def _status_str(status):
-    parts = [status.kind]
-    if status.tau is not None:
-        parts.append(f"tau={status.tau!r}")
-    if status.level is not None:
-        parts.append(f"level={status.level}")
-    return " ".join(parts)
-
-
-def _cmd_simulate(cfg, model, sim, prefix, threads, dump_stream):
-    x0 = np.asarray(cfg.get("x0", [0.0] * model.dim), dtype=float)
-    i0 = cfg.get("i0", 1)
-    record = cfg.get("record", "nodes")
-    path = simulate(model, x0, i0, sim, record=record)
-    dim = model.dim
-    files = []
-    p = prefix + "_path.csv"
-    _write_csv(p, ["t"] + [f"x_{c+1}" for c in range(dim)] + ["lambda"],
-               _path_rows(path, dim))
-    files.append(p)
-    p = prefix + "_switches.csv"
-    _write_csv(p, ["t", "from", "to", "z"], _switch_rows(path))
-    files.append(p)
+def _cmd_simulate(cfg, model, sim, x0, i0, threads, dump_stream):
+    path = simulate(model, x0, i0, sim, record=cfg.get("record", "nodes"))
+    st = path.status
+    status = [st.kind] + [f"{k}={v!r}" for k, v in (("tau", st.tau), ("level", st.level))
+                          if v is not None]
+    tables = {
+        "path": (["t"] + [f"x_{c+1}" for c in range(model.dim)] + ["lambda"],
+                 [[t, *x, lam] for t, x, lam in zip(path.times, path.states, path.regimes)]),
+        "switches": (["t", "from", "to", "z"], path.switches),
+    }
     if dump_stream:
-        p = prefix + "_stream.csv"
-        _write_csv(p, ["time", "mark"], zip(path.stream.times, path.stream.marks))
-        files.append(p)
-    return files, [f"status = {_status_str(path.status)}",
-                   f"escalations = {path.escalations!r}", f"cutoffs = {path.cutoffs!r}"]
+        tables["stream"] = (["time", "mark"], zip(path.stream.times, path.stream.marks))
+    return tables, [f"status = {' '.join(status)}", f"escalations = {path.escalations!r}",
+                    f"cutoffs = {path.cutoffs!r}"]
 
 
-def _cmd_ensemble(cfg, model, sim, prefix, threads, *_):
-    x0 = np.asarray(cfg.get("x0", [0.0] * model.dim), dtype=float)
-    ens = run_ensemble(model, x0, cfg.get("i0", 1), sim, cfg.get("n", 100),
-                       threads=threads)
+def _cmd_ensemble(cfg, model, sim, x0, i0, threads, _):
+    ens = run_ensemble(model, x0, i0, sim, cfg.get("n", 100), threads=threads)
     tau = np.where(np.isnan(ens["tau"]), -1.0, ens["tau"])
     rows = [[k, ens["kind"][k], tau[k], ens["t_end"][k]] + list(ens["x_end"][k])
             + [ens["lam_end"][k], ens["switches"][k]] for k in range(tau.size)]
-    p = prefix + "_report.csv"
-    _write_csv(p, ["traj", "status", "tau", "t_end"] +
-               [f"x_{c+1}" for c in range(model.dim)] + ["lambda", "switches"], rows)
-    return [p], []
+    return {"report": (["traj", "status", "tau", "t_end"] +
+                       [f"x_{c+1}" for c in range(model.dim)] + ["lambda", "switches"],
+                       rows)}, []
 
 
-def _cmd_certify(cfg, model, sim, prefix, *_):
+def _cmd_certify(cfg, model, *_):
     cert = _certificate(cfg)
-    grid = _grid(cfg, model)
+    grid = default_grid(model.dim, **_section(cfg, "grid"))
     if isinstance(cert, PolynomialCertificate):
         report = check_condition_poly(model, cert, grid)
     else:
         report = check_condition_exp(model, cert, grid)
-    p = prefix + "_report.csv"
-    _write_csv(p, ["kind", "certified", "margin", "worst_y", "worst_j",
-                   "worst_t", "tails_certified", "sigma_integral", "nodes"],
-               [[report.kind, report.certified, report.margin,
-                 "|".join(repr(float(v)) for v in np.atleast_1d(report.worst[0])),
-                 report.worst[1], report.worst[2], report.tails_certified,
-                 report.sigma_integral, report.nodes]])
-    return [p], [report.summary()]
+    return {"report": (["kind", "certified", "margin", "worst_y", "worst_j", "worst_t",
+                        "tails_certified", "sigma_integral", "nodes"],
+                       [[report.kind, report.certified, report.margin,
+                         "|".join(repr(float(v)) for v in np.atleast_1d(report.worst[0])),
+                         report.worst[1], report.worst[2], report.tails_certified,
+                         report.sigma_integral, report.nodes]])}, [report.summary()]
 
 
-def _probe_files(rows, prefix):
-    p = prefix + "_report.csv"
-    _write_csv(p, ["probe", "parameters", "label", "estimate", "half_width",
-                   "n", "diagnostics"], rows)
-    return [p]
-
-
-def _cmd_moments(cfg, model, sim, prefix, threads, *_):
+def _cmd_moments(cfg, model, sim, x0, i0, threads, _):
     cert = _certificate(cfg)
     if not isinstance(cert, PolynomialCertificate):
         raise _Exit(2, "moments requires cert.kind=poly")
-    x0 = cfg.get("x0", [0.0] * model.dim)
-    report = estimate_moment(model, cert, x0, cfg.get("i0", 1),
-                             cfg.get("t", 1.0), cfg.get("n", 1000), sim,
-                             threads=threads)
-    return _probe_files(report.rows(), prefix), []
+    report = estimate_moment(model, cert, x0, i0, cfg.get("t", 1.0),
+                             cfg.get("n", 1000), sim, threads=threads)
+    return {"report": (PROBE_HEADER, report.rows())}, []
 
 
-def _cmd_tau_tail(cfg, model, sim, prefix, threads, *_):
+def _cmd_tau_tail(cfg, model, sim, x0, i0, threads, _):
     cert = _certificate(cfg) if "cert.kind" in cfg else None
-    x0 = cfg.get("x0", [0.0] * model.dim)
-    report = estimate_tau_tail(model, x0, cfg.get("i0", 1), cfg.get("t", 1.0),
+    report = estimate_tau_tail(model, x0, i0, cfg.get("t", 1.0),
                                cfg.get("m_list", [8, 16, 32, 64]),
                                cfg.get("delta", 0.1), cfg.get("n", 1000), sim,
                                cert=cert, threads=threads)
-    return _probe_files(report.rows(), prefix), []
+    return {"report": (PROBE_HEADER, report.rows())}, []
 
 
-def _cmd_feller(cfg, model, sim, prefix, threads, *_):
+def _cmd_feller(cfg, model, sim, x0, i0, threads, _):
     fname = cfg.get("f", "indicator_positive")
     if fname not in TEST_FUNCTIONS:
         raise _Exit(2, f"unknown test function {fname!r}; "
                        f"choose from {sorted(TEST_FUNCTIONS)}")
-    x0 = cfg.get("x0", [0.0] * model.dim)
-    report = feller_probe(model, TEST_FUNCTIONS[fname], cfg.get("t", 1.0),
-                          x0, cfg.get("i0", 1), cfg.get("offsets", [0.05, 0.5]),
-                          cfg.get("n", 1000), sim,
+    report = feller_probe(model, TEST_FUNCTIONS[fname], cfg.get("t", 1.0), x0, i0,
+                          cfg.get("offsets", [0.05, 0.5]), cfg.get("n", 1000), sim,
                           couple=cfg.get("couple", True), threads=threads)
-    return _probe_files(report.rows(), prefix), []
+    return {"report": (PROBE_HEADER, report.rows())}, []
 
 
-def _cmd_oracle(cfg, model, sim, prefix, threads, *_):
-    x0 = cfg.get("x0")
-    x0 = None if x0 is None else np.asarray(x0, dtype=float)
-    times = cfg.get("times", [cfg.get("t", 1.0)])
+def _cmd_oracle(cfg, model, sim, x0, i0, threads, _):
     rows = []
-    for t in times:
-        report = ctmc_oracle(model, cfg.get("i0", 1), t,
-                             cfg.get("j_trunc", 8), cfg.get("n", 10000), sim,
-                             x0=x0, threads=threads)
-        rows.extend(report.rows())
-    return _probe_files(rows, prefix), []
+    for t in cfg.get("times", [cfg.get("t", 1.0)]):
+        rows.extend(ctmc_oracle(model, i0, t, cfg.get("j_trunc", 8), cfg.get("n", 10000),
+                                sim, x0=x0, threads=threads).rows())
+    return {"report": (PROBE_HEADER, rows)}, []
 
 
-# The command names and their handlers, called as
-# handler(cfg, model, sim, prefix, threads, dump_stream).
 COMMANDS = {
     "simulate": _cmd_simulate,
     "ensemble": _cmd_ensemble,
@@ -384,18 +317,15 @@ def run(config_path, seed=None, out=None, threads=None, dump_stream=False):
     n_threads = cfg.get("threads", os.cpu_count() or 1)
 
     name, params, model = _resolve_model(cfg)
-    sim = _sim_config(cfg, cfg["seed"])
+    x0 = np.asarray(cfg.get("x0", [0.0] * model.dim), dtype=float)
+    tables, extra = COMMANDS[command](cfg, model, _sim_config(cfg), x0, cfg.get("i0", 1),
+                                      n_threads, dump_stream)
     os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
-
-    try:
-        files, extra = COMMANDS[command](cfg, model, sim, prefix, n_threads,
-                                         dump_stream)
-    except _Exit:
-        raise
-    except SwitchDiffError as exc:
-        raise _Exit(1, f"{type(exc).__name__}: {exc}")
-    meta = _write_meta(prefix, cfg, name, params, cfg["seed"], n_threads, extra)
-    files.append(meta)
+    files = []
+    for suffix, (header, rows) in tables.items():
+        files.append(f"{prefix}_{suffix}.csv")
+        _write_csv(files[-1], header, rows)
+    files.append(_write_meta(prefix, cfg, name, params, n_threads, extra))
     return files
 
 
@@ -428,7 +358,7 @@ def main(argv=None):
         return exc.code
     except SwitchDiffError as exc:
         print(f"switchdiff: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     for f in files:
         print(f)
     return 0

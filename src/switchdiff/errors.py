@@ -5,8 +5,8 @@ class SwitchDiffError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(SwitchDiffError):
-    """A simulation configuration is inconsistent or cannot be satisfied."""
+class ConfigError(SwitchDiffError, ValueError):
+    """A configuration or input is inconsistent or cannot be satisfied."""
 
 
 class TailUnresolvable(SwitchDiffError):

@@ -66,7 +66,8 @@ class SimConfig:
     stop_level is the localization level: the path stops when |X| + regime
     first reaches it.  mark_cutoff "auto" selects the smallest cutoff that
     provably loses no switch below the stop level; stream_rate "auto" sizes
-    the master stream to that cutoff.  max_stop_level caps escalation (equal
+    the master stream to that cutoff; a number given for either must be
+    finite and >= 0.  max_stop_level caps escalation (equal
     to stop_level by default: no escalation); no level may exceed the
     largest float.  All randomness derives from (seed, trajectory index):
     trajectories sharing both are fully coupled.
@@ -85,6 +86,10 @@ class SimConfig:
             raise ConfigError("stop_level must be a positive integer")
         if not self.dt_target > 0:
             raise ConfigError("dt_target must be positive")
+        for name in ("mark_cutoff", "stream_rate"):
+            value = getattr(self, name)
+            if value != "auto" and not 0 <= float(value) < np.inf:
+                raise ConfigError(f"{name} must be 'auto' or a finite number >= 0")
         if self.max_stop_level is not None and self.max_stop_level < self.stop_level:
             raise ConfigError("max_stop_level must be >= stop_level")
         _check_levels([self.max_stop_level or self.stop_level])  # the ceiling
@@ -351,6 +356,8 @@ class _Walk:
 
     def start(self, x0, i0, traj):
         """A row at time 0 in state x0 and regime i0, with its streams and first level."""
+        if i0 < 1:
+            raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
         row = _Row()
         row.traj = traj
         if self.stream is not None:
@@ -585,7 +592,7 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
     ``escalations``, the node's remaining marks are classified under the new
     level's cutoff, and the walk goes on over a fresh grid drawn from that
     node.  Reaching the last level is an operational explosion.  record
-    "nodes" keeps every grid node, any other value only the event nodes.
+    "nodes" keeps every grid node, "events" only the event nodes.
 
     The master stream is sampled from (cfg.seed, traj), reused across levels
     and extended by superposition when the auto-selected cutoff outgrows it.
@@ -595,7 +602,8 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
     cutoff at or above ``auto_truncation`` at the stop level are
     bit-identical up to and including the stop time.
     """
-    record = "nodes" if record == "nodes" else "events"
+    if record not in ("nodes", "events"):
+        raise ConfigError(f"record must be 'nodes' or 'events', got {record!r}")
     row, = walk(model, [x0], i0, cfg, [traj], levels=levels, stream=stream,
                 record=record)
     switches = row.switches

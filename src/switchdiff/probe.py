@@ -71,6 +71,8 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     all starts or a sequence with one per start.  All m * n trajectories are
     walked by ``hybrid.walk`` in lockstep blocks, over one worker pool.
     """
+    if n < 1:
+        raise ConfigError("n must be at least 1")
     hit_levels = _level_schedule(cfg) if levels is None else [int(m) for m in levels]
     several = np.ndim(x0) == 2
     starts = list(np.asarray(x0, dtype=float)) if several else [x0]
@@ -170,6 +172,8 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
     certificate is supplied, the analytic tail bound is reported per level.
     """
     levels = sorted(int(m) for m in m_list)
+    if not levels:
+        raise ConfigError("m_list must name at least one level")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
     aux = substream(cfg.seed, 0, AUX)
@@ -272,9 +276,11 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
     """
     J = int(j_trunc)
     if not 2 <= J <= 400:
-        raise ValueError("j_trunc must be between 2 and 400")
+        raise ConfigError("j_trunc must be between 2 and 400")
     if not 1 <= i0 <= J:
-        raise ValueError("i0 must lie within the truncated regime window")
+        raise ConfigError("i0 must lie within the truncated regime window")
+    if n < 1 or not t >= 0:
+        raise ConfigError("ctmc_oracle needs n >= 1 and t >= 0")
     x0 = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     rates = model.rates
     gen = np.zeros((J, J))

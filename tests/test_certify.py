@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
-from switchdiff import (DenseRates, ExponentialCertificate,
+from switchdiff import (ConfigError, DenseRates, ExponentialCertificate,
                         PolynomialCertificate, RateMatrix, RegimeModel, TailUnresolvable,
                         check_condition_exp, check_condition_poly,
                         check_local_bounded_beta_sum, default_grid,
@@ -155,6 +155,20 @@ class TestBetaSeries:
             v = sum(abs(k ** 2.0 - j ** 2.0) * q[j - 1, k - 1] for k in range(1, 4))
             best = max(best, v)
         assert rep.sup == pytest.approx(best, rel=1e-12)
+
+
+class TestGridSpec:
+    # regimes=0 used to certify with 0 nodes and margin inf; times=() to
+    # raise IndexError in the sweep
+    @pytest.mark.parametrize("kwargs", [{"regimes": 0}, {"times": ()}],
+                             ids=["no-regimes", "no-times"])
+    def test_empty_default_grid_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            default_grid(**kwargs)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ConfigError):
+            GridSpec(np.empty((0, 1)), 2, (0.0,))
 
 
 class TestPolynomialChecker:

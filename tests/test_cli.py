@@ -1,8 +1,11 @@
 """End-to-end command-line runs in temporary directories."""
 
+import numpy as np
 import pytest
 
-from switchdiff import SimConfig, auto_truncation, ctmc_oracle, make_model, simulate
+from switchdiff import (PolynomialCertificate, SimConfig, auto_truncation,
+                        check_condition_poly, ctmc_oracle, default_grid, make_model,
+                        simulate)
 from switchdiff.cli import main
 
 
@@ -52,6 +55,63 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.cfg",
                            "command = simulate\nmodel = ou2\nseed = 1\nseed = 2\n")
         assert run_cli("--config", cfg) == 2
+
+
+class TestBadInput:
+    # each used to exit 0 or 1, or to end in a raw traceback
+    @pytest.mark.parametrize("body", [
+        "command = simulate\nmodel = ou2\nsim.dt_target = 0\n",
+        "command = simulate\nmodel = ou2\nsim.stream_rate = -1\n",
+        "command = simulate\nmodel = ou2\nsim.mark_cutoff = nan\n",
+        "command = simulate\nmodel = ou2\nrecord = node\n",
+        "command = ensemble\nmodel = ctmcN\ni0 = -3\nn = 5\nsim.dt_target = 2.0\n",
+        "command = certify\nmodel = ou2\ncert.p = 0.5\n",
+        "command = certify\nmodel = ou2\ngrid.regimes = 0\n",
+        "command = certify\nmodel = ou2\ngrid.times =\n",
+        "command = oracle\nmodel = ctmcN\nj_trunc = 1\n",
+        "command = oracle\nmodel = ctmcN\nn = 0\n",
+        "command = oracle\nmodel = ctmc2\nt = -1\n",
+        "command = tau-tail\nmodel = ou2\nm_list =\n",
+    ], ids=["dt_target", "stream_rate", "mark_cutoff", "record", "i0", "cert.p",
+            "grid.regimes", "grid.times", "j_trunc", "oracle-n", "oracle-t", "m_list"])
+    def test_config_error_exits_2(self, tmp_path, capsys, body):
+        cfg = write_config(tmp_path / "c.cfg", body + "seed = 1\n")
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "r"), "--threads", "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("switchdiff: ConfigError: ")
+        assert not list(tmp_path.glob("r_*"))
+
+
+class TestKeysReachLibrary:
+    def test_sim_keys(self, tmp_path):
+        # every one of these values changes the path from the default's
+        cfg = write_config(tmp_path / "c.cfg",
+                           "command = simulate\nmodel = powerlaw\nmodel.sigma = 6\n"
+                           "x0 = 2\nseed = 5\nsim.stop_level = 4\nsim.max_stop_level = 16\n"
+                           "sim.dt_target = 0.05\nsim.horizon = 0.7\n"
+                           "sim.mark_cutoff = 30\nsim.stream_rate = 40\n")
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "r")) == 0
+        lines = (tmp_path / "r_path.csv").read_text().splitlines()[2:]
+        got = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+        path = simulate(make_model("powerlaw", sigma=6.0), [2.0], 1,
+                        SimConfig(stop_level=4, max_stop_level=16, dt_target=0.05,
+                                  horizon=0.7, mark_cutoff=30.0, stream_rate=40.0, seed=5))
+        assert np.array_equal(got, np.column_stack([path.times, path.states, path.regimes]))
+
+    def test_grid_keys(self, tmp_path):
+        # blowup's worst node is on the outer radius, so the radius shows too
+        cfg = write_config(tmp_path / "c.cfg",
+                           "command = certify\nmodel = blowup\nseed = 0\ngrid.radius = 4\n"
+                           "grid.n_radii = 5\ngrid.regimes = 3\ngrid.times = 0,0.25\n")
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
+        header, row = (ln.split(",") for ln in
+                       (tmp_path / "c_report.csv").read_text().splitlines()[1:])
+        rep = check_condition_poly(make_model("blowup"), PolynomialCertificate(1.0, 1.0, 1.0),
+                                   default_grid(1, 4.0, 5, 3, (0.0, 0.25)))
+        assert int(row[header.index("nodes")]) == rep.nodes == 9 * 3 * 2
+        assert float(row[header.index("margin")]) == rep.margin
+        assert float(row[header.index("worst_y")]) == rep.worst[0][0] == 4.0
 
 
 class TestSimulateCommand:

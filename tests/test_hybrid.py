@@ -11,7 +11,7 @@ from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (ConfigError, DenseRates, FunctionRates, PowerLawRates,
                         RegimeModel, SimConfig, auto_truncation, make_grid,
-                        make_model, sample_stream, simulate,
+                        make_model, run_ensemble, sample_stream, simulate,
                         truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
 from test_integrate import euler_reference
@@ -347,6 +347,34 @@ class TestEscalation:
         a = simulate(model, [1.0], 1, cfg, traj=3, record="nodes")
         b = simulate(model, [1.0], 1, cfg, traj=3, record="nodes")
         assert paths_equal(a, b)
+
+
+class TestInputValidation:
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(ConfigError, ValueError)
+
+    @pytest.mark.parametrize("key", ["mark_cutoff", "stream_rate"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_bad_cutoff_and_stream_rate_rejected(self, key, value):
+        # they used to fail only when a stream was sampled, with a raw ValueError
+        with pytest.raises(ConfigError):
+            SimConfig(stop_level=8, **{key: value})
+
+    def test_start_regime_below_one_rejected(self):
+        # a negative start regime used to read the dense rate tables from the end
+        model = make_model("ctmcN")
+        cfg = SimConfig(stop_level=16, seed=1, dt_target=2.0)
+        for i0 in (0, -3):
+            with pytest.raises(ConfigError):
+                run_ensemble(model, [0.0], i0, cfg, 5)
+            with pytest.raises(ConfigError):
+                simulate(model, [0.0], i0, cfg)
+
+    def test_unknown_record_rejected(self):
+        # "node" used to be recorded as "events"
+        with pytest.raises(ConfigError):
+            simulate(make_model("ou2"), [1.0], 1, SimConfig(stop_level=8, seed=1),
+                     record="node")
 
 
 class TestPendingMarkAtStopNode:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchdiff import (DenseRates, PolynomialCertificate, RegimeModel,
+from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeModel,
                         SimConfig, TruncationLeak, ctmc_oracle, estimate_moment,
                         estimate_tau_tail, feller_probe, make_model,
                         run_ensemble)
@@ -192,6 +192,23 @@ class TestRunEnsemble:
         assert ens["kind"].tolist() == ["exploded", "exploded"]
         assert ens["hit"].shape == (2, 3)
         assert (ens["hit"] == ens["tau"][:, None]).all()
+
+
+class TestEmptyWorkloads:
+    def test_rejected(self):
+        # the oracle used to divide by n = 0 and tau-tail to index an empty m_list
+        model = make_model("ctmcN")
+        cfg = SimConfig(stop_level=8, seed=1, dt_target=1.0)
+        with pytest.raises(ConfigError):
+            run_ensemble(model, [0.0], 1, cfg, 0)
+        for t in (0.0, 1.0):
+            with pytest.raises(ConfigError):
+                ctmc_oracle(model, 1, t, 4, 0, cfg)
+        # a negative time used to report expm(-Q) rows as the exact law
+        with pytest.raises(ConfigError):
+            ctmc_oracle(model, 1, -1.0, 4, 100, cfg)
+        with pytest.raises(ConfigError):
+            estimate_tau_tail(make_model("ou2"), [0.0], 1, 0.5, [], 0.1, 5, cfg)
 
 
 class TestWorkerCap:
