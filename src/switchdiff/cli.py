@@ -158,7 +158,7 @@ def _sim_config(cfg):
     return SimConfig(seed=cfg["seed"], **sim)
 
 
-def _certificate(cfg):
+def _certificate(cfg, model):
     kind = cfg.get("cert.kind", "poly")
     if kind == "poly":
         return PolynomialCertificate(p=cfg.get("cert.p", 1.0),
@@ -168,7 +168,7 @@ def _certificate(cfg):
         return ExponentialCertificate(alpha=cfg.get("cert.alpha", 1.0),
                                       c=cfg.get("cert.c", 1.0),
                                       beta=cfg.get("cert.beta", 1.0),
-                                      horizon=cfg.get("sim.horizon", 1.0))
+                                      horizon=cfg.get("sim.horizon", model.horizon))
     raise _Exit(2, f"cert.kind must be poly or exp, got {kind!r}")
 
 
@@ -237,7 +237,7 @@ def _cmd_ensemble(cfg, model, sim, x0, i0, threads, _):
 
 
 def _cmd_certify(cfg, model, *_):
-    cert = _certificate(cfg)
+    cert = _certificate(cfg, model)
     grid = default_grid(model.dim, **_section(cfg, "grid"))
     if isinstance(cert, PolynomialCertificate):
         report = check_condition_poly(model, cert, grid)
@@ -252,7 +252,7 @@ def _cmd_certify(cfg, model, *_):
 
 
 def _cmd_moments(cfg, model, sim, x0, i0, threads, _):
-    cert = _certificate(cfg)
+    cert = _certificate(cfg, model)
     if not isinstance(cert, PolynomialCertificate):
         raise _Exit(2, "moments requires cert.kind=poly")
     report = estimate_moment(model, cert, x0, i0, cfg.get("t", 1.0),
@@ -261,7 +261,7 @@ def _cmd_moments(cfg, model, sim, x0, i0, threads, _):
 
 
 def _cmd_tau_tail(cfg, model, sim, x0, i0, threads, _):
-    cert = _certificate(cfg) if "cert.kind" in cfg else None
+    cert = _certificate(cfg, model) if "cert.kind" in cfg else None
     report = estimate_tau_tail(model, x0, i0, cfg.get("t", 1.0),
                                cfg.get("m_list", [8, 16, 32, 64]),
                                cfg.get("delta", 0.1), cfg.get("n", 1000), sim,

@@ -27,6 +27,16 @@ a row's result does not depend on its block.  The update uses a model's
 batch coefficients when it has them and the per-row ``drift`` and
 ``dispersion`` otherwise.  ``simulate`` is a batch of one.
 
+A block starts in one pass (``_Walk.begin``).  ``philox_keys`` derives the
+Philox keys of every row's POISSON and BROWNIAN substreams at once, and one
+``KeyedGenerator`` per walk draws each row's stream and increments with the
+row's key swapped in; a row keeps its BROWNIAN state between grid draws.
+The first grids of the rows that start below their level, with no two
+events at one time, are built ``GRID_ROWS`` rows at a time by one
+``_grid_block`` pass.  Each piece equals the per-row ``substream``,
+``sample_stream`` and ``make_grid`` bit for bit, so no random number
+depends on the block.  Level cutoffs are resolved once per walk.
+
 Most marks fall outside the current regime's row.  When at least
 ``SCREEN_ROWS`` rows reach event nodes in one iteration and the rate matrix
 has a ``territory_batch``, one array pass reads each row's mark from the
@@ -46,14 +56,16 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ._rng import BROWNIAN, substream
+from ._rng import BROWNIAN, POISSON, KeyedGenerator, philox_keys
 from .errors import ConfigError
-from .integrate import make_grid
-from .jumps import JumpStream, extend_stream, sample_stream
+from .integrate import _grid_block, make_grid
+from .jumps import JumpStream, _stream, extend_stream
 from .model import mark_displacement, radius
 
 # Most rows stepped together; bounds a block's grid storage.
 BLOCK_ROWS = 256
+# Most rows whose first grids one array pass builds; bounds its temporaries.
+GRID_ROWS = 32
 # Fewest rows at event nodes in one iteration that the mark screen takes:
 # for fewer, its array pass costs more than the classifications it saves.
 SCREEN_ROWS = 4
@@ -253,6 +265,15 @@ def _step_terms(model, X, lam, t, dt, dW):
     return bdt, noise, failed
 
 
+def _events(stream, t, horizon):
+    """The stream's events strictly between t and the horizon, in order: their
+    times, their marks and whether two of them share a time."""
+    lo = int(np.searchsorted(stream.times, t, side="right"))
+    hi = int(np.searchsorted(stream.times, horizon, side="left"))
+    ev_t = stream.times[lo:hi]
+    return ev_t, stream.marks[lo:hi], ev_t.size > 1 and not (ev_t[1:] > ev_t[:-1]).all()
+
+
 class _Grids:
     """Flat, node-aligned storage of the grids drawn in one block.
 
@@ -274,9 +295,14 @@ class _Grids:
         self.mark = np.empty(0) if screen else None
         self.next = np.empty(0, dtype=np.intp) if screen else None
 
-    def append(self, grid, marks):
-        """Store a grid and, for the screen, the marks at its event nodes."""
-        n = grid.nodes.size
+    def append(self, nodes, steps, increments, bidx, lens, marks):
+        """Store grids laid end to end, as ``_grid_block`` returns them.
+
+        bidx is the position of every breakpoint, lens the number of each
+        grid's breakpoints and marks the marks at the event nodes (the
+        breakpoints but each grid's first and last), for the screen.
+        """
+        n = nodes.size
         off = self.used
         self.used += n
         if self.used > len(self.table):
@@ -288,15 +314,17 @@ class _Grids:
                     new[:off] = old[:off]
                     setattr(self, name, new)
         rows = self.table[off:off + n]
-        rows[:, 0] = grid.nodes
-        rows[:-1, 1] = grid.steps
-        rows[:-1, 2:] = grid.increments
+        rows[:, 0] = nodes
+        rows[:steps.size, 1] = steps
+        rows[:steps.size, 2:] = increments
         if self.mark is not None:
-            # the breakpoints: the first node, the event nodes, the last node
-            ev = off + grid.break_index
-            self.mark[ev[-1]] = np.nan
-            self.mark[ev[1:-1]] = marks
-            self.next[ev[1:-1]] = ev[2:]
+            ev = off + bidx
+            last = np.cumsum(lens) - 1
+            inner = np.ones(ev.size, dtype=bool)
+            inner[last] = inner[last - lens + 1] = False
+            self.mark[ev[last]] = np.nan
+            self.mark[ev[inner]] = marks
+            self.next[ev[inner]] = ev[np.flatnonzero(inner) + 1]
         return off
 
 
@@ -310,12 +338,13 @@ class _Row:
     k.  Marks e .. n_ev - 1 of the grid are still to be classified, at nodes
     ``ev_node``; while the row is in ``_Walk.lockstep``, e and target lag
     behind the marks the screen skipped.  ``kept`` lists (offset, event
-    nodes, end) of the recorded grids left behind.  Once ``status`` is set
-    the row has ended.
+    nodes, end) of the recorded grids left behind.  bkey is the row's
+    BROWNIAN key and bstate the generator state its last grid draw left
+    (None before its first).  Once ``status`` is set the row has ended.
     """
 
-    __slots__ = ("traj", "stream", "brng", "x", "r", "lam", "t", "li", "level",
-                 "cutoff", "stale", "off", "k", "target", "e", "n_ev", "n_nodes",
+    __slots__ = ("traj", "stream", "bkey", "bstate", "x", "r", "lam", "t", "li",
+                 "level", "cutoff", "stale", "off", "k", "target", "e", "n_ev", "n_nodes",
                  "ev_node", "ev_z", "ev_at", "kept", "switches", "escalations",
                  "cutoffs", "status", "times", "states")
 
@@ -340,12 +369,20 @@ class _Walk:
         self.model, self.cfg, self.levels = model, cfg, levels
         self.stream, self.record, self.dim = stream, record, model.dim
         self.thresholds = [_below(m) for m in levels]
+        self.resolved = {}
+        self.keyed = KeyedGenerator()
         self.grids = self.screen = None
+
+    def level_cutoff(self, li):
+        """The mark cutoff of level li, resolved once per walk."""
+        if li not in self.resolved:
+            self.resolved[li] = _resolve_cutoff(self.cfg, self.model, self.levels[li])
+        return self.resolved[li]
 
     def enter_level(self, row):
         """Set the row's cutoff for its level, extending its stream to cover it."""
         row.level = self.levels[row.li]
-        row.cutoff = _resolve_cutoff(self.cfg, self.model, row.level)
+        row.cutoff = self.level_cutoff(row.li)
         row.cutoffs.append((row.level, row.cutoff))
         if row.cutoff > row.stream.k_max:
             if self.stream is not None:
@@ -354,34 +391,93 @@ class _Walk:
             row.stream = extend_stream(row.stream, row.cutoff, self.cfg.seed,
                                        row.traj, chunk=row.li)
 
-    def start(self, x0, i0, traj):
-        """A row at time 0 in state x0 and regime i0, with its streams and first level."""
+    def begin(self, starts, i0, trajs):
+        """Rows at time 0 in states ``starts`` and regime i0, with their streams,
+        first levels and, where ``first_grids`` can build them, first grids."""
         if i0 < 1:
             raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
-        row = _Row()
-        row.traj = traj
-        if self.stream is not None:
-            row.stream = self.stream
-        else:
-            if self.cfg.stream_rate == "auto":
-                rate = max(_resolve_cutoff(self.cfg, self.model, self.levels[0]), 0.0)
+        cfg, keyed = self.cfg, self.keyed
+        if self.stream is None:
+            rate = (max(self.level_cutoff(0), 0.0) if cfg.stream_rate == "auto"
+                    else float(cfg.stream_rate))
+            pkeys = philox_keys(cfg.seed, trajs, POISSON) if rate else None
+        bkeys = philox_keys(cfg.seed, trajs, BROWNIAN)
+        rows = []
+        for r, (x0, traj) in enumerate(zip(starts, trajs)):
+            row = _Row()
+            row.traj = traj
+            if self.stream is not None:
+                row.stream = self.stream
             else:
-                rate = float(self.cfg.stream_rate)
-            row.stream = sample_stream(rate, self.horizon, self.cfg.seed, traj)
-        row.brng = substream(self.cfg.seed, traj, BROWNIAN)
-        x = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x.shape != (self.dim,):
-            raise ConfigError(f"initial state shape {x.shape} does not match dim {self.dim}")
-        row.x, row.r, row.lam, row.t = x, radius(x), int(i0), 0.0
-        row.li = 0
-        row.cutoffs = []
-        self.enter_level(row)
-        row.stale = True
-        row.off = -1
-        row.k = row.e = row.n_ev = row.n_nodes = 0
-        row.kept, row.switches, row.escalations = [], [], []
-        row.status = None
-        return row
+                rng = keyed.start(pkeys[r]) if rate else None
+                row.stream = _stream(rng, rate, self.horizon)
+            row.bkey, row.bstate = bkeys[r], None
+            x = np.atleast_1d(np.asarray(x0, dtype=float))
+            if x.shape != (self.dim,):
+                raise ConfigError(f"initial state shape {x.shape} does not match dim {self.dim}")
+            row.x, row.r, row.lam, row.t = x, radius(x), int(i0), 0.0
+            row.li = 0
+            row.cutoffs = []
+            self.enter_level(row)
+            row.stale = True
+            row.off = -1
+            row.k = row.e = row.n_ev = row.n_nodes = 0
+            row.kept, row.switches, row.escalations = [], [], []
+            row.status = None
+            rows.append(row)
+        self.first_grids(rows)
+        return rows
+
+    def first_grids(self, rows):
+        """Draw the first grid of every row whose walk starts with one.
+
+        A row below its first level draws its grid from t = 0 before it
+        does anything else, so those grids are built ``GRID_ROWS`` rows at a
+        time by one ``_grid_block`` pass, which matches ``draw`` bit for bit.
+        Rows with several events at one time and rows at or above their
+        first level are left to ``draw``, and so is a lone row, which gains
+        nothing from the pass.
+        """
+        if len(rows) < 2:
+            return
+        ready = []
+        for row in rows:
+            if row.r + row.lam < row.level:
+                ev_t, marks, tied = _events(row.stream, row.t, self.horizon)
+                if not tied:
+                    ready.append((row, ev_t, marks))
+        if len(ready) < 2:
+            return
+        for c in range(0, len(ready), GRID_ROWS):
+            self.draw_block(ready[c:c + GRID_ROWS])
+
+    def draw_block(self, ready):
+        """Draw the first grids of ``ready``'s rows, (row, event times, marks) each."""
+        rows = [row for row, _, _ in ready]
+        lens = np.array([ev_t.size + 2 for _, ev_t, _ in ready])
+        last = np.cumsum(lens) - 1
+        start = last - lens + 1
+        bp = np.empty(last[-1] + 1)
+        inner = np.ones(bp.size, dtype=bool)
+        inner[start] = inner[last] = False
+        bp[start] = 0.0  # every row starts at t = 0
+        bp[last] = self.horizon
+        bp[inner] = np.concatenate([ev_t for _, ev_t, _ in ready])
+        keyed = self.keyed
+
+        def normals(r, out):
+            row = rows[r]
+            keyed.start(row.bkey).standard_normal(out=out)
+            row.bstate = keyed.save()
+
+        nodes, steps, incr, bidx = _grid_block(bp, lens, self.cfg.dt_target, self.dim, normals)
+        off = self.grids.append(nodes, steps, incr, bidx, lens,
+                                np.concatenate([z for _, _, z in ready]))
+        first = bidx[start]
+        at = bidx - np.repeat(first, lens)  # every breakpoint's node in its own grid
+        for (row, _, z), f, size, b in zip(ready, first.tolist(),
+                                          (bidx[last] - first + 1).tolist(), start.tolist()):
+            self.place(row, off + f, size, at[b + 1:b + 1 + z.size], z)
 
     def advance(self, row):
         """Handle the row at its current node until it has steps to take.
@@ -439,25 +535,32 @@ class _Walk:
         """
         if self.record and row.off >= 0:
             row.kept.append((row.off, row.ev_at, row.k))
-        stream, t = row.stream, row.t
-        lo = int(np.searchsorted(stream.times, t, side="right"))
-        hi = int(np.searchsorted(stream.times, self.horizon, side="left"))
-        ev_t, marks = stream.times[lo:hi], stream.marks[lo:hi]
-        # the events lie strictly between t and the horizon, in order
-        bp = np.concatenate(([t], ev_t, [self.horizon]))
-        tied = ev_t.size > 1 and not (ev_t[1:] > ev_t[:-1]).all()
+        ev_t, marks, tied = _events(row.stream, row.t, self.horizon)
+        bp = np.concatenate(([row.t], ev_t, [self.horizon]))
         if tied:
             bp = np.unique(bp)  # events at one time share a breakpoint
-        grid = make_grid(bp, self.cfg.dt_target, self.dim, row.brng)
+        keyed = self.keyed
+        rng = keyed.start(row.bkey) if row.bstate is None else keyed.resume(row.bstate)
+        grid = make_grid(bp, self.cfg.dt_target, self.dim, rng)
+        row.bstate = keyed.save()
+        off = self.grids.append(grid.nodes, grid.steps, grid.increments, grid.break_index,
+                                [bp.size], np.nan if tied else marks)
         ev_at = grid.break_index[np.searchsorted(bp, ev_t) if tied else slice(1, -1)]
+        self.place(row, off, grid.nodes.size, ev_at, marks)
+
+    def place(self, row, off, n_nodes, ev_at, marks):
+        """Put the row on the first node of its new grid, stored from flat offset off.
+
+        ev_at holds the node of each of the grid's events, and marks their marks.
+        """
         # memoryviews index to Python scalars like lists, without a copy
         row.ev_node, row.ev_z = memoryview(ev_at), memoryview(marks)
-        row.n_ev, row.n_nodes = len(ev_at), grid.nodes.size
-        row.off = self.grids.append(grid, np.nan if tied else marks)
+        row.n_ev, row.n_nodes = len(ev_at), n_nodes
+        row.off = off
         if self.record:
             row.ev_at = ev_at
-            self.grids.states[row.off] = row.x
-        row.t = grid.nodes[0]
+            self.grids.states[off] = row.x
+        row.t = self.grids.table[off, 0]
         row.k = row.e = 0
         row.stale = False
 
@@ -477,7 +580,7 @@ class _Walk:
                 S.append(g.states[keep])
             row.times = np.concatenate(T + [[row.t]])
             row.states = np.concatenate(S + [[row.x]])
-        row.brng = row.ev_node = row.ev_z = row.ev_at = row.kept = None
+        row.bkey = row.bstate = row.ev_node = row.ev_z = row.ev_at = row.kept = None
         return False
 
     def lockstep(self, live):
@@ -561,8 +664,7 @@ class _Walk:
             self.screen = screen if len(trajs[lo:lo + BLOCK_ROWS]) >= SCREEN_ROWS else None
             self.grids = _Grids(self.dim, self.record, self.screen is not None)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rows = [self.start(x0, i0, traj) for x0, traj in
-                        zip(starts[lo:lo + BLOCK_ROWS], trajs[lo:lo + BLOCK_ROWS])]
+                rows = self.begin(starts[lo:lo + BLOCK_ROWS], i0, trajs[lo:lo + BLOCK_ROWS])
                 live = [row for row in rows if self.advance(row)]
                 if live:
                     self.lockstep(live)

@@ -29,31 +29,62 @@ class BrownianGrid:
     dim: int
 
 
-def make_grid(breakpoints, dt_target, dim, rng):
-    """Build the grid and draw all its Gaussian increments.
+def _grid_block(bp, lens, dt_target, dim, draw):
+    """Build the grids of several rows in one elementwise pass.
 
-    breakpoints must be strictly increasing; dt_target > 0 fixes the largest
-    step.  Subdivision uses linspace so breakpoint floats are preserved
-    exactly as nodes.
+    bp holds the breakpoints of every row, one row after another, and
+    ``lens`` the number of each row's breakpoints; a row's breakpoints must
+    be strictly increasing, and dt_target > 0 fixes the largest step.
+    ``draw(r, out)`` fills ``out``, a C-contiguous (steps of row r, dim)
+    array, with row r's standard normals; it is called once per row, in row
+    order.  Returns ``(nodes, steps, increments, break_index)`` over the
+    rows one after another and aligned by node: ``steps[i]`` and
+    ``increments[i]`` leave node i (both 0 at each row's last node), and
+    ``break_index`` is the position of every breakpoint.
     """
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.size < 2:
+    bp = np.asarray(bp, dtype=float)
+    lens = np.asarray(lens, dtype=np.intp)
+    if not (lens >= 2).all():
         raise ValueError("need at least two breakpoints")
-    spans = np.diff(bp)
-    if not (spans > 0).all():
-        raise ValueError("breakpoints must be strictly increasing")
     if not dt_target > 0:
         raise ValueError("dt_target must be positive")
+    # every breakpoint closes a span from the one before it; a row's first
+    # closes an empty span of one node from itself
+    last = np.cumsum(lens) - 1
+    start = last - lens + 1
+    lo = np.empty_like(bp)
+    lo[1:] = bp[:-1]
+    lo[start] = bp[start]
+    spans = bp - lo
+    if np.count_nonzero(spans > 0) != bp.size - lens.size:
+        raise ValueError("breakpoints must be strictly increasing")
     counts = np.maximum(1, np.ceil(spans / dt_target * (1.0 - 1e-12)).astype(np.int64))
     total = int(counts.sum())
     seg = np.repeat(np.arange(spans.size), counts)
     ends = np.cumsum(counts)
     frac = (np.arange(1, total + 1) - np.repeat(ends - counts, counts)) \
         / np.repeat(counts, counts)
-    vals = bp[seg] + frac * spans[seg]
-    vals[ends - 1] = bp[1:]  # breakpoints survive as nodes bit-exactly
-    nodes = np.concatenate((bp[:1], vals))
-    bidx = np.concatenate(([0], ends)).astype(np.intp)
-    steps = np.diff(nodes)
-    incr = rng.standard_normal((steps.size, dim)) * np.sqrt(steps)[:, None]
-    return BrownianGrid(nodes, steps, incr, bidx, dim)
+    nodes = lo[seg] + frac * spans[seg]
+    bidx = ends - 1
+    nodes[bidx] = bp                           # breakpoints survive as nodes bit-exactly
+    first, stop = bidx[start], bidx[last]      # each row's first and last node
+    steps = np.empty(total)
+    steps[:-1] = nodes[1:] - nodes[:-1]
+    steps[stop] = 0.0
+    z = np.zeros((total, dim))
+    for r, (a, b) in enumerate(zip(first.tolist(), stop.tolist())):
+        draw(r, z[a:b])
+    return nodes, steps, z * np.sqrt(steps)[:, None], bidx
+
+
+def make_grid(breakpoints, dt_target, dim, rng):
+    """Build the grid and draw all its Gaussian increments from rng.
+
+    breakpoints must be strictly increasing; dt_target > 0 fixes the largest
+    step.  Subdivision uses linspace arithmetic so breakpoint floats are
+    preserved exactly as nodes.  A one-row ``_grid_block``.
+    """
+    bp = np.asarray(breakpoints, dtype=float)
+    nodes, steps, incr, bidx = _grid_block(bp, [bp.size], dt_target, dim,
+                                          lambda r, out: rng.standard_normal(out=out))
+    return BrownianGrid(nodes, steps[:-1], incr[:-1], bidx, dim)

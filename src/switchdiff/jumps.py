@@ -38,10 +38,15 @@ def sample_stream(k_max, horizon, seed, traj=0):
         raise ValueError("k_max must be nonnegative")
     if not horizon > 0:
         raise ValueError("horizon must be positive")
+    # an empty stream takes no draws; the POISSON substream is independent of every other one
+    rng = substream(seed, traj, POISSON) if k_max else None
+    return _stream(rng, k_max, horizon)
+
+
+def _stream(rng, k_max, horizon):
+    """The stream sampled from rng, a trajectory's POISSON substream (None when k_max is 0)."""
     if k_max == 0:
-        # no events; the POISSON substream is independent of every other one
         return JumpStream(float(k_max), float(horizon), np.empty(0), np.empty(0))
-    rng = substream(seed, traj, POISSON)
     n = int(rng.poisson(k_max * horizon))
     times = np.sort(rng.uniform(0.0, horizon, n))
     marks = rng.uniform(0.0, k_max, n)

@@ -114,6 +114,21 @@ class TestKeysReachLibrary:
         assert float(row[header.index("worst_y")]) == rep.worst[0][0] == 4.0
 
 
+    def test_exponential_certificate_takes_the_model_horizon(self, tmp_path):
+        # with sim.horizon unset, paths run to the model's horizon, and so
+        # does the exponential certificate
+        text = ("command = certify\nmodel = ou2\nmodel.horizon = 3.0\nseed = 0\n"
+                "cert.kind = exp\ncert.alpha = 0.5\ngrid.regimes = 3\n")
+        margins = []
+        for extra in ("", "sim.horizon = 3.0\n"):
+            cfg = write_config(tmp_path / "c.cfg", text + extra)
+            assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
+            header, row = (ln.split(",") for ln in
+                           (tmp_path / "c_report.csv").read_text().splitlines()[1:])
+            margins.append(float(row[header.index("margin")]))
+        assert margins == [-1.0, -1.0]
+
+
 class TestSimulateCommand:
     CONFIG = ("command = simulate\n"
               "model = ou2\n"

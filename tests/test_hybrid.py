@@ -370,6 +370,15 @@ class TestInputValidation:
             with pytest.raises(ConfigError):
                 simulate(model, [0.0], i0, cfg)
 
+    def test_trajectory_index_out_of_range_rejected(self):
+        # an index outside [0, 2 ** 64) has no Philox key, numpy integers included
+        model, cfg = make_model("ou2"), SimConfig(stop_level=8, seed=1)
+        for traj in (-1, np.int64(-1), 2 ** 64):
+            with pytest.raises(ConfigError):
+                simulate(model, [1.0], 1, cfg, traj=traj)
+        with pytest.raises(ConfigError):
+            run_ensemble(model, [1.0], 1, cfg, 3, traj0=-2)
+
     def test_unknown_record_rejected(self):
         # "node" used to be recorded as "events"
         with pytest.raises(ConfigError):

@@ -9,8 +9,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from switchdiff import (DenseRates, FunctionRates, JumpStream, PowerLawRates, RegimeModel,
-                        SimConfig, _parallel, estimate_tau_tail, feller_probe, hybrid,
-                        make_model, run_ensemble, simulate)
+                        SimConfig, _parallel, estimate_tau_tail, extend_stream, feller_probe,
+                        hybrid, make_grid, make_model, run_ensemble, sample_stream, simulate)
+from switchdiff._rng import BROWNIAN, substream
 from test_hybrid import dense_rates
 
 EYE = np.eye(1)
@@ -295,3 +296,82 @@ class TestMarkScreen:
         assert escalated & set(times) and any(w[4] for w in rows[0])
         # the marks at 0.3 and 0.8 lie outside the row's territory
         assert calls[0] < calls[1]
+
+
+@st.composite
+def setup_cases(draw):
+    """A model, starts, a configuration and maybe a caller-supplied stream.
+
+    Streams are sampled per row, empty (zero rates), or one caller-supplied
+    stream for every row, with or without events at one time.  Some rows
+    start at or above their first level, and some of those above the last.
+    """
+    kind = draw(st.sampled_from(["sampled", "sampled", "sampled", "zero", "caller", "tied"]))
+    dim = draw(st.sampled_from([1, 2]))
+    rates = DenseRates(np.zeros((2, 2))) if kind == "zero" else draw(dense_rates)
+    stop = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2 ** 40))
+    cutoff = {} if kind in ("sampled", "zero") else {"mark_cutoff": 8.0}
+    cfg = SimConfig(stop_level=stop, max_stop_level=stop * draw(st.sampled_from([1, 4])),
+                    dt_target=draw(st.sampled_from([0.05, 0.3, 2.0])), seed=seed, **cutoff)
+    starts = draw(st.lists(st.lists(st.floats(0.0, stop), min_size=dim, max_size=dim),
+                           min_size=N, max_size=N))
+    stream = None
+    if kind in ("caller", "tied"):
+        times = sorted(draw(st.lists(st.floats(0.01, 0.99), max_size=12)))
+        if kind == "tied" and times:
+            times += times[:draw(st.integers(1, len(times)))]
+            times.sort()
+        stream = JumpStream(10.0, 1.0, np.array(times), np.array(
+            draw(st.lists(st.floats(0.0, 9.99), min_size=len(times), max_size=len(times)))))
+    return ou_model(rates, dim, True), starts, cfg, stream
+
+
+class TestBlockSetup:
+    @settings(max_examples=40, deadline=None)
+    @given(case=setup_cases(), block=st.integers(1, N - 1), grid_rows=st.integers(1, 4))
+    def test_block_setup_equals_row_setup(self, case, block, grid_rows):
+        # every row's stream equals sample_stream's, and its first grid and
+        # each grid it redraws equal make_grid's from its own BROWNIAN
+        # substream, continued from one draw to the next
+        model, starts, cfg, stream = case
+        place = hybrid._Walk.place
+        drawn = {}
+
+        def record(walker, row, off, n_nodes, ev_at, marks):
+            table = walker.grids.table[off:off + n_nodes].copy()
+            drawn.setdefault(row.traj, []).append((row.stream, table))
+            return place(walker, row, off, n_nodes, ev_at, marks)
+
+        trajs = list(range(3, 3 + N))
+        with mock.patch.object(hybrid, "BLOCK_ROWS", block), \
+                mock.patch.object(hybrid, "GRID_ROWS", grid_rows), \
+                mock.patch.object(hybrid._Walk, "place", record), \
+                mock.patch.object(hybrid, "_grid_block", wraps=hybrid._grid_block) as gb:
+            rows = list(hybrid.walk(model, starts, 1, cfg, trajs, stream=stream))
+        horizon, levels = model.horizon, hybrid._level_schedule(cfg)
+        for row, x0, traj in zip(rows, starts, trajs):
+            want = stream
+            if want is None:
+                rate = hybrid.auto_truncation(model, levels[0])
+                want = sample_stream(rate, horizon, cfg.seed, traj)
+                for li, (_, cut) in enumerate(row.cutoffs):
+                    want = extend_stream(want, cut, cfg.seed, traj, chunk=li)
+            assert row.stream.k_max == want.k_max
+            assert np.array_equal(row.stream.times, want.times)
+            assert np.array_equal(row.stream.marks, want.marks)
+            brownian = substream(cfg.seed, traj, BROWNIAN)
+            for s, table in drawn.get(traj, []):
+                t0 = table[0, 0]
+                ev = s.times[(s.times > t0) & (s.times < horizon)]
+                bp = np.unique(np.concatenate(([t0], ev, [horizon])))
+                grid = make_grid(bp, cfg.dt_target, model.dim, brownian)
+                assert np.array_equal(table[:, 0], grid.nodes)
+                assert np.array_equal(table[:-1, 1], grid.steps)
+                assert np.array_equal(table[:-1, 2:], grid.increments)
+            # and the row ends where a lone simulate call ends
+            path = simulate(model, x0, 1, cfg, traj=traj, stream=stream, record="events")
+            assert (row.t, row.lam, row.status) == path.terminal[::2] + (path.status,)
+            assert np.array_equal(row.x, path.terminal[1], equal_nan=True)
+        event(f"block passes: {gb.call_count > 0}")
+        event(f"grids redrawn: {any(len(d) > 1 for d in drawn.values())}")
