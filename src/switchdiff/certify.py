@@ -63,10 +63,16 @@ class PowerLawRates(RateMatrix):
     Requires gamma > 2 (summable rows with summable first moments) and
     p >= 1.  Row sums sandwich between C*(j+|x|^p) and 2C*(j+|x|^p) with
     C = zeta(gamma); the growth-weighted series sum_k (k^b - j^b) q_jk is
-    certifiable for 0 < b < gamma - 1.
+    summable for 0 < b < gamma - 1, but the checkers certify it only while
+    its terms fall below SERIES_REL_TOL within SERIES_MAX_TERMS columns:
+    with gamma = 3 that fails from about b = 1.5 on.
 
-    Internal prefix tables grow lazily with the largest regime queried.
+    Internal prefix tables grow lazily with the largest regime queried, and
+    the table of m^-gamma that ``rate_block`` slices with the largest column
+    distance.
     """
+
+    radial = True
 
     def __init__(self, gamma, p):
         if not gamma > 2:
@@ -78,12 +84,23 @@ class PowerLawRates(RateMatrix):
         c_mid, c_half = zeta_partial(self.gamma)
         self.zeta = c_mid
         self._zeta_hi = c_mid + c_half
+        self._inv = np.empty(0)
         self._build_tables(POWERLAW_TABLE)
 
+    def _powers(self, size):
+        """The table inv[m-1] = m^-gamma, grown by doubling to at least size rows."""
+        have = self._inv.size
+        if size > have:
+            # one vectorised power over a contiguous run gives each m the value
+            # any contiguous array of distances gets; numpy's SIMD power may
+            # differ from the scalar pow in ``rate`` in the last place
+            ms = np.arange(have + 1, max(2 * have, size) + 1, dtype=float)
+            self._inv = np.concatenate([self._inv, ms ** (-self.gamma)])
+        return self._inv
+
     def _build_tables(self, size):
-        g = self.gamma
         ms = np.arange(1, size + 1, dtype=float)
-        inv = ms ** (-g)
+        inv = self._powers(size)[:size]
         # _H[a] = sum_{m=1}^{a} m^-gamma, _H[0] = 0
         self._H = np.concatenate([[0.0], np.cumsum(inv)])
         # upper bound on sum_{m>=a} m^-gamma, index a in [1, size]
@@ -106,11 +123,17 @@ class PowerLawRates(RateMatrix):
             return 0.0
         return self._growth(i, x) * abs(j - i) ** (-self.gamma)
 
-    def rate_block(self, i, js, x):
-        js = np.asarray(js, dtype=float)
-        out = np.zeros(js.shape)
-        ok = js != i
-        out[ok] = self._growth(i, x) * np.abs(js[ok] - i) ** (-self.gamma)
+    def rate_block(self, i, lo, hi, x):
+        growth = self._growth(i, x)
+        inv = self._powers(max(i - lo, hi - i - 1))
+        if lo > i:
+            return growth * inv[lo - i - 1:hi - i - 1]
+        out = np.zeros(max(hi - lo, 0))
+        below = min(hi, i)
+        # columns lo <= k < below sit at distance i - k, read backwards
+        out[:below - lo] = growth * inv[i - below:i - lo][::-1]
+        if hi > i + 1:
+            out[i + 1 - lo:] = growth * inv[:hi - i - 1]
         return out
 
     def row_sum(self, i, x):
@@ -179,9 +202,20 @@ class PowerLawRates(RateMatrix):
         return lo, hi
 
 
-def _upward_series(rates, j, x, beta):
+@dataclass
+class _Tally:
+    """Series work of one sweep: series summed, columns read, widest bracket."""
+
+    series: int = 0
+    columns: int = 0
+    max_half_width: float = 0.0
+
+
+def _upward_series(rates, j, x, beta, tally=None):
     """Certified (value, half_width) for sum_{k>j} (k^b - j^b) q_jk(x)."""
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
+    tally = _Tally() if tally is None else tally
+    tally.series += 1
     jb = float(j) ** beta
     partial = 0.0
     n = j + 1
@@ -203,10 +237,13 @@ def _upward_series(rates, j, x, beta):
                     raise
             else:
                 if hi - lo <= 2.0 * rel_tol * scale:
-                    return partial + 0.5 * (lo + hi), 0.5 * (hi - lo)
+                    half = 0.5 * (hi - lo)
+                    tally.max_half_width = max(tally.max_half_width, half)
+                    return partial + 0.5 * (lo + hi), half
         ks = np.arange(n, n + block, dtype=float)
-        w = rates.rate_block(j, ks, x)
+        w = rates.rate_block(j, n, n + block, x)
         partial += float(((ks ** beta - jb) * w).sum())
+        tally.columns += block
         n += block
         examined += block
         block = min(2 * block, 1 << 16)
@@ -215,19 +252,21 @@ def _upward_series(rates, j, x, beta):
         definitive=False)
 
 
-def _downward_series(rates, j, x, beta):
+def _downward_series(rates, j, x, beta, tally=None):
     """Exact sum_{k<j} (k^b - j^b) q_jk(x) (finitely many terms, all <= 0)."""
     if j <= 1:
         return 0.0
+    tally = _Tally() if tally is None else tally
+    tally.columns += j - 1
     ks = np.arange(1, j, dtype=float)
-    w = rates.rate_block(j, ks, x)
+    w = rates.rate_block(j, 1, j, x)
     return float(((ks ** beta - float(j) ** beta) * w).sum())
 
 
-def signed_beta_series(rates, j, x, beta):
+def signed_beta_series(rates, j, x, beta, tally=None):
     """Certified (value, half_width) for sum_{k != j} (k^b - j^b) q_jk(x)."""
-    up, half = _upward_series(rates, j, x, beta)
-    return _downward_series(rates, j, x, beta) + up, half
+    up, half = _upward_series(rates, j, x, beta, tally)
+    return _downward_series(rates, j, x, beta, tally) + up, half
 
 
 @dataclass(frozen=True)
@@ -323,8 +362,9 @@ def check_local_bounded_beta_sum(model, beta, grid):
 
     vals = np.full((pts.shape[0], grid.regimes), np.nan)
     failed = []
-    for a, _, j, value in _series_nodes(pts, grid.regimes, series, failed):
-        vals[a, j - 1] = value
+    for a, _, j, value in _series_nodes(pts, grid.regimes, model.rates, series, failed):
+        if value is not None:
+            vals[a, j - 1] = value
     finite = vals[np.isfinite(vals)]
     sup = float(finite.max()) if finite.size else float("nan")
     flat = np.where(np.isfinite(vals), vals, -np.inf)
@@ -337,7 +377,10 @@ class CertificateReport:
     """Outcome of a grid certificate check.
 
     Grid certification is evidence on the sampled nodes only, not a proof
-    over the whole state space.
+    over the whole state space.  ``series``, ``columns`` and
+    ``max_half_width`` record the work behind it: the growth-weighted series
+    summed (once per (radius, regime) for radial rates), the rate columns
+    they read, and the widest certified bracket half-width.
     """
 
     kind: str
@@ -348,6 +391,9 @@ class CertificateReport:
     tails_certified: bool
     sigma_integral: float
     nodes: int
+    series: int = 0
+    columns: int = 0
+    max_half_width: float = 0.0
 
     def summary(self):
         where = f"y={np.array2string(np.asarray(self.worst[0]), precision=3)}, " \
@@ -360,49 +406,59 @@ class CertificateReport:
                 f"{len(self.violations)} violating nodes)")
 
 
-def _series_nodes(pts, regimes, series, failed):
+def _series_nodes(pts, regimes, rates, series, failed):
     """Yield (a, y, j, series(y, j)) over grid points and regimes 1..regimes.
 
     A (y, j) whose series cannot be certified within budget is appended to
-    ``failed`` as (a, j) and skipped; a definitive failure propagates.
+    ``failed`` as (a, j) and yields the value None; a definitive failure
+    propagates.  For radial rates the series of (y, j) is computed once per
+    (radius(y), j) and shared by every point of that radius, a failure too.
     """
+    memo = {}
     for a, y in enumerate(pts):
+        if not rates.radial:
+            memo.clear()
+        r = radius(y)
         for j in range(1, regimes + 1):
-            try:
-                value = series(y, j)
-            except TailUnresolvable as exc:
-                if exc.definitive:
-                    raise
+            if (r, j) not in memo:
+                try:
+                    memo[r, j] = series(y, j)
+                except TailUnresolvable as exc:
+                    if exc.definitive:
+                        raise
+                    memo[r, j] = None
+            value = memo[r, j]
+            if value is None:
                 failed.append((a, j))
-                continue
             yield a, y, j, value
 
 
 def _sweep(kind, model, grid, series, margin):
     """One pass over the grid nodes (y, j, t) into a CertificateReport.
 
-    |sigma(y, j, t)|_HS^2 is evaluated once per node, before series(y, j),
-    so its per-time supremum also covers (y, j) whose series failed.
-    margin(y, j, t, series, hs2) is the right side minus the left side.
+    series(y, j, tally) counts its work into the tally.  |sigma(y, j, t)|_HS^2
+    is evaluated once per node, so its per-time supremum also covers (y, j)
+    whose series failed.  margin(y, j, t, series, hs2) is the right side
+    minus the left side.
     """
     pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
     times = grid.times
     sup = [0.0] * len(times)
-
-    def series_and_hs2(y, j):
+    tally = _Tally()
+    margin_min = np.inf
+    worst = (pts[0], 1, times[0])
+    violations = []
+    failed = []
+    for _, y, j, value in _series_nodes(pts, grid.regimes, model.rates,
+                                        lambda y, j: series(y, j, tally), failed):
         hs2 = []
         for ti, t in enumerate(times):
             s = np.asarray(model.dispersion(y, j, t), dtype=float)
             hs2.append(float((s * s).sum()))
             # max() keeps the running value over a NaN; np.maximum would not
             sup[ti] = max(sup[ti], hs2[-1])
-        return series(y, j), hs2
-
-    margin_min = np.inf
-    worst = (pts[0], 1, times[0])
-    violations = []
-    failed = []
-    for _, y, j, (value, hs2) in _series_nodes(pts, grid.regimes, series_and_hs2, failed):
+        if value is None:
+            continue
         for t, h in zip(times, hs2):
             m = margin(y, j, t, value, h)
             if m < margin_min:
@@ -415,7 +471,8 @@ def _sweep(kind, model, grid, series, margin):
     sigma_integral = float(np.trapezoid(sup, times))
     certified = (margin_min >= 0 and not failed and np.isfinite(sigma_integral))
     return CertificateReport(kind, certified, float(margin_min), worst, violations[:5],
-                             not failed, sigma_integral, nodes)
+                             not failed, sigma_integral, nodes, tally.series,
+                             tally.columns, tally.max_half_width)
 
 
 def check_condition_poly(model, cert, grid):
@@ -426,8 +483,8 @@ def check_condition_poly(model, cert, grid):
     """
     p, beta = cert.p, cert.beta
 
-    def series(y, j):
-        val, half = signed_beta_series(model.rates, j, y, beta)
+    def series(y, j, tally):
+        val, half = signed_beta_series(model.rates, j, y, beta, tally)
         return val + half  # sound upper end
 
     def margin(y, j, t, series_hi, hs2):
@@ -451,9 +508,9 @@ def check_condition_exp(model, cert, grid):
     alpha, c, beta, horizon = cert.alpha, cert.c, cert.beta, cert.horizon
     discount = math.exp(-alpha * c * horizon)
 
-    def series(y, j):
-        up, half = _upward_series(model.rates, j, y, beta)
-        return (_downward_series(model.rates, j, y, beta), up + half)
+    def series(y, j, tally):
+        up, half = _upward_series(model.rates, j, y, beta, tally)
+        return (_downward_series(model.rates, j, y, beta, tally), up + half)
 
     def margin(y, j, t, series, hs2):
         down, up_hi = series

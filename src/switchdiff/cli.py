@@ -243,12 +243,15 @@ def _cmd_certify(cfg, model, *_):
         report = check_condition_poly(model, cert, grid)
     else:
         report = check_condition_exp(model, cert, grid)
+    # the series work goes to _meta.txt only, so _report.csv holds the verdict alone
+    meta = [report.summary(), f"series = {report.series}", f"columns = {report.columns}",
+            f"max_half_width = {report.max_half_width!r}"]
     return {"report": (["kind", "certified", "margin", "worst_y", "worst_j", "worst_t",
                         "tails_certified", "sigma_integral", "nodes"],
                        [[report.kind, report.certified, report.margin,
                          "|".join(repr(float(v)) for v in np.atleast_1d(report.worst[0])),
                          report.worst[1], report.worst[2], report.tails_certified,
-                         report.sigma_integral, report.nodes]])}, [report.summary()]
+                         report.sigma_integral, report.nodes]])}, meta
 
 
 def _cmd_moments(cfg, model, sim, x0, i0, threads, _):

@@ -52,22 +52,37 @@ class RateMatrix:
     last bit.  ``None`` (the default) means no screen: every mark below the
     cutoff is classified.  A subclass that overrides ``anchor`` or
     ``row_sum`` without giving its own ``territory_batch`` gets ``None``.
+
+    ``radial = True`` declares that ``rate``, ``rate_block``, ``row_tail``
+    and ``beta_tail`` depend on x only through ``radius(x)``; the
+    certificate checkers then sum each growth-weighted series once per
+    (radius, regime) and share it between grid points of equal radius.  A
+    subclass that overrides any of those four methods without setting
+    ``radial`` itself gets ``False``.
     """
 
     territory_batch = None
+    radial = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # an inherited screen is only valid for the layout it was written for
         if "territory_batch" not in vars(cls) and {"anchor", "row_sum"} & vars(cls).keys():
             cls.territory_batch = None
+        # and an inherited radial claim only for the rates it was made for
+        if "radial" not in vars(cls) and \
+                {"rate", "rate_block", "row_tail", "beta_tail"} & vars(cls).keys():
+            cls.radial = False
 
     def rate(self, i, j, x):
         raise NotImplementedError
 
-    def rate_block(self, i, js, x):
-        """Vector of rate(i, j, x) over an integer array js (default loop)."""
-        return np.array([self.rate(i, int(j), x) for j in js], dtype=float)
+    def rate_block(self, i, lo, hi, x):
+        """Array of rate(i, k, x) over the columns lo <= k < hi, lo >= 1.
+
+        The diagonal column k = i is 0.  The default loops over ``rate``.
+        """
+        return np.array([self.rate(i, k, x) for k in range(lo, hi)], dtype=float)
 
     def row_sum(self, i, x):
         raise NotImplementedError
@@ -106,6 +121,8 @@ class DenseRates(RateMatrix):
     entries must be nonnegative.
     """
 
+    radial = True
+
     def __init__(self, q):
         q = np.array(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -127,12 +144,12 @@ class DenseRates(RateMatrix):
             return 0.0
         return float(self.q[i - 1, j - 1])
 
-    def rate_block(self, i, js, x):
-        js = np.asarray(js, dtype=int)
-        out = np.zeros(js.shape, dtype=float)
-        if i <= self.size:
-            ok = (js >= 1) & (js <= self.size) & (js != i)
-            out[ok] = self.q[i - 1, js[ok] - 1]
+    def rate_block(self, i, lo, hi, x):
+        # q's diagonal is 0, and no rate leads to or from a regime past size
+        out = np.zeros(max(hi - lo, 0))
+        stop = min(hi, self.size + 1)
+        if i <= self.size and lo < stop:
+            out[:stop - lo] = self.q[i - 1, lo - 1:stop - 1]
         return out
 
     def row_sum(self, i, x):
@@ -159,7 +176,7 @@ class DenseRates(RateMatrix):
         if n > self.size:
             return (0.0, 0.0)
         ks = np.arange(max(n, 1), self.size + 1)
-        w = self.rate_block(i, ks, x)
+        w = self.rate_block(i, max(n, 1), self.size + 1, x)
         v = float(((ks.astype(float) ** beta - float(i) ** beta) * w).sum())
         return (v, v)
 

@@ -1,5 +1,6 @@
 """Certificate checkers, series brackets and the power-law rate family."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
-from switchdiff import (ConfigError, DenseRates, ExponentialCertificate,
+from switchdiff import (ConfigError, DenseRates, ExponentialCertificate, FunctionRates,
                         PolynomialCertificate, RateMatrix, RegimeModel, TailUnresolvable,
                         check_condition_exp, check_condition_poly,
                         check_local_bounded_beta_sum, default_grid,
@@ -230,8 +231,9 @@ class EndlessRow2(RateMatrix):
 
 class TestSweep:
     def test_one_dispersion_call_per_node(self):
-        # the sweep evaluates sigma once per node and the series once per
-        # certified (y, j), through the module-level signed_beta_series
+        # the sweep evaluates sigma once per node and, for radial rates, the
+        # series once per (radius, j), through the module-level
+        # signed_beta_series: 9 points on 5 radii
         base = make_model("powerlaw")
         calls = []
 
@@ -246,10 +248,26 @@ class TestSweep:
             rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
         assert rep.tails_certified
         assert len(calls) == rep.nodes == 9 * 4 * 3
-        assert spy.call_count == 9 * 4
+        assert spy.call_count == rep.series == 5 * 4
         calls.clear()
-        check_condition_exp(m, ExponentialCertificate(0.5, 1.0, 1.0, 1.0), grid)
+        rep = check_condition_exp(m, ExponentialCertificate(0.5, 1.0, 1.0, 1.0), grid)
         assert len(calls) == 9 * 4 * 3
+        assert rep.series == 5 * 4
+
+    def test_one_series_per_node_for_non_radial_rates(self):
+        # these rates tell y from -y, so nothing is shared
+        def q(y):
+            return np.full((4, 4), 1.0 + max(float(y[0]), 0.0))
+
+        rates = FunctionRates(4, q, 100.0)
+        m = model_of(lambda x, i, t: -x, lambda x, i, t: np.eye(1), rates)
+        grid = default_grid(radius=4.0, n_radii=5, regimes=4)
+        with mock.patch("switchdiff.certify.signed_beta_series",
+                        wraps=signed_beta_series) as spy:
+            rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
+        assert rep.tails_certified
+        assert spy.call_count == rep.series == 9 * 4
+        assert rep.nodes == 9 * 4 * 3
 
     def test_sigma_integral_covers_failed_series(self):
         # regime 2's series fails within budget; its dispersion still sets
@@ -344,7 +362,7 @@ class TestTailSoundness:
         with mock.patch("switchdiff.certify.SERIES_REL_TOL", 1e-6):
             mid, half = signed_beta_series(rates, j, x, beta)
         ks = np.arange(1, 2_000_000, dtype=float)
-        w = rates.rate_block(j, ks, x)
+        w = rates.rate_block(j, 1, 2_000_000, x)
         brute = float(((ks ** beta - float(j) ** beta) * w).sum())
         # brute is below the true value (positive remainder): check one side
         assert brute <= mid + half
@@ -352,3 +370,73 @@ class TestTailSoundness:
         a = 2_000_000 - j
         resid = (j + 0.8) * 2.0 * a ** (beta - 1.6) / 0.6
         assert mid - half <= brute + resid
+
+
+def report_fields(rep, skip=("series", "columns")):
+    """Every field of a report as exact reprs (NaN-safe), less the work counts."""
+    def exact(v):
+        if isinstance(v, np.ndarray):
+            return exact(v.tolist())
+        if isinstance(v, (list, tuple)):
+            return type(v)(exact(e) for e in v)
+        return repr(v)
+    return {f.name: exact(getattr(rep, f.name)) for f in dataclasses.fields(rep)
+            if f.name not in skip}
+
+
+class NonRadialPowerLaw(PowerLawRates):
+    radial = False
+
+
+class RadialEndlessRow2(EndlessRow2):
+    radial = True
+
+
+class TestRadialSharing:
+    """Sharing series between points of one radius changes no reported field."""
+
+    CHECKS = [
+        ("poly", lambda m, g: check_condition_poly(m, PolynomialCertificate(1.0, 0.8, 3.0), g)),
+        ("exp", lambda m, g: check_condition_exp(
+            m, ExponentialCertificate(0.5, 1.0, 0.8, 1.0), g)),
+        ("beta-sum", lambda m, g: check_local_bounded_beta_sum(m, 0.8, g)),
+    ]
+
+    @pytest.mark.parametrize("name,check", CHECKS, ids=[c[0] for c in CHECKS])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_powerlaw_reports_equal_unshared(self, name, check, dim):
+        # an outward drift puts the violations away from the origin, where
+        # y and -y tie
+        def drift(x, i, t):
+            return 2.0 * x
+
+        def dispersion(x, i, t):
+            return np.eye(dim)
+
+        grid = default_grid(dim, radius=6.5, n_radii=4, regimes=6)
+        shared = check(model_of(drift, dispersion, PowerLawRates(3.5, 1.5), dim), grid)
+        plain = check(model_of(drift, dispersion, NonRadialPowerLaw(3.5, 1.5), dim), grid)
+        assert report_fields(shared) == report_fields(plain)
+        if name != "beta-sum":
+            assert len(shared.violations) == 5
+            assert radius(shared.worst[0]) > 0
+            # 1 + 2 * dim * 3 points on 4 radii
+            assert (shared.series, plain.series) == (4 * 6, (1 + 6 * dim) * 6)
+            assert shared.columns < plain.columns
+
+    @pytest.mark.parametrize("name,check", CHECKS, ids=[c[0] for c in CHECKS])
+    def test_budget_failures_equal_unshared(self, name, check):
+        # row 2's series fails on every point; a shared failure is still
+        # listed once per point
+        m = model_of(lambda x, i, t: -x, lambda x, i, t: np.eye(1), EndlessRow2())
+        grid = GridSpec(np.linspace(-2.0, 2.0, 5)[:, None], regimes=3, times=(0.0, 1.0))
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", 1000):
+            plain = check(m, grid)
+            shared = check(model_of(m.drift, m.dispersion, RadialEndlessRow2()), grid)
+        assert not shared.tails_certified
+        assert report_fields(shared) == report_fields(plain)
+        if name == "beta-sum":
+            assert shared.failed_nodes == [(a, 2) for a in range(5)]
+        else:
+            assert shared.nodes == 5 * 2 * 2
+            assert (shared.series, plain.series) == (3 * 3, 5 * 3)

@@ -1,5 +1,7 @@
 """End-to-end command-line runs in temporary directories."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,45 @@ class TestKeysReachLibrary:
                            (tmp_path / "c_report.csv").read_text().splitlines()[1:])
             margins.append(float(row[header.index("margin")]))
         assert margins == [-1.0, -1.0]
+
+
+CERTIFY_POWERLAW = ("command = certify\nmodel = powerlaw\nseed = 0\n"
+                    "grid.n_radii = 5\ngrid.regimes = 4\n")
+
+
+class TestCertifyOutput:
+    # _report.csv bytes of these runs as a sweep that sums every point's
+    # series column by column writes them; reading rates from the m^-gamma
+    # table and sharing series by radius must not move a bit
+    GOLDEN = {
+        "poly": ("cert.kind = poly\ncert.p = 1.0\ncert.beta = 1.0\ncert.growth = 3.0\n",
+                 "b9ad107a62f6ebe1d45514c9c6aafb76f3eadd6af9aeb005c60ffc853224bd82"),
+        "exp": ("cert.kind = exp\ncert.alpha = 0.5\ncert.c = 1.0\ncert.beta = 1.0\n",
+                "3ed45ec85006a218b568577e228248b7bedd04fede1e3da8f1b0c94f10ee395b"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_report_bytes_unchanged(self, tmp_path, kind):
+        cert, digest = self.GOLDEN[kind]
+        cfg = write_config(tmp_path / "c.cfg", CERTIFY_POWERLAW + cert)
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
+        data = (tmp_path / "c_report.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_series_work_goes_to_meta_only(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", CERTIFY_POWERLAW + self.GOLDEN["poly"][0])
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
+        rep = check_condition_poly(make_model("powerlaw"), PolynomialCertificate(1.0, 1.0, 3.0),
+                                   default_grid(1, n_radii=5, regimes=4))
+        # one series per (radius, regime), each bracket within the series tolerance
+        assert rep.series == 5 * 4
+        assert rep.columns > 5 * 4 * 512
+        assert 0.0 < rep.max_half_width < 1e-8
+        meta = (tmp_path / "c_meta.txt").read_text().splitlines()
+        assert meta[-3:] == [f"series = {rep.series}", f"columns = {rep.columns}",
+                             f"max_half_width = {rep.max_half_width!r}"]
+        report = (tmp_path / "c_report.csv").read_text()
+        assert "series" not in report and "columns" not in report
 
 
 class TestSimulateCommand:

@@ -362,3 +362,90 @@ class TestTerritoryBatch:
         # the territory depends on anchor and row_sum only
         assert Relabelled(Q3).territory_batch is not None
         assert FunctionRates(2, lambda x: np.ones((2, 2)), 2.0).territory_batch is None
+
+
+def column_run(i, reach):
+    """Columns [lo, hi) around row i: below it, across it or above it."""
+    below = st.integers(1, max(i - 1, 1)).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, i)))
+    across = st.tuples(st.integers(max(i - reach, 1), i), st.integers(i + 1, i + reach))
+    above = st.integers(i + 1, i + reach).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + reach)))
+    return st.one_of(below, across, above)
+
+
+def small_rates():
+    dense = st.integers(1, 5).flatmap(lambda m: st.lists(
+        st.lists(st.floats(0.0, 5.0), min_size=m, max_size=m),
+        min_size=m, max_size=m)).map(DenseRates)
+
+    def function(m, a, b):
+        cols = np.arange(m, dtype=float)
+        return FunctionRates(m, lambda y: np.add.outer(cols, a + b * (float(y[0]) + 5.0) * cols),
+                             100.0)
+
+    return st.one_of(dense, st.builds(function, st.integers(1, 5),
+                                      st.floats(0.5, 3.0), st.floats(0.0, 0.2)))
+
+
+class TestRateBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(rates=small_rates(), x=st.floats(-5.0, 5.0), data=st.data())
+    def test_finite_rates_equal_rate_loop(self, rates, x, data):
+        # DenseRates slices q, FunctionRates takes the base loop; columns and
+        # rows past the matrix are 0
+        i = data.draw(st.integers(1, rates.size + 2))
+        lo, hi = data.draw(column_run(i, rates.size + 3))
+        xs = np.array([x])
+        got = rates.rate_block(i, lo, hi, xs)
+        want = np.array([rates.rate(i, k, xs) for k in range(lo, hi)], dtype=float)
+        assert got.shape == (hi - lo,)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(2.0, 5.0, exclude_min=True), p=st.floats(1.0, 3.0),
+           dim=st.sampled_from([1, 2]), r=st.floats(0.0, 10.0),
+           i=st.one_of(st.integers(1, 40), st.integers(4000, 6000)), data=st.data())
+    def test_powerlaw_slices_equal_vectorised_powers(self, gamma, p, dim, r, i, data):
+        # runs reach past the initial 4096-row table, so it grows under them
+        lo, hi = data.draw(column_run(i, 9000))
+        rates = PowerLawRates(gamma, p)
+        x = np.full(dim, r / np.sqrt(dim))
+        got = rates.rate_block(i, lo, hi, x)
+        # the vectorised power every earlier block took, contiguous as here
+        ks = np.arange(lo, hi, dtype=float)
+        want = np.zeros(ks.size)
+        off = ks != i
+        want[off] = rates._growth(i, x) * np.abs(ks[off] - i) ** (-gamma)
+        assert np.array_equal(got, want)
+        # the table grows by doubling; a slice read after a later growth is the same
+        rates.rate_block(1, 2, 3 * hi + 20_000, x)
+        assert np.array_equal(rates.rate_block(i, lo, hi, x), want)
+        # numpy's SIMD power and the scalar libm pow behind `rate` may round
+        # differently in the last place
+        scalar = np.array([rates.rate(i, k, x) for k in range(lo, hi)], dtype=float)
+        np.testing.assert_array_max_ulp(got, scalar, maxulp=2)
+
+    def test_radial_claim_is_dropped_by_overrides(self):
+        class Scaled(PowerLawRates):
+            def rate(self, i, j, x):
+                return 2.0 * super().rate(i, j, x)
+
+        class Cut(DenseRates):
+            def row_tail(self, i, x, n):
+                return super().row_tail(i, x, n)
+
+        class Declared(Scaled):
+            radial = True
+
+        class Relaid(PowerLawRates):
+            def anchor(self, i, x):
+                return super().anchor(i, x) + 1.0
+
+        assert PowerLawRates(3.0, 1.0).radial and DenseRates(Q3).radial
+        assert not FunctionRates(2, lambda x: np.ones((2, 2)), 2.0).radial
+        assert not Scaled(3.0, 1.0).radial
+        assert not Cut(Q3).radial
+        assert Declared(3.0, 1.0).radial
+        # the series never read the mark layout
+        assert Relaid(3.0, 1.0).radial
