@@ -1,10 +1,9 @@
-"""Fork-based trajectory fan-out with index-stable merging.
+"""Fork-based trajectory fan-out on lockstep-block boundaries.
 
-Workers receive index ranges only, and the work closure runs a whole range
-at once (the solver steps a block of trajectories together); the closure is
-inherited through fork, so models built from arbitrary callables need no
-pickling.  Results are reassembled in trajectory order, which makes every
-downstream estimate independent of worker count and scheduling.
+Workers get index ranges that start on block boundaries, so each steps the
+lockstep blocks a serial run steps; the closure is inherited through fork,
+so models built from arbitrary callables need no pickling.  Results are
+joined in trajectory order, so no estimate depends on worker count.
 """
 
 import multiprocessing as mp
@@ -17,23 +16,24 @@ def _chunk_worker(bounds):
     return _PAYLOAD(*bounds)
 
 
-def map_indices(fn, n, threads=1):
-    """Evaluate fn(lo, hi) over blocks covering range(n), optionally in forked workers.
+def map_indices(fn, n, threads=1, block=1):
+    """Evaluate fn(lo, hi) over ranges covering range(n), in forked workers when it pays.
 
     fn returns a list with one picklable record (tuples of plain
     floats/ints) per index in [lo, hi); the lists are joined in index
-    order.  The worker count is capped at the number of CPUs.  Serially, or
-    when fork is unavailable or n is small, fn sees the single block
-    (0, n).
+    order.  Workers are capped at the CPU count and at n // (2 * block), so
+    each gets two blocks of ``block`` indices; with one, or without fork, fn
+    sees (0, n).  Otherwise up to four ranges per worker, of whole blocks
+    spread as evenly as they go, start at multiples of ``block``.
     """
-    if threads is None:
-        threads = 1
-    threads = max(1, min(int(threads), os.cpu_count() or 1))
-    if threads == 1 or n < 4 * threads or "fork" not in mp.get_all_start_methods():
+    threads = max(1, min(int(threads or 1), os.cpu_count() or 1, n // (2 * block)))
+    if threads == 1 or "fork" not in mp.get_all_start_methods():
         return list(fn(0, n))
     global _PAYLOAD
-    chunk = max(1, -(-n // (threads * 4)))
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    blocks = -(-n // block)
+    pieces = min(4 * threads, blocks)
+    cuts = [block * (k * blocks // pieces) for k in range(pieces)] + [n]
+    bounds = list(zip(cuts, cuts[1:]))
     ctx = mp.get_context("fork")
     _PAYLOAD = fn
     try:

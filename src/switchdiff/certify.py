@@ -529,12 +529,16 @@ def check_condition_exp(model, cert, grid):
 
 
 def _simpson(fn, a, b, intervals=1000):
+    """Composite Simpson integral of fn over [a, b]; a non-callable fn is a constant."""
     if b <= a:
         return 0.0
     if intervals % 2:
         intervals += 1
     xs = np.linspace(a, b, intervals + 1)
-    ys = np.array([fn(float(x)) for x in xs])
+    if callable(fn):
+        ys = np.array([float(fn(float(x))) for x in xs])
+    else:
+        ys = np.full(xs.shape, float(fn))
     h = (b - a) / intervals
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
@@ -545,7 +549,7 @@ def gronwall_bound_poly(cert, x0, i0, t):
     The growth integral is composite Simpson over 10^3 nodes.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    integral = _simpson(cert.growth_at, 0.0, float(t))
+    integral = _simpson(cert.growth, 0.0, float(t))
     f0 = (1.0 + float(x0 @ x0)) ** cert.p + cert.p * float(i0) ** cert.beta
     return math.exp(integral) * f0
 

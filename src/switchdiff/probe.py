@@ -19,6 +19,7 @@ from typing import Dict, List
 import numpy as np
 from scipy.linalg import expm
 
+from . import hybrid
 from ._parallel import map_indices
 from ._rng import AUX, substream
 from .certify import gronwall_bound_poly, tau_tail_bound_poly
@@ -69,7 +70,8 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     x0 may also hold several starts as an (m, dim) array; every array then
     gains a leading start axis, and traj0 is one first trajectory index for
     all starts or a sequence with one per start.  All m * n trajectories are
-    walked by ``hybrid.walk`` in lockstep blocks, over one worker pool.
+    walked by ``hybrid.walk`` in lockstep blocks, over at most one worker
+    pool, which starts only when every worker gets two blocks.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
@@ -98,7 +100,7 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
             model, [starts[r // n] for r in rows], i0, cfg,
             [first[r // n] + r % n for r in rows], levels=levels)]
 
-    cols = list(zip(*map_indices(block, m * n, threads))) or [()] * 9
+    cols = list(zip(*map_indices(block, m * n, threads, hybrid.BLOCK_ROWS))) or [()] * 9
     lead = (m, n) if several else (n,)
     return {
         "t_end": np.array(cols[0], dtype=float).reshape(lead),

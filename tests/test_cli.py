@@ -5,8 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from switchdiff import (PolynomialCertificate, SimConfig, auto_truncation,
-                        check_condition_poly, ctmc_oracle, default_grid, make_model,
+from switchdiff import (PolynomialCertificate, SimConfig, _parallel, auto_truncation,
+                        check_condition_poly, ctmc_oracle, default_grid, hybrid, make_model,
                         simulate)
 from switchdiff.cli import main
 
@@ -284,7 +284,9 @@ class TestEnsembleCommand:
               "sim.dt_target = 1.0\n"
               "seed = 7\n")
 
-    def test_worker_count_invariance(self, tmp_path):
+    def test_worker_count_invariance(self, tmp_path, monkeypatch):
+        # blocks of 8 rows, so that 64 trajectories start 2 workers
+        monkeypatch.setattr(hybrid, "BLOCK_ROWS", 8)
         cfg = write_config(tmp_path / "c.cfg", self.CONFIG)
         reports = []
         for threads in ("1", "2"):
@@ -293,6 +295,46 @@ class TestEnsembleCommand:
                            "--threads", threads) == 0
             reports.append((tmp_path / f"t{threads}_report.csv").read_bytes())
         assert reports[0] == reports[1]
+
+
+class TestOracleWorkers:
+    # the shape of the ctmc_oracle benchmark chunk: 300 trajectories at each of three times
+    CONFIG = ("command = oracle\nmodel = ctmcN\nmodel.n_regimes = 5\nmodel.scale = 1.0\n"
+              "model.horizon = 2.0\ni0 = 2\ntimes = 0.5,1.0,2.0\nj_trunc = 5\nn = 300\n"
+              "sim.dt_target = 2.0\nseed = 921\n")
+
+    def report(self, tmp_path, monkeypatch, threads):
+        sizes = []
+        get_context = _parallel.mp.get_context
+
+        class CountingContext:
+            def __init__(self, method):
+                self.ctx = get_context(method)
+
+            def Pool(self, size):
+                sizes.append(size)
+                return self.ctx.Pool(size)
+
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(_parallel.mp, "get_context", CountingContext)
+        cfg = write_config(tmp_path / "c.cfg", self.CONFIG)
+        prefix = str(tmp_path / f"t{threads}")
+        assert run_cli("--config", cfg, "--out", prefix, "--threads", str(threads)) == 0
+        return (tmp_path / f"t{threads}_report.csv").read_bytes(), sizes
+
+    def test_small_ensembles_run_serially(self, tmp_path, monkeypatch):
+        # 300 rows are fewer than two blocks of BLOCK_ROWS for each of 2 workers
+        serial, _ = self.report(tmp_path, monkeypatch, 1)
+        two, sizes = self.report(tmp_path, monkeypatch, 2)
+        assert sizes == []
+        assert two == serial
+
+    def test_forked_report_equals_serial(self, tmp_path, monkeypatch):
+        serial, _ = self.report(tmp_path, monkeypatch, 1)
+        monkeypatch.setattr(hybrid, "BLOCK_ROWS", 8)
+        two, sizes = self.report(tmp_path, monkeypatch, 2)
+        assert sizes == [2, 2, 2]
+        assert two == serial
 
 
 class TestProbeCommands:

@@ -114,8 +114,10 @@ class TestLockstep:
     @given(case=cases())
     def test_forked_records_equal_serial(self, case):
         model, x0, cfg = case
-        assert_records_equal(run_ensemble(model, x0, 1, cfg, N, threads=1),
-                             run_ensemble(model, x0, 1, cfg, N, threads=2))
+        serial = run_ensemble(model, x0, 1, cfg, N, threads=1)
+        # blocks of 2 rows give each of 2 workers two whole blocks, so the pool starts
+        with mock.patch.object(hybrid, "BLOCK_ROWS", 2):
+            assert_records_equal(serial, run_ensemble(model, x0, 1, cfg, N, threads=2))
 
     def test_batch_forms_match_rows(self):
         # a built-in model and a copy without batch forms give the same records
@@ -168,6 +170,8 @@ class TestOnePool:
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(_parallel.mp, "get_all_start_methods", lambda: ["fork"])
         monkeypatch.setattr(_parallel.mp, "get_context", lambda method: FakeContext)
+        # small blocks, so that these small ensembles still start 2 workers
+        monkeypatch.setattr(hybrid, "BLOCK_ROWS", 2)
         return pools
 
     def test_tau_tail_and_feller_build_one_pool_each(self, monkeypatch):

@@ -1,5 +1,7 @@
 """Monte Carlo probes against closed-form and frozen-dynamics oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeMo
                         SimConfig, TruncationLeak, ctmc_oracle, estimate_moment,
                         estimate_tau_tail, feller_probe, make_model,
                         run_ensemble)
-from switchdiff import _parallel
+from switchdiff import _parallel, hybrid
 from test_hybrid import dense_rates, ou_with_rates
 
 
@@ -173,11 +175,12 @@ class TestRunEnsemble:
     @settings(max_examples=4, deadline=None)
     @given(rates=dense_rates, seed=st.integers(0, 2 ** 16))
     def test_records_independent_of_threads(self, rates, seed):
-        # n = 8 is the smallest ensemble that forks a pool of 2 workers
+        # with blocks of 2 rows, n = 8 is the smallest ensemble that forks 2 workers
         model = ou_with_rates(rates)
         cfg = SimConfig(stop_level=4, max_stop_level=16, seed=seed)
         serial = run_ensemble(model, [1.0], 1, cfg, 8, threads=1)
-        forked = run_ensemble(model, [1.0], 1, cfg, 8, threads=2)
+        with mock.patch.object(hybrid, "BLOCK_ROWS", 2):
+            forked = run_ensemble(model, [1.0], 1, cfg, 8, threads=2)
         assert serial.keys() == forked.keys()
         for key, arr in serial.items():
             assert np.array_equal(arr, forked[key],
@@ -238,3 +241,50 @@ class TestWorkerCap:
                                     threads=64)
         assert out == [k * k for k in range(100)]
         assert sizes == [3]
+
+
+class TestSplitRule:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4000), block=st.integers(1, 300), threads=st.integers(1, 12),
+           cpus=st.integers(1, 8))
+    def test_ranges_start_on_blocks_and_give_every_worker_two(self, n, block, threads, cpus):
+        sizes, ranges = [], []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                ranges.extend(items)
+                return [fn(item) for item in items]
+
+        class FakeContext:
+            Pool = FakePool
+
+        def fn(lo, hi):
+            return [k * k for k in range(lo, hi)]
+
+        with mock.patch.object(_parallel.os, "cpu_count", lambda: cpus), \
+                mock.patch.object(_parallel.mp, "get_all_start_methods", lambda: ["fork"]), \
+                mock.patch.object(_parallel.mp, "get_context", lambda method: FakeContext):
+            out = _parallel.map_indices(fn, n, threads, block)
+        assert out == fn(0, n)
+        workers = min(threads, cpus, n // (2 * block))
+        if workers < 2:
+            # serial below two whole blocks per worker, in particular when n < 4 * block
+            assert sizes == [] and ranges == []
+            return
+        assert sizes == [workers] and n >= 2 * workers * block
+        assert len(ranges) <= 4 * workers <= 4 * threads
+        # whole blocks spread evenly: lengths differ by less than two blocks
+        spans = [hi - lo for lo, hi in ranges]
+        assert max(spans) - min(spans) < 2 * block
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        for (lo, hi), (nxt, _) in zip(ranges, ranges[1:] + [(n, None)]):
+            assert lo % block == 0 and lo < hi == nxt
