@@ -28,14 +28,18 @@ batch coefficients when it has them and the per-row ``drift`` and
 ``dispersion`` otherwise.  ``simulate`` is a batch of one.
 
 A block starts in one pass (``_Walk.begin``).  ``philox_keys`` derives the
-Philox keys of every row's POISSON and BROWNIAN substreams at once, and one
-``KeyedGenerator`` per walk draws each row's stream and increments with the
-row's key swapped in; a row keeps its BROWNIAN state between grid draws.
-The first grids of the rows that start below their level, with no two
-events at one time, are built ``GRID_ROWS`` rows at a time by one
-``_grid_block`` pass.  Each piece equals the per-row ``substream``,
-``sample_stream`` and ``make_grid`` bit for bit, so no random number
-depends on the block.  Level cutoffs are resolved once per walk.
+Philox keys of the POISSON and BROWNIAN substreams of every distinct
+trajectory at once, and one ``KeyedGenerator`` per walk draws each stream
+and grid with the trajectory's key swapped in; a row keeps its BROWNIAN
+state between grid draws.  The first grids of the rows that start below
+their level, with no two events at one time, are built ``GRID_ROWS`` at a
+time by one ``_grid_block`` pass.  Each piece equals the per-row
+``substream``, ``sample_stream`` and ``make_grid`` bit for bit, so no
+random number depends on the block.  Coupled rows (several starts on one
+trajectory index) therefore draw once: rows that share a trajectory share
+its stream, each extension band of it, and its first grid, whose storage
+they share too unless paths are recorded.  Level cutoffs are resolved once
+per walk.
 
 Most marks fall outside the current regime's row.  When at least
 ``SCREEN_ROWS`` rows reach event nodes in one iteration and the rate matrix
@@ -64,7 +68,7 @@ from .model import mark_displacement, radius
 
 # Most rows stepped together; bounds a block's grid storage.
 BLOCK_ROWS = 256
-# Most rows whose first grids one array pass builds; bounds its temporaries.
+# Most first grids one array pass builds; bounds its temporaries.
 GRID_ROWS = 32
 # Fewest rows at event nodes in one iteration that the mark screen takes:
 # for fewer, its array pass costs more than the classifications it saves.
@@ -130,10 +134,6 @@ class PathStatus:
     level: Optional[int] = None
 
     @property
-    def reached_horizon(self):
-        return self.kind == "horizon"
-
-    @property
     def exploded(self):
         return self.kind == "exploded"
 
@@ -166,13 +166,6 @@ class HybridPath:
     @property
     def terminal(self):
         return float(self.times[-1]), self.states[-1], int(self.regimes[-1])
-
-    @property
-    def max_regime(self):
-        m = int(self.regimes[0])
-        for s in self.switches:
-            m = max(m, s.dst)
-        return m
 
 
 def _check_levels(levels):
@@ -279,13 +272,14 @@ class _Grids:
 
     A grid of n nodes takes n consecutive rows of ``table`` from its offset,
     one per node: the node time, the step leaving the node and its Brownian
-    increment (both unused at the last node).  When paths are recorded,
-    ``states`` holds the state at each node.  For the mark screen, ``mark``
-    holds the mark at each event node and ``next`` the flat row of the
-    row's next target (the next event node, or the grid's last node); the
-    last node's mark, and every mark of a grid with two marks at one node,
-    is NaN, which the screen never skips.  A redrawn grid is appended, so
-    nothing stored earlier moves.
+    increment (both unused at the last node).  Rows on one trajectory share
+    their first grid, except when paths are recorded: ``states`` then holds
+    each row's state at each node.  For the mark screen, ``mark`` holds the
+    mark at each event node and ``next`` the flat row of the row's next
+    target (the next event node, or the grid's last node); the last node's
+    mark, and every mark of a grid with two marks at one node, is NaN,
+    which the screen never skips.  A redrawn grid is appended, so nothing
+    stored earlier moves.
     """
 
     def __init__(self, d, record, screen):
@@ -370,6 +364,7 @@ class _Walk:
         self.stream, self.record, self.dim = stream, record, model.dim
         self.thresholds = [_below(m) for m in levels]
         self.resolved = {}
+        self.extended = {}  # (traj, level index) -> stream, within one block
         self.keyed = KeyedGenerator()
         self.grids = self.screen = None
 
@@ -380,7 +375,12 @@ class _Walk:
         return self.resolved[li]
 
     def enter_level(self, row):
-        """Set the row's cutoff for its level, extending its stream to cover it."""
+        """Set the row's cutoff for its level, extending its stream to cover it.
+
+        A trajectory's stream at a level depends only on (seed, traj,
+        horizon, level), so rows of one block that share a trajectory share
+        each extension band.
+        """
         row.level = self.levels[row.li]
         row.cutoff = self.level_cutoff(row.li)
         row.cutoffs.append((row.level, row.cutoff))
@@ -388,30 +388,38 @@ class _Walk:
             if self.stream is not None:
                 raise ConfigError(f"stream mark ceiling {row.stream.k_max} "
                                   f"below required cutoff {row.cutoff}")
-            row.stream = extend_stream(row.stream, row.cutoff, self.cfg.seed,
-                                       row.traj, chunk=row.li)
+            key = (row.traj, row.li)
+            if key not in self.extended:
+                self.extended[key] = extend_stream(row.stream, row.cutoff, self.cfg.seed,
+                                                   row.traj, chunk=row.li)
+            row.stream = self.extended[key]
 
     def begin(self, starts, i0, trajs):
         """Rows at time 0 in states ``starts`` and regime i0, with their streams,
-        first levels and, where ``first_grids`` can build them, first grids."""
+        first levels and, where ``first_grids`` can build them, first grids.
+
+        Keys and streams are derived once per distinct trajectory: rows that
+        share one (coupled starts) share its stream and BROWNIAN key.
+        """
         if i0 < 1:
             raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
         cfg, keyed = self.cfg, self.keyed
-        if self.stream is None:
+        distinct = list(dict.fromkeys(trajs))
+        bkeys = dict(zip(distinct, philox_keys(cfg.seed, distinct, BROWNIAN)))
+        if self.stream is not None:
+            streams = dict.fromkeys(distinct, self.stream)
+        else:
             rate = (max(self.level_cutoff(0), 0.0) if cfg.stream_rate == "auto"
                     else float(cfg.stream_rate))
-            pkeys = philox_keys(cfg.seed, trajs, POISSON) if rate else None
-        bkeys = philox_keys(cfg.seed, trajs, BROWNIAN)
+            pkeys = philox_keys(cfg.seed, distinct, POISSON) if rate else [None] * len(distinct)
+            streams = {traj: _stream(keyed.start(key) if rate else None, rate, self.horizon)
+                       for traj, key in zip(distinct, pkeys)}
         rows = []
-        for r, (x0, traj) in enumerate(zip(starts, trajs)):
+        for x0, traj in zip(starts, trajs):
             row = _Row()
             row.traj = traj
-            if self.stream is not None:
-                row.stream = self.stream
-            else:
-                rng = keyed.start(pkeys[r]) if rate else None
-                row.stream = _stream(rng, rate, self.horizon)
-            row.bkey, row.bstate = bkeys[r], None
+            row.stream = streams[traj]
+            row.bkey, row.bstate = bkeys[traj], None
             x = np.atleast_1d(np.asarray(x0, dtype=float))
             if x.shape != (self.dim,):
                 raise ConfigError(f"initial state shape {x.shape} does not match dim {self.dim}")
@@ -432,28 +440,32 @@ class _Walk:
         """Draw the first grid of every row whose walk starts with one.
 
         A row below its first level draws its grid from t = 0 before it
-        does anything else, so those grids are built ``GRID_ROWS`` rows at a
-        time by one ``_grid_block`` pass, which matches ``draw`` bit for bit.
-        Rows with several events at one time and rows at or above their
-        first level are left to ``draw``, and so is a lone row, which gains
-        nothing from the pass.
+        does anything else, so those grids are built ``GRID_ROWS`` draws at
+        a time by one ``_grid_block`` pass, which matches ``draw`` bit for
+        bit.  The grid depends only on the trajectory, so rows that share
+        one share its draw, its storage and the BROWNIAN state it leaves;
+        walks that record paths write states per node and give every row
+        its own draw.  Rows with several events at one time and rows at or
+        above their first level are left to ``draw``, and so is a block of
+        one row, which gains nothing from the pass.
         """
         if len(rows) < 2:
             return
-        ready = []
+        groups = {}
         for row in rows:
             if row.r + row.lam < row.level:
-                ev_t, marks, tied = _events(row.stream, row.t, self.horizon)
-                if not tied:
-                    ready.append((row, ev_t, marks))
-        if len(ready) < 2:
-            return
+                groups.setdefault(id(row) if self.record else row.traj, []).append(row)
+        ready = []
+        for group in groups.values():
+            ev_t, marks, tied = _events(group[0].stream, 0.0, self.horizon)
+            if not tied:
+                ready.append((group, ev_t, marks))
         for c in range(0, len(ready), GRID_ROWS):
             self.draw_block(ready[c:c + GRID_ROWS])
 
     def draw_block(self, ready):
-        """Draw the first grids of ``ready``'s rows, (row, event times, marks) each."""
-        rows = [row for row, _, _ in ready]
+        """Draw one first grid per entry of ``ready``, (rows, event times, marks)
+        each, and place every row of the entry on it."""
         lens = np.array([ev_t.size + 2 for _, ev_t, _ in ready])
         last = np.cumsum(lens) - 1
         start = last - lens + 1
@@ -466,18 +478,22 @@ class _Walk:
         keyed = self.keyed
 
         def normals(r, out):
-            row = rows[r]
-            keyed.start(row.bkey).standard_normal(out=out)
-            row.bstate = keyed.save()
+            group = ready[r][0]
+            keyed.start(group[0].bkey).standard_normal(out=out)
+            state = keyed.save()
+            for row in group:
+                row.bstate = state
 
         nodes, steps, incr, bidx = _grid_block(bp, lens, self.cfg.dt_target, self.dim, normals)
         off = self.grids.append(nodes, steps, incr, bidx, lens,
                                 np.concatenate([z for _, _, z in ready]))
         first = bidx[start]
         at = bidx - np.repeat(first, lens)  # every breakpoint's node in its own grid
-        for (row, _, z), f, size, b in zip(ready, first.tolist(),
-                                          (bidx[last] - first + 1).tolist(), start.tolist()):
-            self.place(row, off + f, size, at[b + 1:b + 1 + z.size], z)
+        for (group, _, z), f, size, b in zip(ready, first.tolist(),
+                                            (bidx[last] - first + 1).tolist(), start.tolist()):
+            ev_at = at[b + 1:b + 1 + z.size]
+            for row in group:
+                self.place(row, off + f, size, ev_at, z)
 
     def advance(self, row):
         """Handle the row at its current node until it has steps to take.
@@ -663,6 +679,7 @@ class _Walk:
         for lo in range(0, len(trajs), BLOCK_ROWS):
             self.screen = screen if len(trajs[lo:lo + BLOCK_ROWS]) >= SCREEN_ROWS else None
             self.grids = _Grids(self.dim, self.record, self.screen is not None)
+            self.extended = {}
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 rows = self.begin(starts[lo:lo + BLOCK_ROWS], i0, trajs[lo:lo + BLOCK_ROWS])
                 live = [row for row in rows if self.advance(row)]

@@ -71,11 +71,15 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     gains a leading start axis, and traj0 is one first trajectory index for
     all starts or a sequence with one per start.  All m * n trajectories are
     walked by ``hybrid.walk`` in lockstep blocks, over at most one worker
-    pool, which starts only when every worker gets two blocks.
+    pool, which starts only when every worker gets two blocks.  The rows
+    are laid out trajectory-major (row r is start r % m at index r // m),
+    so the coupled starts of one index fall in one block and share its
+    draws; the records are put back in start order.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
     hit_levels = _level_schedule(cfg) if levels is None else [int(m) for m in levels]
+    slot = {lv: j for j, lv in enumerate(hit_levels)}
     several = np.ndim(x0) == 2
     starts = list(np.asarray(x0, dtype=float)) if several else [x0]
     m = len(starts)
@@ -85,22 +89,22 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
 
     def terminal(row):
         st = row.status
-        hit = dict(row.escalations)
-        if st.nonfinite:
-            for lv in hit_levels:
-                hit.setdefault(lv, st.tau)
-        return (float(row.t), tuple(float(v) for v in row.x), row.lam, st.kind,
-                math.nan if st.tau is None else st.tau, st.nonfinite,
-                tuple(hit.get(lv, math.inf) for lv in hit_levels),
+        # a non-finite blow-up hits every level it did not stop at
+        hit = [st.tau if st.nonfinite else math.inf] * len(hit_levels)
+        for lv, tau in row.escalations:
+            hit[slot[lv]] = tau
+        return (float(row.t), tuple(row.x.tolist()), row.lam, st.kind,
+                math.nan if st.tau is None else st.tau, st.nonfinite, tuple(hit),
                 max([int(i0)] + [s.dst for s in row.switches]), len(row.switches))
 
     def block(lo, hi):
         rows = range(lo, hi)
         return [terminal(row) for row in walk(
-            model, [starts[r // n] for r in rows], i0, cfg,
-            [first[r // n] + r % n for r in rows], levels=levels)]
+            model, [starts[r % m] for r in rows], i0, cfg,
+            [first[r % m] + r // m for r in rows], levels=levels)]
 
-    cols = list(zip(*map_indices(block, m * n, threads, hybrid.BLOCK_ROWS))) or [()] * 9
+    recs = map_indices(block, m * n, threads, hybrid.BLOCK_ROWS)
+    cols = list(zip(*(rec for s in range(m) for rec in recs[s::m]))) or [()] * 9
     lead = (m, n) if several else (n,)
     return {
         "t_end": np.array(cols[0], dtype=float).reshape(lead),

@@ -148,7 +148,7 @@ class TestAgainstIntegrator:
         assert np.array_equal(path.times, grid.nodes)
         assert np.array_equal(path.states, euler_reference(model, [1.0], 1, grid))
         assert path.switches == []
-        assert path.status.reached_horizon
+        assert path.status.kind == "horizon"
 
 
 class TestSwitchLaw:
@@ -256,7 +256,7 @@ class TestEscalation:
         stopped = 0
         for traj in range(50):
             p = simulate(model, [1.0], 1, cfg, traj=traj, record="events")
-            assert p.status.reached_horizon
+            assert p.status.kind == "horizon"
             stopped += len(p.escalations)
         # escalations are possible but never fatal here
         assert stopped >= 0
@@ -404,7 +404,7 @@ class TestPendingMarkAtStopNode:
         path = simulate(model, [2.5], 1, cfg, record="nodes", stream=hand)
         assert path.escalations == [(4, 0.5)]
         assert [(s.time, s.src, s.dst) for s in path.switches] == [(0.5, 1, 2)]
-        assert path.status.reached_horizon
+        assert path.status.kind == "horizon"
         # agrees with a direct run at the higher level on the same stream
         direct = simulate(model, [2.5], 1, SimConfig(
             stop_level=8, mark_cutoff=5.0, seed=0), stream=hand)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -87,7 +88,8 @@ def terminal(path, levels):
     return {"t_end": t, "x_end": x, "lam_end": lam, "kind": st_.kind,
             "tau": math.nan if st_.tau is None else st_.tau, "nonfinite": st_.nonfinite,
             "hit": [hit.get(lv, math.inf) for lv in levels],
-            "max_regime": path.max_regime, "switches": len(path.switches)}
+            "max_regime": max([int(path.regimes[0])] + [s.dst for s in path.switches]),
+            "switches": len(path.switches)}
 
 
 def assert_records_equal(a, b):
@@ -303,16 +305,17 @@ class TestMarkScreen:
 
 
 @st.composite
-def setup_cases(draw):
+def setup_cases(draw, rates=dense_rates):
     """A model, starts, a configuration and maybe a caller-supplied stream.
 
     Streams are sampled per row, empty (zero rates), or one caller-supplied
     stream for every row, with or without events at one time.  Some rows
     start at or above their first level, and some of those above the last.
+    ``rates`` draws the rate matrix of the other kinds.
     """
     kind = draw(st.sampled_from(["sampled", "sampled", "sampled", "zero", "caller", "tied"]))
     dim = draw(st.sampled_from([1, 2]))
-    rates = DenseRates(np.zeros((2, 2))) if kind == "zero" else draw(dense_rates)
+    rates = DenseRates(np.zeros((2, 2))) if kind == "zero" else draw(rates)
     stop = draw(st.integers(2, 4))
     seed = draw(st.integers(0, 2 ** 40))
     cutoff = {} if kind in ("sampled", "zero") else {"mark_cutoff": 8.0}
@@ -379,3 +382,106 @@ class TestBlockSetup:
             assert np.array_equal(row.x, path.terminal[1], equal_nan=True)
         event(f"block passes: {gb.call_count > 0}")
         event(f"grids redrawn: {any(len(d) > 1 for d in drawn.values())}")
+
+
+def spy_on(calls, fn, key):
+    """A stand-in for fn that appends key(*args, **kwargs) to calls."""
+    def spy(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return fn(*args, **kwargs)
+    return spy
+
+
+def extension_key(stream, new_k_max, seed, traj, chunk):
+    return traj, chunk
+
+
+def blocks(items, size):
+    return [items[lo:lo + size] for lo in range(0, len(items), size)]
+
+
+class TestCoupledRows:
+    @settings(max_examples=60, deadline=None)
+    @given(case=setup_cases(powerlaw),
+           trajs=st.lists(st.integers(3, 6), min_size=N, max_size=N),
+           block=st.integers(1, N), grid_rows=st.integers(1, 4),
+           record=st.sampled_from([None, "nodes", "events"]))
+    def test_rows_sharing_a_trajectory_equal_lone_paths(self, case, trajs, block, grid_rows,
+                                                        record):
+        # rows on one trajectory share its stream, extension bands and
+        # first grid, and each still ends as a lone simulate call does;
+        # power-law cutoffs grow with the level, so sampled streams gain a
+        # band at each level a row enters after its first
+        model, starts, cfg, stream = case
+        cfg = replace(cfg, max_stop_level=4 * cfg.stop_level)
+        levels = hybrid._level_schedule(cfg)
+        lone, extended = [], []
+        for x0, traj in zip(starts, trajs):
+            path = simulate(model, x0, 1, cfg, traj=traj, stream=stream,
+                            record=record or "events")
+            # the stream the row must hold, and the bands it extends by
+            want, keys = stream, set()
+            if want is None:
+                want = sample_stream(hybrid.auto_truncation(model, levels[0]), model.horizon,
+                                     cfg.seed, traj)
+                for li, (_, cut) in enumerate(path.cutoffs):
+                    if cut > want.k_max:
+                        keys.add((traj, li))
+                        want = extend_stream(want, cut, cfg.seed, traj, chunk=li)
+            lone.append((path, want))
+            extended.append(keys)
+        streams, extensions = [], []
+        with mock.patch.object(hybrid, "BLOCK_ROWS", block), \
+                mock.patch.object(hybrid, "GRID_ROWS", grid_rows), \
+                mock.patch.object(hybrid, "_stream",
+                                  spy_on(streams, hybrid._stream, lambda *a: None)), \
+                mock.patch.object(hybrid, "extend_stream",
+                                  spy_on(extensions, extend_stream, extension_key)):
+            rows = list(hybrid.walk(model, starts, 1, cfg, trajs, stream=stream,
+                                    record=record))
+        for row, (path, want) in zip(rows, lone):
+            assert (row.t, row.lam, row.status) == path.terminal[::2] + (path.status,)
+            assert np.array_equal(row.x, path.terminal[1], equal_nan=True)
+            assert (row.switches, row.escalations, row.cutoffs) \
+                == (path.switches, path.escalations, path.cutoffs)
+            assert row.stream.k_max == want.k_max
+            assert np.array_equal(row.stream.times, want.times)
+            assert np.array_equal(row.stream.marks, want.marks)
+            if record:
+                assert np.array_equal(row.times, path.times)
+                assert np.array_equal(row.states, path.states, equal_nan=True)
+        # one stream per distinct trajectory of a block, and one extension
+        # band per (trajectory, level) that a row of the block entered
+        assert len(streams) == (0 if stream is not None else
+                                sum(len(set(b)) for b in blocks(trajs, block)))
+        assert sorted(extensions) == sorted(
+            key for b in blocks(extended, block) for key in set().union(*b))
+        coupled = any(len(set(b)) < len(b) for b in blocks(trajs, block))
+        event(f"coupled rows in a block: {coupled}")
+        event(f"bands shared: {sum(map(len, extended)) > len(extensions)}")
+        event(f"rows with two bands: {any(len(e) > 1 for e in extended)}")
+        event(f"rows escalated: {any(row.escalations for row in rows)}")
+
+
+class TestTrajectoryMajor:
+    def test_coupled_starts_share_blocks_and_keep_start_order(self):
+        model = make_model("ou2", sigma1=2.0)
+        cfg = SimConfig(stop_level=3, max_stop_level=24, seed=4)
+        starts = np.array([[0.0], [1.5], [-2.0]])
+        traj0, n, block = [0, 0, 3], 6, 4
+        singles = [run_ensemble(model, y, 1, cfg, n, traj0=k0) for y, k0 in zip(starts, traj0)]
+        streams = []
+        with mock.patch.object(hybrid, "BLOCK_ROWS", block):
+            for threads in (1, 2):
+                with mock.patch.object(hybrid, "_stream",
+                                       spy_on(streams, hybrid._stream, lambda *a: None)):
+                    both = run_ensemble(model, starts, 1, cfg, n, traj0=traj0,
+                                        threads=threads)
+                for s, one in enumerate(singles):
+                    assert_records_equal({k: v[s] for k, v in both.items()}, one)
+                if threads == 1:
+                    # row r walks start r % 3 at index r // 3, four rows a
+                    # block: 14 distinct (block, trajectory) pairs, not 18
+                    per_block = [len({traj0[r % 3] + r // 3 for r in rows})
+                                 for rows in blocks(range(3 * n), block)]
+                    assert len(streams) == sum(per_block) == 14
