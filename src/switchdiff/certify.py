@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, TailUnresolvable
 from .model import RateMatrix, radius
@@ -195,6 +194,8 @@ class PowerLawRates(RateMatrix):
             m = a / u
             return tail_term(m) * a / (u * u)
 
+        # loaded here, not at import: scipy.integrate costs about 0.5 s of start-up
+        from scipy.integrate import quad
         integral, err = quad(transformed, 0.0, 1.0, limit=200)
         scale = self._growth(i, x)
         lo = scale * max(integral - err, 0.0)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import hybrid
 from ._parallel import map_indices
@@ -226,9 +225,10 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
     couple=True every start reuses the same per-trajectory substreams --
     identical jump stream and Brownian increments -- which conditions on the
     frozen jump path and gives low-variance paired differences (at offset 0
-    the difference is exactly zero).  With couple=False replicas are
-    independent.  Paths that end before t (level ceiling or blow-up) are
-    evaluated at their terminal state and counted in diagnostics.
+    the difference is exactly zero: that start reuses the walk of x).  With
+    couple=False replicas are independent.  Paths that end before t (level
+    ceiling or blow-up) are evaluated at their terminal state and counted in
+    diagnostics.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
@@ -238,12 +238,18 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
         deltas.append(np.full(d, o[0]) if o.size == 1 and d > 1 else o)
     run_cfg = replace(cfg, horizon=float(t))
 
-    ens = run_ensemble(model, np.array([x + dv for dv in deltas]), i, run_cfg, n,
-                       threads=threads,
-                       traj0=0 if couple else [di * n for di in range(len(deltas))])
+    # a start walked on the same trajectories as an earlier one (a coupled
+    # offset of 0) repeats that walk bit for bit, so it reuses its column
+    starts = [x + dv for dv in deltas]
+    first = [0 if couple else di * n for di in range(len(deltas))]
+    keys = [(s.tobytes(), k) for s, k in zip(starts, first)]
+    walked = list(dict.fromkeys(keys))
+    col = [walked.index(key) for key in keys]
+    ens = run_ensemble(model, np.array([starts[keys.index(key)] for key in walked]), i,
+                       run_cfg, n, threads=threads, traj0=[k for _, k in walked])
     vals = np.array([[float(f(xe, int(le))) for xe, le in zip(xs, ls)]
-                     for xs, ls in zip(ens["x_end"], ens["lam_end"])])
-    truncated = (ens["kind"] != "horizon").sum(axis=1)
+                     for xs, ls in zip(ens["x_end"], ens["lam_end"])])[col]
+    truncated = (ens["kind"] != "horizon").sum(axis=1)[col]
 
     labels, ests, hws = [], [], []
     for di, dv in enumerate(deltas):
@@ -295,6 +301,7 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
             if a != b:
                 gen[a - 1, b - 1] = rates.rate(a, b, x0)
         gen[a - 1, a - 1] = -rates.row_sum(a, x0)
+    from scipy.linalg import expm  # loaded here, not at import, as in beta_tail
     p_exact = expm(gen * float(t))[i0 - 1]
     leak_exact = max(0.0, 1.0 - float(p_exact.sum()))
 

@@ -1,5 +1,6 @@
 """Monte Carlo probes against closed-form and frozen-dynamics oracles."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,39 @@ class TestFellerProbe:
                            couple=True)
         assert rep.value("diff[delta=0]") == 0.0
         assert rep.half_width("diff[delta=0]") == 0.0
+
+    def walked_rows(self, offsets, couple, n):
+        seen, begin = [], hybrid._Walk.begin
+
+        def counting(walk, starts, i0, trajs):
+            seen.append(len(trajs))
+            return begin(walk, starts, i0, trajs)
+
+        with mock.patch.object(hybrid._Walk, "begin", counting):
+            rep = feller_probe(make_model("ou2"), lambda x, j: float(x[0] > 0) + 0.25 * j,
+                               1.0, [0.1], 1, offsets, n, CFG, couple=couple)
+        return rep, sum(seen)
+
+    def test_coupled_zero_offset_reuses_the_walk_of_x(self):
+        rep, rows = self.walked_rows((0.0, 0.05, 0.5), True, 60)
+        assert rows == 3 * 60
+        assert rep.value("diff[delta=0]") == 0.0
+        assert rep.half_width("diff[delta=0]") == 0.0
+        assert rep.value("ptf[delta=0]") == rep.estimates[0]
+        # uncoupled, the 0 offset has trajectories of its own
+        assert self.walked_rows((0.0, 0.05, 0.5), False, 60)[1] == 4 * 60
+
+    # sha256 of repr(rows()) when every start, a coupled 0 offset too, is walked
+    GOLDEN_ROWS = {((0.0, 0.05, 0.5), True): "93067b0738ec5ab1",
+                   ((0.0, 0.05, 0.5), False): "b3cf35f0d8a86dd0",
+                   ((0.05, 0.5), True): "5be1d3ff541f3cf1",
+                   ((0.05, 0.5), False): "ea74299573c0d886"}
+
+    @pytest.mark.parametrize("offsets, couple", list(GOLDEN_ROWS))
+    def test_rows_unchanged(self, offsets, couple):
+        rep, _ = self.walked_rows(offsets, couple, 60)
+        digest = hashlib.sha256(repr(rep.rows()).encode()).hexdigest()[:16]
+        assert digest == self.GOLDEN_ROWS[offsets, couple]
 
     def test_profile_shrinks_with_offset(self):
         model = make_model("ou2")
