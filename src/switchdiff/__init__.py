@@ -20,8 +20,7 @@ from .errors import (ConfigError, SwitchDiffError, TailUnresolvable,
                      TruncationLeak)
 from .hybrid import (HybridPath, PathStatus, SimConfig, Switch, auto_truncation,
                      simulate)
-from .integrate import BrownianGrid, make_grid
-from .jumps import JumpStream, extend_stream, sample_stream, thin
+from .jumps import JumpStream, extend_stream, sample_stream
 from .model import (DenseRates, FunctionRates, RateMatrix, RegimeModel,
                     mark_displacement, truncate_coefficients)
 from .models import list_models, make_model, model_names
@@ -30,7 +29,7 @@ from .probe import (ProbeReport, ctmc_oracle, estimate_moment,
 
 __all__ = [
     "__version__",
-    "BetaSumReport", "BrownianGrid", "CertificateReport", "ConfigError",
+    "BetaSumReport", "CertificateReport", "ConfigError",
     "DenseRates", "ExponentialCertificate", "FunctionRates", "GridSpec",
     "HybridPath", "JumpStream", "PathStatus", "PolynomialCertificate",
     "PowerLawRates", "ProbeReport", "RateMatrix", "RegimeModel", "SimConfig",
@@ -38,8 +37,8 @@ __all__ = [
     "auto_truncation", "check_condition_exp", "check_condition_poly",
     "check_local_bounded_beta_sum", "ctmc_oracle", "default_grid",
     "estimate_moment", "estimate_tau_tail", "extend_stream", "feller_probe",
-    "gronwall_bound_poly", "list_models", "make_grid", "make_model",
+    "gronwall_bound_poly", "list_models", "make_model",
     "mark_displacement", "model_names", "run_ensemble", "sample_stream",
-    "simulate", "tau_tail_bound_poly", "thin", "truncate_coefficients",
+    "simulate", "tau_tail_bound_poly", "truncate_coefficients",
     "zeta_partial",
 ]

@@ -67,8 +67,8 @@ class PowerLawRates(RateMatrix):
     with gamma = 3 that fails from about b = 1.5 on.
 
     Internal prefix tables grow lazily with the largest regime queried, and
-    the table of m^-gamma that ``rate_block`` slices with the largest column
-    distance.
+    the table of m^-gamma that ``rate`` and ``rate_block`` read with the
+    largest column distance.
     """
 
     radial = True
@@ -91,8 +91,9 @@ class PowerLawRates(RateMatrix):
         have = self._inv.size
         if size > have:
             # one vectorised power over a contiguous run gives each m the value
-            # any contiguous array of distances gets; numpy's SIMD power may
-            # differ from the scalar pow in ``rate`` in the last place
+            # any contiguous array of distances gets; every rate, ``rate``'s
+            # included, reads this table, since numpy's SIMD power and the
+            # scalar pow may differ in the last place
             ms = np.arange(have + 1, max(2 * have, size) + 1, dtype=float)
             self._inv = np.concatenate([self._inv, ms ** (-self.gamma)])
         return self._inv
@@ -120,7 +121,8 @@ class PowerLawRates(RateMatrix):
     def rate(self, i, j, x):
         if i == j:
             return 0.0
-        return self._growth(i, x) * abs(j - i) ** (-self.gamma)
+        d = abs(j - i)
+        return self._growth(i, x) * float(self._powers(d)[d - 1])
 
     def rate_block(self, i, lo, hi, x):
         growth = self._growth(i, x)

@@ -31,15 +31,16 @@ A block starts in one pass (``_Walk.begin``).  ``philox_keys`` derives the
 Philox keys of the POISSON and BROWNIAN substreams of every distinct
 trajectory at once, and one ``KeyedGenerator`` per walk draws each stream
 and grid with the trajectory's key swapped in; a row keeps its BROWNIAN
-state between grid draws.  The first grids of the rows that start below
-their level, with no two events at one time, are built ``GRID_ROWS`` at a
-time by one ``_grid_block`` pass.  Each piece equals the per-row
-``substream``, ``sample_stream`` and ``make_grid`` bit for bit, so no
-random number depends on the block.  Coupled rows (several starts on one
-trajectory index) therefore draw once: rows that share a trajectory share
-its stream, each extension band of it, and its first grid, whose storage
-they share too unless paths are recorded.  Level cutoffs are resolved once
-per walk.
+state between grid draws.  Every grid, first or redrawn, comes from
+``_Walk.draw``, which builds the grids of several rows in one
+``_grid_block`` pass; the first grids of the rows that start below their
+level are built ``GRID_ROWS`` at a time.  Each piece equals what the
+per-row ``substream``, ``sample_stream`` and a one-row ``_grid_block``
+give, bit for bit, so no random number depends on the block.  Coupled
+rows (several starts on one trajectory index) therefore draw once: rows
+that share a trajectory share its stream, each extension band of it, and
+its first grid, whose storage they share too unless paths are recorded.
+Level cutoffs are resolved once per walk.
 
 Most marks fall outside the current regime's row.  When at least
 ``SCREEN_ROWS`` rows reach event nodes in one iteration and the rate matrix
@@ -62,13 +63,13 @@ import numpy as np
 
 from ._rng import BROWNIAN, POISSON, KeyedGenerator, philox_keys
 from .errors import ConfigError
-from .integrate import _grid_block, make_grid
+from .integrate import _grid_block
 from .jumps import JumpStream, _stream, extend_stream
 from .model import mark_displacement, radius
 
 # Most rows stepped together; bounds a block's grid storage.
 BLOCK_ROWS = 256
-# Most first grids one array pass builds; bounds its temporaries.
+# Most grids one array pass of ``_Walk.draw`` builds; bounds its temporaries.
 GRID_ROWS = 32
 # Fewest rows at event nodes in one iteration that the mark screen takes:
 # for fewer, its array pass costs more than the classifications it saves.
@@ -132,10 +133,6 @@ class PathStatus:
     kind: str
     tau: Optional[float] = None
     level: Optional[int] = None
-
-    @property
-    def exploded(self):
-        return self.kind == "exploded"
 
     @property
     def nonfinite(self):
@@ -259,12 +256,11 @@ def _step_terms(model, X, lam, t, dt, dW):
 
 
 def _events(stream, t, horizon):
-    """The stream's events strictly between t and the horizon, in order: their
-    times, their marks and whether two of them share a time."""
+    """The times and marks of the stream's events strictly between t and the
+    horizon, in order."""
     lo = int(np.searchsorted(stream.times, t, side="right"))
     hi = int(np.searchsorted(stream.times, horizon, side="left"))
-    ev_t = stream.times[lo:hi]
-    return ev_t, stream.marks[lo:hi], ev_t.size > 1 and not (ev_t[1:] > ev_t[:-1]).all()
+    return stream.times[lo:hi], stream.marks[lo:hi]
 
 
 class _Grids:
@@ -289,12 +285,11 @@ class _Grids:
         self.mark = np.empty(0) if screen else None
         self.next = np.empty(0, dtype=np.intp) if screen else None
 
-    def append(self, nodes, steps, increments, bidx, lens, marks):
+    def append(self, nodes, steps, increments, bidx, marks):
         """Store grids laid end to end, as ``_grid_block`` returns them.
 
-        bidx is the position of every breakpoint, lens the number of each
-        grid's breakpoints and marks the marks at the event nodes (the
-        breakpoints but each grid's first and last), for the screen.
+        bidx is the position of every breakpoint and marks the mark at each,
+        for the screen (NaN at each grid's first and last breakpoint).
         """
         n = nodes.size
         off = self.used
@@ -313,12 +308,9 @@ class _Grids:
         rows[:steps.size, 2:] = increments
         if self.mark is not None:
             ev = off + bidx
-            last = np.cumsum(lens) - 1
-            inner = np.ones(ev.size, dtype=bool)
-            inner[last] = inner[last - lens + 1] = False
-            self.mark[ev[last]] = np.nan
-            self.mark[ev[inner]] = marks
-            self.next[ev[inner]] = ev[np.flatnonzero(inner) + 1]
+            self.mark[ev] = marks
+            # a last node's NaN mark is never skipped, so its entry is never read
+            self.next[ev[:-1]] = ev[1:]
         return off
 
 
@@ -396,10 +388,12 @@ class _Walk:
 
     def begin(self, starts, i0, trajs):
         """Rows at time 0 in states ``starts`` and regime i0, with their streams,
-        first levels and, where ``first_grids`` can build them, first grids.
+        first levels and, below their first level, first grids.
 
         Keys and streams are derived once per distinct trajectory: rows that
-        share one (coupled starts) share its stream and BROWNIAN key.
+        share one (coupled starts) share its stream and BROWNIAN key, and
+        unless paths are recorded they share its first grid as one group of
+        ``draw``, which takes ``GRID_ROWS`` groups at a time.
         """
         if i0 < 1:
             raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
@@ -414,7 +408,7 @@ class _Walk:
             pkeys = philox_keys(cfg.seed, distinct, POISSON) if rate else [None] * len(distinct)
             streams = {traj: _stream(keyed.start(key) if rate else None, rate, self.horizon)
                        for traj, key in zip(distinct, pkeys)}
-        rows = []
+        rows, groups = [], {}
         for x0, traj in zip(starts, trajs):
             row = _Row()
             row.traj = traj
@@ -433,67 +427,12 @@ class _Walk:
             row.kept, row.switches, row.escalations = [], [], []
             row.status = None
             rows.append(row)
-        self.first_grids(rows)
-        return rows
-
-    def first_grids(self, rows):
-        """Draw the first grid of every row whose walk starts with one.
-
-        A row below its first level draws its grid from t = 0 before it
-        does anything else, so those grids are built ``GRID_ROWS`` draws at
-        a time by one ``_grid_block`` pass, which matches ``draw`` bit for
-        bit.  The grid depends only on the trajectory, so rows that share
-        one share its draw, its storage and the BROWNIAN state it leaves;
-        walks that record paths write states per node and give every row
-        its own draw.  Rows with several events at one time and rows at or
-        above their first level are left to ``draw``, and so is a block of
-        one row, which gains nothing from the pass.
-        """
-        if len(rows) < 2:
-            return
-        groups = {}
-        for row in rows:
             if row.r + row.lam < row.level:
-                groups.setdefault(id(row) if self.record else row.traj, []).append(row)
-        ready = []
-        for group in groups.values():
-            ev_t, marks, tied = _events(group[0].stream, 0.0, self.horizon)
-            if not tied:
-                ready.append((group, ev_t, marks))
-        for c in range(0, len(ready), GRID_ROWS):
-            self.draw_block(ready[c:c + GRID_ROWS])
-
-    def draw_block(self, ready):
-        """Draw one first grid per entry of ``ready``, (rows, event times, marks)
-        each, and place every row of the entry on it."""
-        lens = np.array([ev_t.size + 2 for _, ev_t, _ in ready])
-        last = np.cumsum(lens) - 1
-        start = last - lens + 1
-        bp = np.empty(last[-1] + 1)
-        inner = np.ones(bp.size, dtype=bool)
-        inner[start] = inner[last] = False
-        bp[start] = 0.0  # every row starts at t = 0
-        bp[last] = self.horizon
-        bp[inner] = np.concatenate([ev_t for _, ev_t, _ in ready])
-        keyed = self.keyed
-
-        def normals(r, out):
-            group = ready[r][0]
-            keyed.start(group[0].bkey).standard_normal(out=out)
-            state = keyed.save()
-            for row in group:
-                row.bstate = state
-
-        nodes, steps, incr, bidx = _grid_block(bp, lens, self.cfg.dt_target, self.dim, normals)
-        off = self.grids.append(nodes, steps, incr, bidx, lens,
-                                np.concatenate([z for _, _, z in ready]))
-        first = bidx[start]
-        at = bidx - np.repeat(first, lens)  # every breakpoint's node in its own grid
-        for (group, _, z), f, size, b in zip(ready, first.tolist(),
-                                            (bidx[last] - first + 1).tolist(), start.tolist()):
-            ev_at = at[b + 1:b + 1 + z.size]
-            for row in group:
-                self.place(row, off + f, size, ev_at, z)
+                groups.setdefault(id(row) if self.record else traj, []).append(row)
+        groups = list(groups.values())
+        for c in range(0, len(groups), GRID_ROWS):
+            self.draw(groups[c:c + GRID_ROWS])
+        return rows
 
     def advance(self, row):
         """Handle the row at its current node until it has steps to take.
@@ -526,7 +465,7 @@ class _Walk:
                 elif row.stale:
                     if row.t >= self.horizon:
                         return self.end(row, PathStatus("horizon"))
-                    self.draw(row)
+                    self.draw([[row]])
                 else:
                     row.target = row.ev_node[row.e] if row.e < row.n_ev else row.n_nodes - 1
                     if row.k < row.target:
@@ -542,40 +481,72 @@ class _Walk:
             row.x = np.full(self.dim, np.nan)
             return self.end(row, PathStatus("exploded", float(row.t), None))
 
-    def draw(self, row):
-        """Draw the row's grid from its current time to the horizon.
+    def draw(self, groups):
+        """Draw one grid per group of rows and put every row of a group on it.
 
-        The breakpoints are the current time, the horizon and the stream
-        events in between; increments come from the row's Brownian
-        substream, so a redrawn grid continues where the last one stopped.
+        The rows of a group share their time, stream and BROWNIAN state:
+        coupled rows at t = 0, or a single row.  A grid's breakpoints are
+        that time, the horizon and the stream events in between, events at
+        one time sharing a breakpoint.  Its increments continue the group's
+        Brownian substream where its last grid stopped, so a grid does not
+        depend on the other groups of the ``_grid_block`` pass.
         """
-        if self.record and row.off >= 0:
-            row.kept.append((row.off, row.ev_at, row.k))
-        ev_t, marks, tied = _events(row.stream, row.t, self.horizon)
-        bp = np.concatenate(([row.t], ev_t, [self.horizon]))
-        if tied:
-            bp = np.unique(bp)  # events at one time share a breakpoint
-        keyed = self.keyed
-        rng = keyed.start(row.bkey) if row.bstate is None else keyed.resume(row.bstate)
-        grid = make_grid(bp, self.cfg.dt_target, self.dim, rng)
-        row.bstate = keyed.save()
-        off = self.grids.append(grid.nodes, grid.steps, grid.increments, grid.break_index,
-                                [bp.size], np.nan if tied else marks)
-        ev_at = grid.break_index[np.searchsorted(bp, ev_t) if tied else slice(1, -1)]
-        self.place(row, off, grid.nodes.size, ev_at, marks)
+        keyed, horizon = self.keyed, self.horizon
+        events = [_events(group[0].stream, group[0].t, horizon) for group in groups]
+        lens = np.array([ev_t.size + 2 for ev_t, _ in events])
+        last = np.cumsum(lens) - 1
+        start = last - lens + 1
+        bp = np.empty(last[-1] + 1)
+        inner = np.ones(bp.size, dtype=bool)
+        inner[start] = inner[last] = False
+        bp[start] = [group[0].t for group in groups]
+        bp[last] = horizon
+        bp[inner] = np.concatenate([ev_t for ev_t, _ in events])
+        z = np.full(bp.size, np.nan)
+        z[inner] = np.concatenate([marks for _, marks in events])
+        # every event lies strictly between its grid's time and the horizon,
+        # so ties sit inside one grid; idx is each breakpoint's merged position
+        keep = np.ones(bp.size, dtype=bool)
+        keep[1:] = bp[1:] != bp[:-1]
+        idx = np.cumsum(keep) - 1
+        merged = idx[last] - idx[start] + 1
+        z[np.repeat(merged < lens, lens)] = np.nan  # the screen skips no tied grid's mark
+
+        def normals(r, out):
+            lead = groups[r][0]
+            rng = keyed.start(lead.bkey) if lead.bstate is None else keyed.resume(lead.bstate)
+            rng.standard_normal(out=out)
+            state = keyed.save()
+            for row in groups[r]:
+                row.bstate = state
+
+        nodes, steps, incr, bidx = _grid_block(bp[keep], merged, self.cfg.dt_target, self.dim,
+                                               normals)
+        off = self.grids.append(nodes, steps, incr, bidx, z[keep])
+        first = bidx[idx[start]]
+        at = (bidx - np.repeat(first, merged))[idx]  # every breakpoint's node in its own grid
+        for group, (_, marks), f, size, b in zip(groups, events, first.tolist(),
+                                                 (bidx[idx[last]] - first + 1).tolist(),
+                                                 start.tolist()):
+            ev_at = at[b + 1:b + 1 + marks.size]
+            for row in group:
+                self.place(row, off + f, size, ev_at, marks)
 
     def place(self, row, off, n_nodes, ev_at, marks):
         """Put the row on the first node of its new grid, stored from flat offset off.
 
-        ev_at holds the node of each of the grid's events, and marks their marks.
+        ev_at holds the node of each of the grid's events, and marks their
+        marks.  A recorded row keeps the grid it leaves.
         """
+        if self.record:
+            if row.off >= 0:
+                row.kept.append((row.off, row.ev_at, row.k))
+            row.ev_at = ev_at
+            self.grids.states[off] = row.x
         # memoryviews index to Python scalars like lists, without a copy
         row.ev_node, row.ev_z = memoryview(ev_at), memoryview(marks)
         row.n_ev, row.n_nodes = len(ev_at), n_nodes
         row.off = off
-        if self.record:
-            row.ev_at = ev_at
-            self.grids.states[off] = row.x
         row.t = self.grids.table[off, 0]
         row.k = row.e = 0
         row.stale = False

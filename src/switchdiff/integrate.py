@@ -15,18 +15,7 @@ state-dependently and break cross-cutoff coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BrownianGrid:
-    nodes: np.ndarray        # all grid times, strictly increasing
-    steps: np.ndarray        # np.diff(nodes)
-    increments: np.ndarray   # (len(nodes)-1, dim); variance of each row = step
-    break_index: np.ndarray  # positions of the input breakpoints in nodes
-    dim: int
 
 
 def _grid_block(bp, lens, dt_target, dim, draw):
@@ -75,16 +64,3 @@ def _grid_block(bp, lens, dt_target, dim, draw):
     for r, (a, b) in enumerate(zip(first.tolist(), stop.tolist())):
         draw(r, z[a:b])
     return nodes, steps, z * np.sqrt(steps)[:, None], bidx
-
-
-def make_grid(breakpoints, dt_target, dim, rng):
-    """Build the grid and draw all its Gaussian increments from rng.
-
-    breakpoints must be strictly increasing; dt_target > 0 fixes the largest
-    step.  Subdivision uses linspace arithmetic so breakpoint floats are
-    preserved exactly as nodes.  A one-row ``_grid_block``.
-    """
-    bp = np.asarray(breakpoints, dtype=float)
-    nodes, steps, incr, bidx = _grid_block(bp, [bp.size], dt_target, dim,
-                                          lambda r, out: rng.standard_normal(out=out))
-    return BrownianGrid(nodes, steps[:-1], incr[:-1], bidx, dim)

@@ -54,19 +54,6 @@ def _stream(rng, k_max, horizon):
     return JumpStream(float(k_max), float(horizon), times[keep], marks[keep])
 
 
-def thin(stream, cutoff):
-    """Restrict to events with mark < cutoff.
-
-    Monotone in cutoff: the kept events for a smaller cutoff are a subset of
-    those for a larger one, bit-exactly.
-    """
-    if not 0 <= cutoff <= stream.k_max:
-        raise ValueError(f"cutoff {cutoff} outside (0, k_max={stream.k_max}]")
-    keep = stream.marks < cutoff
-    return JumpStream(float(cutoff), stream.horizon, stream.times[keep],
-                      stream.marks[keep])
-
-
 def extend_stream(stream, new_k_max, seed, traj=0, chunk=1):
     """Raise the mark ceiling by superposing an independent band of events.
 

@@ -10,11 +10,10 @@ from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (ConfigError, DenseRates, FunctionRates, PowerLawRates,
-                        RegimeModel, SimConfig, auto_truncation, make_grid,
-                        make_model, run_ensemble, sample_stream, simulate,
-                        truncate_coefficients)
+                        RegimeModel, SimConfig, auto_truncation, make_model,
+                        run_ensemble, sample_stream, simulate, truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
-from test_integrate import euler_reference
+from test_integrate import euler_reference, one_grid
 
 
 def paths_equal(a, b):
@@ -144,9 +143,10 @@ class TestAgainstIntegrator:
         model = make_model("ou2", q12=0.0, q21=0.0)
         cfg = SimConfig(stop_level=50, seed=31, dt_target=0.02)
         path = simulate(model, [1.0], 1, cfg, record="nodes")
-        grid = make_grid([0.0, model.horizon], 0.02, 1, substream(31, 0, BROWNIAN))
-        assert np.array_equal(path.times, grid.nodes)
-        assert np.array_equal(path.states, euler_reference(model, [1.0], 1, grid))
+        brownian = substream(31, 0, BROWNIAN)
+        nodes, steps, incr, _ = one_grid([0.0, model.horizon], 0.02, 1, brownian)
+        assert np.array_equal(path.times, nodes)
+        assert np.array_equal(path.states, euler_reference(model, [1.0], 1, nodes, steps, incr))
         assert path.switches == []
         assert path.status.kind == "horizon"
 
@@ -188,14 +188,14 @@ class TestExplosion:
         cfg = SimConfig(stop_level=2 ** 40, max_stop_level=2 ** 40,
                         dt_target=1e-3, seed=0)
         p = simulate(model, [2.0], 1, cfg, record="events")
-        assert p.status.exploded
+        assert p.status.kind == "exploded"
         assert 0.45 < p.status.tau < 0.56
 
     def test_ceiling_is_operational_explosion(self):
         model = make_model("blowup")
         cfg = SimConfig(stop_level=8, max_stop_level=8, dt_target=1e-3, seed=0)
         p = simulate(model, [2.0], 1, cfg, record="events")
-        assert p.status.exploded
+        assert p.status.kind == "exploded"
         assert p.status.level == 8
         assert not p.status.nonfinite
 
@@ -269,7 +269,7 @@ class TestEscalation:
         for traj in range(40):
             lone = simulate(model, [2.5], 1, base, traj=traj, record="nodes")
             full = simulate(model, [2.5], 1, esc, traj=traj, record="nodes")
-            if lone.status.exploded:  # hit the level-4 ceiling
+            if lone.status.kind == "exploded":  # hit the level-4 ceiling
                 found += 1
                 n = lone.times.size
                 assert np.array_equal(lone.times, full.times[:n])
@@ -292,7 +292,7 @@ class TestEscalation:
         if not lone.escalations:  # horizon or non-finite: nothing escalates
             assert paths_equal(lone, full) and full.escalations == []
             return
-        assert lone.status.exploded and lone.status.level == level
+        assert lone.status.kind == "exploded" and lone.status.level == level
         assert full.escalations[0] == (level, lone.status.tau)
         n = lone.times.size
         assert np.array_equal(lone.times, full.times[:n])

@@ -1,29 +1,39 @@
 """Grid construction and the fixed-regime Euler-Maruyama recursion.
 
-The recursion runs through ``simulate`` on zero-rate models, where a path is
-the Euler-Maruyama recursion on its grid; ``euler_reference`` is the plain
-loop the solver is compared against.
+Grids are built as the walk builds them, by ``_grid_block``; ``one_grid``
+is a one-row block.  The recursion runs through ``simulate`` on zero-rate
+models, where a path is the Euler-Maruyama recursion on its grid;
+``euler_reference`` is the plain loop the solver is compared against.
 """
 
 import numpy as np
 import pytest
 
-from switchdiff import (DenseRates, RegimeModel, SimConfig, make_grid,
-                        run_ensemble, simulate)
+from switchdiff import DenseRates, RegimeModel, SimConfig, run_ensemble, simulate
 from switchdiff._rng import BROWNIAN, substream
-from switchdiff.integrate import BrownianGrid
+from switchdiff.integrate import _grid_block
 
 NO_RATES = DenseRates(np.zeros((1, 1)))
 
 
-def euler_reference(model, x0, regime, grid):
-    """Euler-Maruyama over every node of grid with a frozen regime."""
+def one_grid(bp, dt_target, dim, rng):
+    """The grid on breakpoints bp with normals drawn from rng:
+    ``(nodes, steps, increments, break_index)`` of a one-row ``_grid_block``,
+    without the last node's empty step."""
+    bp = np.asarray(bp, dtype=float)
+    nodes, steps, incr, bidx = _grid_block(bp, [bp.size], dt_target, dim,
+                                           lambda r, out: rng.standard_normal(out=out))
+    return nodes, steps[:-1], incr[:-1], bidx
+
+
+def euler_reference(model, x0, regime, nodes, steps, increments):
+    """Euler-Maruyama over every node of a grid with a frozen regime."""
     x = np.asarray(x0, dtype=float)
     states = [x]
-    for k in range(grid.steps.size):
-        t = grid.nodes[k]
-        x = (x + model.drift(x, regime, t) * grid.steps[k]
-             + model.dispersion(x, regime, t) @ grid.increments[k])
+    for k in range(steps.size):
+        t = nodes[k]
+        x = (x + model.drift(x, regime, t) * steps[k]
+             + model.dispersion(x, regime, t) @ increments[k])
         states.append(x)
     return np.array(states)
 
@@ -45,37 +55,39 @@ def ou_model(theta=1.0, sigma=np.sqrt(2.0)):
 
 
 class TestMakeGrid:
+    """One-row grids, as ``one_grid`` builds them."""
+
     def test_breakpoints_are_nodes_exactly(self):
         bp = [0.0, 0.137, 0.55, 1.0]
-        g = make_grid(bp, 0.1, 1, substream(0, 0, BROWNIAN))
-        for t, idx in zip(bp, g.break_index):
-            assert g.nodes[idx] == t
+        nodes, _, _, bidx = one_grid(bp, 0.1, 1, substream(0, 0, BROWNIAN))
+        for t, idx in zip(bp, bidx):
+            assert nodes[idx] == t
 
     def test_steps_bounded_by_target(self):
-        g = make_grid([0.0, 0.31, 1.0], 0.07, 1, substream(0, 0, BROWNIAN))
-        assert (g.steps <= 0.07 * (1 + 1e-9)).all()
-        assert (g.steps > 0).all()
+        _, steps, _, _ = one_grid([0.0, 0.31, 1.0], 0.07, 1, substream(0, 0, BROWNIAN))
+        assert (steps <= 0.07 * (1 + 1e-9)).all()
+        assert (steps > 0).all()
 
     def test_increment_variance_matches_step(self):
         # aggregate many seeds; per-step variance should equal step length
         bp = [0.0, 0.5, 1.0]
         draws = []
         for seed in range(400):
-            g = make_grid(bp, 0.25, 1, substream(seed, 0, BROWNIAN))
-            draws.append(g.increments[:, 0] / np.sqrt(g.steps))
+            _, steps, incr, _ = one_grid(bp, 0.25, 1, substream(seed, 0, BROWNIAN))
+            draws.append(incr[:, 0] / np.sqrt(steps))
         z = np.concatenate(draws)
         assert abs(z.var() - 1.0) < 0.1
         assert abs(z.mean()) < 0.05
 
     def test_deterministic_given_seed(self):
-        a = make_grid([0.0, 1.0], 0.01, 2, substream(5, 3, BROWNIAN))
-        b = make_grid([0.0, 1.0], 0.01, 2, substream(5, 3, BROWNIAN))
-        assert np.array_equal(a.nodes, b.nodes)
-        assert np.array_equal(a.increments, b.increments)
+        a = one_grid([0.0, 1.0], 0.01, 2, substream(5, 3, BROWNIAN))
+        b = one_grid([0.0, 1.0], 0.01, 2, substream(5, 3, BROWNIAN))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[2], b[2])
 
     def test_rejects_bad_breakpoints(self):
         with pytest.raises(ValueError):
-            make_grid([0.0, 0.0, 1.0], 0.1, 1, substream(0, 0, BROWNIAN))
+            one_grid([0.0, 0.0, 1.0], 0.1, 1, substream(0, 0, BROWNIAN))
 
 
 class TestIntegrateSegment:
@@ -125,20 +137,12 @@ class TestIntegrateSegment:
         z = rng.standard_normal(3)
         # coarse grid: steps 0.5, 0.5; the first fine pair sums to the first
         # coarse increment and the last increment is shared verbatim
-        coarse = BrownianGrid(
-            nodes=np.array([0.0, 0.5, 1.0]),
-            steps=np.array([0.5, 0.5]),
-            increments=np.array([[0.5 * (z[0] + z[1])], [np.sqrt(0.5) * z[2]]]),
-            break_index=np.array([0, 2]),
-            dim=1)
-        fine = BrownianGrid(
-            nodes=np.array([0.0, 0.25, 0.5, 1.0]),
-            steps=np.array([0.25, 0.25, 0.5]),
-            increments=np.array([[0.5 * z[0]], [0.5 * z[1]], [np.sqrt(0.5) * z[2]]]),
-            break_index=np.array([0, 3]),
-            dim=1)
-        xs_c = euler_reference(m, [0.2], 1, coarse)
-        xs_f = euler_reference(m, [0.2], 1, fine)
+        coarse = (np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.5]),
+                  np.array([[0.5 * (z[0] + z[1])], [np.sqrt(0.5) * z[2]]]))
+        fine = (np.array([0.0, 0.25, 0.5, 1.0]), np.array([0.25, 0.25, 0.5]),
+                np.array([[0.5 * z[0]], [0.5 * z[1]], [np.sqrt(0.5) * z[2]]]))
+        xs_c = euler_reference(m, [0.2], 1, *coarse)
+        xs_f = euler_reference(m, [0.2], 1, *fine)
         assert xs_f[-1, 0] == pytest.approx(xs_c[-1, 0], abs=1e-12)
 
     def test_refinement_bias_slope(self):

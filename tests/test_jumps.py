@@ -1,10 +1,9 @@
 """Stream sampling, thinning coupling and superposition extension."""
 
 import numpy as np
-import pytest
 from scipy import stats
 
-from switchdiff import extend_stream, jumps, sample_stream, thin
+from switchdiff import extend_stream, jumps, sample_stream
 
 
 class TestSampleStream:
@@ -59,50 +58,40 @@ class TestSampleStream:
 
 
 class TestThin:
+    """Thinning at a cutoff K keeps the events with mark < K, as the walk
+    does when it classifies only marks below its cutoff."""
+
     def test_identity_at_full_ceiling(self):
         s = sample_stream(6.0, 1.0, 4)
-        t = thin(s, s.k_max)
-        assert np.array_equal(t.times, s.times)
-        assert np.array_equal(t.marks, s.marks)
+        assert (s.marks < s.k_max).all()
 
     def test_tiny_cutoff_empties(self):
         s = sample_stream(6.0, 1.0, 4)
-        assert len(thin(s, 1e-12)) == 0
-
-    def test_mark_filter_example(self):
-        from switchdiff.jumps import JumpStream
-        s = JumpStream(5.0, 1.0, np.array([0.3, 0.7]), np.array([1.2, 3.8]))
-        t = thin(s, 2.0)
-        assert t.times.tolist() == [0.3]
-        assert t.marks.tolist() == [1.2]
-
-    def test_cutoff_above_ceiling_rejected(self):
-        s = sample_stream(6.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            thin(s, 7.0)
+        assert not (s.marks < 1e-12).any()
 
     def test_coupling_inclusion_bit_exact(self):
         s = sample_stream(10.0, 3.0, 11)
-        lo, hi = thin(s, 2.5), thin(s, 7.5)
+        lo, hi = s.marks < 2.5, s.marks < 7.5
         # the low-cutoff events are exactly the high-cutoff events below it
-        keep = hi.marks < 2.5
-        assert np.array_equal(lo.times, hi.times[keep])
-        assert np.array_equal(lo.marks, hi.marks[keep])
+        keep = s.marks[hi] < 2.5
+        assert np.array_equal(s.times[lo], s.times[hi][keep])
+        assert np.array_equal(s.marks[lo], s.marks[hi][keep])
 
     def test_interarrivals_exponential_ks(self):
         K = 5.0
         gaps = []
         for seed in range(120):
-            t = thin(sample_stream(10.0, 20.0, seed), K)
-            gaps.append(np.diff(np.concatenate([[0.0], t.times])))
+            s = sample_stream(10.0, 20.0, seed)
+            gaps.append(np.diff(np.concatenate([[0.0], s.times[s.marks < K]])))
         gaps = np.concatenate(gaps)
         assert gaps.size >= 10_000
         assert stats.kstest(gaps, "expon", args=(0, 1 / K)).pvalue > 0.01
 
     def test_marks_independent_of_gaps(self):
-        t = thin(sample_stream(8.0, 2000.0, 17), 4.0)
-        gaps = np.diff(t.times)
-        marks = t.marks[1:]
+        s = sample_stream(8.0, 2000.0, 17)
+        keep = s.marks < 4.0
+        gaps = np.diff(s.times[keep])
+        marks = s.marks[keep][1:]
         n = gaps.size
         rho = np.corrcoef(gaps, marks)[0, 1]
         assert abs(rho) < 3 / np.sqrt(n)
@@ -113,9 +102,9 @@ class TestExtendStream:
         s = sample_stream(3.0, 1.0, 21)
         e = extend_stream(s, 9.0, 21)
         assert e.k_max == 9.0
-        back = thin(e, 3.0)
-        assert np.array_equal(back.times, s.times)
-        assert np.array_equal(back.marks, s.marks)
+        back = e.marks < 3.0
+        assert np.array_equal(e.times[back], s.times)
+        assert np.array_equal(e.marks[back], s.marks)
 
     def test_added_band_marks(self):
         s = sample_stream(3.0, 1.0, 21)

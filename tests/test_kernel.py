@@ -6,14 +6,16 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from switchdiff import (DenseRates, FunctionRates, JumpStream, PowerLawRates, RegimeModel,
                         SimConfig, _parallel, estimate_tau_tail, extend_stream, feller_probe,
-                        hybrid, make_grid, make_model, run_ensemble, sample_stream, simulate)
+                        hybrid, make_model, run_ensemble, sample_stream, simulate)
 from switchdiff._rng import BROWNIAN, substream
 from test_hybrid import dense_rates
+from test_integrate import one_grid
 
 EYE = np.eye(1)
 N = 9  # more than the largest block drawn below, so every split is exercised
@@ -339,7 +341,7 @@ class TestBlockSetup:
     @given(case=setup_cases(), block=st.integers(1, N - 1), grid_rows=st.integers(1, 4))
     def test_block_setup_equals_row_setup(self, case, block, grid_rows):
         # every row's stream equals sample_stream's, and its first grid and
-        # each grid it redraws equal make_grid's from its own BROWNIAN
+        # each grid it redraws equal a one-row grid's from its own BROWNIAN
         # substream, continued from one draw to the next
         model, starts, cfg, stream = case
         place = hybrid._Walk.place
@@ -353,8 +355,7 @@ class TestBlockSetup:
         trajs = list(range(3, 3 + N))
         with mock.patch.object(hybrid, "BLOCK_ROWS", block), \
                 mock.patch.object(hybrid, "GRID_ROWS", grid_rows), \
-                mock.patch.object(hybrid._Walk, "place", record), \
-                mock.patch.object(hybrid, "_grid_block", wraps=hybrid._grid_block) as gb:
+                mock.patch.object(hybrid._Walk, "place", record):
             rows = list(hybrid.walk(model, starts, 1, cfg, trajs, stream=stream))
         horizon, levels = model.horizon, hybrid._level_schedule(cfg)
         for row, x0, traj in zip(rows, starts, trajs):
@@ -372,16 +373,42 @@ class TestBlockSetup:
                 t0 = table[0, 0]
                 ev = s.times[(s.times > t0) & (s.times < horizon)]
                 bp = np.unique(np.concatenate(([t0], ev, [horizon])))
-                grid = make_grid(bp, cfg.dt_target, model.dim, brownian)
-                assert np.array_equal(table[:, 0], grid.nodes)
-                assert np.array_equal(table[:-1, 1], grid.steps)
-                assert np.array_equal(table[:-1, 2:], grid.increments)
+                nodes, steps, incr, _ = one_grid(bp, cfg.dt_target, model.dim, brownian)
+                assert np.array_equal(table[:, 0], nodes)
+                assert np.array_equal(table[:-1, 1], steps)
+                assert np.array_equal(table[:-1, 2:], incr)
             # and the row ends where a lone simulate call ends
             path = simulate(model, x0, 1, cfg, traj=traj, stream=stream, record="events")
             assert (row.t, row.lam, row.status) == path.terminal[::2] + (path.status,)
             assert np.array_equal(row.x, path.terminal[1], equal_nan=True)
-        event(f"block passes: {gb.call_count > 0}")
         event(f"grids redrawn: {any(len(d) > 1 for d in drawn.values())}")
+
+    @pytest.mark.parametrize("trajs, times", [
+        ([3], None),                                   # one row
+        ([3, 4, 3, 5, 6, 4, 7], None),                 # coupled rows
+        ([3, 4, 5], [0.2, 0.5, 0.5, 0.7]),             # a tied caller stream
+        ([3], [0.5, 0.5]),                             # one row on it
+    ])
+    def test_one_pass_draws_every_first_grid(self, trajs, times):
+        # rows below their first level get their first grids from
+        # _grid_block passes of GRID_ROWS trajectories before the lockstep
+        # loop starts, tied streams and one-row blocks included
+        model = ou_model(DenseRates(np.array([[0.0, 2.0], [1.0, 0.0]])), 1, True)
+        cfg = SimConfig(stop_level=4, mark_cutoff=8.0, seed=5)
+        stream = None if times is None else JumpStream(
+            10.0, model.horizon, np.array(times), np.linspace(0.5, 9.5, len(times)))
+        counts = []
+        lockstep = hybrid._Walk.lockstep
+
+        def first_iteration(walker, live):
+            counts.append(gb.call_count)
+            return lockstep(walker, live)
+
+        with mock.patch.object(hybrid, "GRID_ROWS", 2), \
+                mock.patch.object(hybrid._Walk, "lockstep", first_iteration), \
+                mock.patch.object(hybrid, "_grid_block", wraps=hybrid._grid_block) as gb:
+            list(hybrid.walk(model, [[0.5]] * len(trajs), 1, cfg, trajs, stream=stream))
+        assert counts == [math.ceil(len(set(trajs)) / 2)]
 
 
 def spy_on(calls, fn, key):

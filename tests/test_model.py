@@ -421,10 +421,18 @@ class TestRateBlock:
         # the table grows by doubling; a slice read after a later growth is the same
         rates.rate_block(1, 2, 3 * hi + 20_000, x)
         assert np.array_equal(rates.rate_block(i, lo, hi, x), want)
-        # numpy's SIMD power and the scalar libm pow behind `rate` may round
-        # differently in the last place
-        scalar = np.array([rates.rate(i, k, x) for k in range(lo, hi)], dtype=float)
-        np.testing.assert_array_max_ulp(got, scalar, maxulp=2)
+        # and `rate` reads the same table
+        assert np.array_equal(got, [rates.rate(i, k, x) for k in range(lo, hi)])
+
+    def test_powerlaw_rate_equals_block_at_every_distance(self):
+        # numpy's SIMD power and the scalar pow may round m^-gamma differently
+        # in the last place; `rate` and `rate_block` read one table, so the
+        # rates that classify marks are the ones the anchors are built from
+        rates = PowerLawRates(3.0, 1.0)
+        x = np.array([0.5])
+        ds = range(1, 20_001)
+        assert [rates.rate(1, 1 + d, x) for d in ds] \
+            == [rates.rate_block(1, 1 + d, 2 + d, x)[0] for d in ds]
 
     def test_radial_claim_is_dropped_by_overrides(self):
         class Scaled(PowerLawRates):
