@@ -25,7 +25,7 @@ growth-weighted tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Tuple, Union
 
 import numpy as np
@@ -36,7 +36,7 @@ from .model import RateMatrix, radius
 SERIES_REL_TOL = 1e-10
 SERIES_MAX_TERMS = 10**6
 ZETA_TERMS = 100_000
-# initial row count of the PowerLawRates prefix tables
+# initial row count of the PowerLawRates prefix tables and the k^beta table
 POWERLAW_TABLE = 4096
 
 
@@ -205,13 +205,41 @@ class PowerLawRates(RateMatrix):
         return lo, hi
 
 
+class _KPowers:
+    """k^beta for k >= 1 at the last beta asked for, and one scratch block.
+
+    The table doubles from POWERLAW_TABLE rows, but not past the column
+    ``reach`` that the series asking ends before.  numpy's vectorised power
+    gives k the same value at any place in a run, so a slice of the table
+    holds the bytes of ``np.arange(lo, hi, dtype=float) ** beta``.
+    """
+
+    def __init__(self):
+        self.beta, self.table, self.buf = None, np.empty(0), np.empty(0)
+
+    def diffs(self, beta, lo, hi, jb, reach):
+        """k^beta - jb for lo <= k < hi, in the block the next call overwrites."""
+        have = self.table.size if beta == self.beta else 0
+        if hi - 1 > have:
+            size = max(hi - 1, min(max(2 * have, POWERLAW_TABLE), reach - 1))
+            ks = np.arange(have + 1, size + 1, dtype=float)
+            self.beta, self.table = beta, np.concatenate([self.table[:have], ks ** beta])
+        if self.buf.size < hi - lo:
+            self.buf = np.empty(hi - lo)
+        return np.subtract(self.table[lo - 1:hi - 1], jb, out=self.buf[:hi - lo])
+
+
 @dataclass
 class _Tally:
-    """Series work of one sweep: series summed, columns read, widest bracket."""
+    """Series work of one sweep: series summed, columns read, widest bracket.
+
+    It also holds the k^beta table that the sweep's series share.
+    """
 
     series: int = 0
     columns: int = 0
     max_half_width: float = 0.0
+    powers: _KPowers = field(default_factory=_KPowers)
 
 
 def _upward_series(rates, j, x, beta, tally=None):
@@ -243,9 +271,10 @@ def _upward_series(rates, j, x, beta, tally=None):
                     half = 0.5 * (hi - lo)
                     tally.max_half_width = max(tally.max_half_width, half)
                     return partial + 0.5 * (lo + hi), half
-        ks = np.arange(n, n + block, dtype=float)
         w = rates.rate_block(j, n, n + block, x)
-        partial += float(((ks ** beta - jb) * w).sum())
+        # the last block ends before column j + 1 + max_terms + 2^16
+        w *= tally.powers.diffs(beta, n, n + block, jb, j + 1 + max_terms + (1 << 16))
+        partial += float(w.sum())
         tally.columns += block
         n += block
         examined += block
@@ -261,9 +290,9 @@ def _downward_series(rates, j, x, beta, tally=None):
         return 0.0
     tally = _Tally() if tally is None else tally
     tally.columns += j - 1
-    ks = np.arange(1, j, dtype=float)
     w = rates.rate_block(j, 1, j, x)
-    return float(((ks ** beta - float(j) ** beta) * w).sum())
+    w *= tally.powers.diffs(beta, 1, j, float(j) ** beta, j)
+    return float(w.sum())
 
 
 def signed_beta_series(rates, j, x, beta, tally=None):
@@ -358,10 +387,11 @@ def check_local_bounded_beta_sum(model, beta, grid):
     rate matrix can never certify raise TailUnresolvable.
     """
     pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
+    tally = _Tally()
 
     def series(y, j):
-        up, _ = _upward_series(model.rates, j, y, beta)
-        return up - _downward_series(model.rates, j, y, beta)
+        up, _ = _upward_series(model.rates, j, y, beta, tally)
+        return up - _downward_series(model.rates, j, y, beta, tally)
 
     vals = np.full((pts.shape[0], grid.regimes), np.nan)
     failed = []

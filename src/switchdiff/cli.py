@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .certify import (ExponentialCertificate, PolynomialCertificate,
                       check_condition_exp, check_condition_poly, default_grid)
-from .errors import ConfigError, SwitchDiffError
+from .errors import ConfigError, SwitchDiffError, TailUnresolvable
 from .hybrid import SimConfig, simulate
 from .models import list_models, make_model, model_params
 from .probe import (ctmc_oracle, estimate_moment, estimate_tau_tail,
@@ -361,7 +361,9 @@ def main(argv=None):
         return exc.code
     except SwitchDiffError as exc:
         print(f"switchdiff: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 1
+        # a tail that no budget can certify is a bad input, like a ConfigError
+        definitive = isinstance(exc, TailUnresolvable) and exc.definitive
+        return 2 if definitive or isinstance(exc, ConfigError) else 1
     for f in files:
         print(f)
     return 0

@@ -78,9 +78,10 @@ class RateMatrix:
         raise NotImplementedError
 
     def rate_block(self, i, lo, hi, x):
-        """Array of rate(i, k, x) over the columns lo <= k < hi, lo >= 1.
+        """Fresh float array of rate(i, k, x) over the columns lo <= k < hi, lo >= 1.
 
-        The diagonal column k = i is 0.  The default loops over ``rate``.
+        The diagonal column k = i is 0.  The certificate checkers overwrite
+        the array they get.  The default loops over ``rate``.
         """
         return np.array([self.rate(i, k, x) for k in range(lo, hi)], dtype=float)
 
@@ -294,8 +295,8 @@ def mark_displacement(model, regime, x, mark):
         if cum + rates.row_tail(i, x, j + 1) <= target:
             return 0
     raise TailUnresolvable(
-        f"row {i} classification did not terminate within {DEFAULT_MAX_TERMS} columns"
-    )
+        f"row {i} classification did not terminate within {DEFAULT_MAX_TERMS} columns",
+        definitive=False)
 
 
 def truncate_coefficients(model, level):

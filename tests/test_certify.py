@@ -15,6 +15,7 @@ from switchdiff import (ConfigError, DenseRates, ExponentialCertificate, Functio
                         check_local_bounded_beta_sum, default_grid,
                         gronwall_bound_poly, make_model, mark_displacement,
                         tau_tail_bound_poly, zeta_partial)
+from switchdiff import certify
 from switchdiff.certify import GridSpec, PowerLawRates, signed_beta_series
 from switchdiff.model import radius
 
@@ -156,6 +157,48 @@ class TestBetaSeries:
             v = sum(abs(k ** 2.0 - j ** 2.0) * q[j - 1, k - 1] for k in range(1, 4))
             best = max(best, v)
         assert rep.sup == pytest.approx(best, rel=1e-12)
+
+
+def series_outcome(rates, j, x, beta, tally):
+    """signed_beta_series, or the type of error it raised."""
+    try:
+        return signed_beta_series(rates, j, x, beta, tally)
+    except TailUnresolvable as exc:
+        return type(exc), exc.definitive
+
+
+class TestPowerTable:
+    """A sweep's series read k^beta from one shared table; it must hold fresh bytes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(beta=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                          st.floats(0.0, 3.0, exclude_min=True)),
+           queries=st.lists(st.tuples(st.integers(1, 1 << 20), st.integers(1, 1 << 16),
+                                      st.integers(0, 1 << 18)), min_size=1, max_size=4))
+    def test_slices_equal_fresh_powers(self, beta, queries):
+        # the SIMD power must not depend on where in the array k sits, so
+        # any run of columns, grown from any earlier table, reads as fresh
+        table = certify._KPowers()
+        for n, b, extra in queries:
+            got = table.diffs(beta, n, n + b, 0.0, n + b + extra)
+            want = np.arange(n, n + b, dtype=float) ** beta
+            assert got.tobytes() == want.tobytes(), (n, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.sampled_from([2.5, 3.0]),
+           queries=st.lists(st.tuples(st.one_of(st.sampled_from([0.5, 1.0, 1.3, 1.6]),
+                                                st.floats(0.1, 2.0)),
+                                      st.integers(1, 12), st.floats(0.0, 10.0)),
+                            min_size=2, max_size=5))
+    def test_series_do_not_depend_on_earlier_queries(self, gamma, queries):
+        rates = PowerLawRates(gamma, 1.0)
+        shared = certify._Tally()
+        # a budget the larger betas run out of, so that failures are compared too
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", 100_000):
+            for beta, j, r in queries:
+                x = np.array([r])
+                want = series_outcome(rates, j, x, beta, certify._Tally())
+                assert series_outcome(rates, j, x, beta, shared) == want, (beta, j, r)
 
 
 class TestGridSpec:

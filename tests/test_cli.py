@@ -84,6 +84,15 @@ class TestBadInput:
         assert err[0].startswith("switchdiff: ConfigError: ")
         assert not list(tmp_path.glob("r_*"))
 
+    def test_uncertifiable_beta_exits_2(self, tmp_path, capsys):
+        # powerlaw has gamma = 3, and no budget certifies a beta of gamma - 1
+        # or more; beta = 1.6 only outruns the budget (TestCertifyOutput)
+        cfg = write_config(tmp_path / "c.cfg", CERTIFY_POWERLAW + "cert.beta = 2.5\n")
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "switchdiff: TailUnresolvable: beta=2.5 outside (0, gamma-1) for power-law tails"]
+        assert not list(tmp_path.glob("r_*"))
+
 
 class TestKeysReachLibrary:
     def test_sim_keys(self, tmp_path):
@@ -146,6 +155,25 @@ class TestCertifyOutput:
                 "3ed45ec85006a218b568577e228248b7bedd04fede1e3da8f1b0c94f10ee395b"),
     }
 
+    # at beta != 1, where k^beta is inexact: the bytes, columns and widest
+    # half-width of sweeps that built every block's k^beta as
+    # np.arange(lo, hi, dtype=float) ** beta; at 1.6 every series runs out
+    # of columns: the run exits 0 and reports tails_certified = False
+    GOLDEN_BETA = {
+        ("poly", 0.5): ("f1dda04162c6cd0099ff4cd93519b8d5dc815bd51d097b0d5816a90daba97aee",
+                        4380702, 6.282193877807006e-10),
+        ("exp", 0.5): ("6bbe0f60e3f1a19dd1cc368804a5701a8d9b39be24eff51c7b5ddafa0712c0d8",
+                       4380702, 6.282193877807006e-10),
+        ("poly", 1.3): ("54cd2cdb714dc3e0185c0847e6f79637490340b4c1c3baf01b192cf09155c8db",
+                        8116254, 2.163684564198201e-09),
+        ("exp", 1.3): ("72301359866563016ee316e026dc24d9b808d7eb751d58241ae0140aaa22de2e",
+                       8116254, 2.163684564198201e-09),
+        ("poly", 1.6): ("c8adeb7ff23a73e6dde100abb949cff2ac880e7695dbeff928a75a8538e72d34",
+                        20961280, 0.0),
+        ("exp", 1.6): ("bc746fd6e7e146f5bdbffaa7d903f044ea8359ba4c297479dac1d86ace39a0b6",
+                       20961280, 0.0),
+    }
+
     @pytest.mark.parametrize("kind", sorted(GOLDEN))
     def test_report_bytes_unchanged(self, tmp_path, kind):
         cert, digest = self.GOLDEN[kind]
@@ -153,6 +181,18 @@ class TestCertifyOutput:
         assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
         data = (tmp_path / "c_report.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind,beta", sorted(GOLDEN_BETA))
+    def test_report_bytes_unchanged_at_inexact_beta(self, tmp_path, kind, beta):
+        digest, columns, half = self.GOLDEN_BETA[kind, beta]
+        cert = self.GOLDEN[kind][0].replace("cert.beta = 1.0", f"cert.beta = {beta}")
+        cfg = write_config(tmp_path / "c.cfg", CERTIFY_POWERLAW + cert)
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
+        data = (tmp_path / "c_report.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        meta = (tmp_path / "c_meta.txt").read_text().splitlines()
+        assert meta[-3:] == ["series = 20", f"columns = {columns}",
+                             f"max_half_width = {half!r}"]
 
     def test_series_work_goes_to_meta_only(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", CERTIFY_POWERLAW + self.GOLDEN["poly"][0])
