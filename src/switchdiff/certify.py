@@ -56,6 +56,20 @@ def zeta_partial(s):
     return partial + 0.5 * (tail_lo + tail_hi), 0.5 * (tail_hi - tail_lo)
 
 
+def _grow_powers(table, exponent, size):
+    """The table of k^exponent for k = 1, 2, ..., grown by doubling to at least size rows.
+
+    One vectorised power over a contiguous run gives each k the value any
+    contiguous array of k gets, so a slice of the table holds the bytes of
+    ``np.arange(lo, hi, dtype=float) ** exponent``.
+    """
+    have = table.size
+    if size <= have:
+        return table
+    ks = np.arange(have + 1, max(2 * have, size) + 1, dtype=float)
+    return np.concatenate([table, ks ** exponent])
+
+
 class PowerLawRates(RateMatrix):
     """Rates (j + |x|^p) / |k - j|^gamma for j != k, with certified tails.
 
@@ -88,14 +102,9 @@ class PowerLawRates(RateMatrix):
 
     def _powers(self, size):
         """The table inv[m-1] = m^-gamma, grown by doubling to at least size rows."""
-        have = self._inv.size
-        if size > have:
-            # one vectorised power over a contiguous run gives each m the value
-            # any contiguous array of distances gets; every rate, ``rate``'s
-            # included, reads this table, since numpy's SIMD power and the
-            # scalar pow may differ in the last place
-            ms = np.arange(have + 1, max(2 * have, size) + 1, dtype=float)
-            self._inv = np.concatenate([self._inv, ms ** (-self.gamma)])
+        # every rate, ``rate``'s included, reads this table, since numpy's
+        # SIMD power and the scalar pow may differ in the last place
+        self._inv = _grow_powers(self._inv, -self.gamma, size)
         return self._inv
 
     def _build_tables(self, size):
@@ -206,24 +215,15 @@ class PowerLawRates(RateMatrix):
 
 
 class _KPowers:
-    """k^beta for k >= 1 at the last beta asked for, and one scratch block.
-
-    The table doubles from POWERLAW_TABLE rows, but not past the column
-    ``reach`` that the series asking ends before.  numpy's vectorised power
-    gives k the same value at any place in a run, so a slice of the table
-    holds the bytes of ``np.arange(lo, hi, dtype=float) ** beta``.
-    """
+    """k^beta for k >= 1 at the last beta asked for, and one scratch block."""
 
     def __init__(self):
         self.beta, self.table, self.buf = None, np.empty(0), np.empty(0)
 
-    def diffs(self, beta, lo, hi, jb, reach):
+    def diffs(self, beta, lo, hi, jb):
         """k^beta - jb for lo <= k < hi, in the block the next call overwrites."""
-        have = self.table.size if beta == self.beta else 0
-        if hi - 1 > have:
-            size = max(hi - 1, min(max(2 * have, POWERLAW_TABLE), reach - 1))
-            ks = np.arange(have + 1, size + 1, dtype=float)
-            self.beta, self.table = beta, np.concatenate([self.table[:have], ks ** beta])
+        table = self.table if beta == self.beta else np.empty(0)
+        self.beta, self.table = beta, _grow_powers(table, beta, max(POWERLAW_TABLE, hi - 1))
         if self.buf.size < hi - lo:
             self.buf = np.empty(hi - lo)
         return np.subtract(self.table[lo - 1:hi - 1], jb, out=self.buf[:hi - lo])
@@ -231,10 +231,7 @@ class _KPowers:
 
 @dataclass
 class _Tally:
-    """Series work of one sweep: series summed, columns read, widest bracket.
-
-    It also holds the k^beta table that the sweep's series share.
-    """
+    """One sweep's series summed, columns read, widest bracket and k^beta table."""
 
     series: int = 0
     columns: int = 0
@@ -271,10 +268,9 @@ def _upward_series(rates, j, x, beta, tally=None):
                     half = 0.5 * (hi - lo)
                     tally.max_half_width = max(tally.max_half_width, half)
                     return partial + 0.5 * (lo + hi), half
-        w = rates.rate_block(j, n, n + block, x)
-        # the last block ends before column j + 1 + max_terms + 2^16
-        w *= tally.powers.diffs(beta, n, n + block, jb, j + 1 + max_terms + (1 << 16))
-        partial += float(w.sum())
+        d = tally.powers.diffs(beta, n, n + block, jb)
+        d *= rates.rate_block(j, n, n + block, x)
+        partial += float(d.sum())
         tally.columns += block
         n += block
         examined += block
@@ -290,9 +286,9 @@ def _downward_series(rates, j, x, beta, tally=None):
         return 0.0
     tally = _Tally() if tally is None else tally
     tally.columns += j - 1
-    w = rates.rate_block(j, 1, j, x)
-    w *= tally.powers.diffs(beta, 1, j, float(j) ** beta, j)
-    return float(w.sum())
+    d = tally.powers.diffs(beta, 1, j, float(j) ** beta)
+    d *= rates.rate_block(j, 1, j, x)
+    return float(d.sum())
 
 
 def signed_beta_series(rates, j, x, beta, tally=None):

@@ -78,10 +78,9 @@ class RateMatrix:
         raise NotImplementedError
 
     def rate_block(self, i, lo, hi, x):
-        """Fresh float array of rate(i, k, x) over the columns lo <= k < hi, lo >= 1.
+        """Array of rate(i, k, x) over the columns lo <= k < hi, lo >= 1.
 
-        The diagonal column k = i is 0.  The certificate checkers overwrite
-        the array they get.  The default loops over ``rate``.
+        The diagonal column k = i is 0.  The default loops over ``rate``.
         """
         return np.array([self.rate(i, k, x) for k in range(lo, hi)], dtype=float)
 

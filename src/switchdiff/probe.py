@@ -21,7 +21,7 @@ import numpy as np
 from . import hybrid
 from ._parallel import map_indices
 from ._rng import AUX, substream
-from .certify import exit_level_infimum, gronwall_bound_poly
+from .certify import gronwall_bound_poly, tau_tail_bound_poly
 from .errors import ConfigError, TruncationLeak
 from .hybrid import _level_schedule, walk
 
@@ -195,12 +195,6 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
                        levels=levels)
     explosions = int(ens["nonfinite"].sum())
     tails = (ens["hit"] <= horizon).mean(axis=1)
-    if cert is not None:
-        # tau_tail_bound_poly per level and start, with each start's Gronwall
-        # factor found once: it does not depend on the level
-        reach = [float(np.linalg.norm(y)) + i0 for y in starts]
-        factors = [gronwall_bound_poly(cert, y, i0, t) if r < levels[-1] else None
-                   for y, r in zip(starts, reach)]
 
     labels, ests, hws = [], [], []
     for li, lv in enumerate(levels):
@@ -214,9 +208,7 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
         hws.append(_binom_hw(tails[top, li], n))
         if cert is not None:
             labels.append(f"bound[M={lv}]")
-            inf = exit_level_infimum(cert, lv)
-            ests.append(max(1.0 if r >= lv else min(1.0, g / inf)
-                            for r, g in zip(reach, factors)))
+            ests.append(max(tau_tail_bound_poly(cert, y, i0, t, lv) for y in starts))
             hws.append(0.0)
     return ProbeReport(
         "tau_tail",

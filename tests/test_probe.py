@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeModel,
                         SimConfig, TruncationLeak, ctmc_oracle, estimate_moment,
                         estimate_tau_tail, feller_probe, make_model,
-                        run_ensemble, tau_tail_bound_poly)
+                        run_ensemble)
 from switchdiff import _parallel, hybrid
 from test_hybrid import dense_rates, ou_with_rates
 
@@ -58,23 +58,6 @@ class TestEstimateTauTail:
     def test_already_outside_is_one(self):
         rep = estimate_tau_tail(frozen_model(), [5.0], 2, 1.0, [4], 0.1, 50, CFG)
         assert rep.value("tail_sup[M=4]") == 1.0
-
-    def test_bound_rows_equal_tau_tail_bound(self):
-        # the start's growth integral is evaluated once, not once per level
-        calls = []
-
-        def growth(s):
-            calls.append(s)
-            return 0.1 * s
-
-        cert = PolynomialCertificate(p=1.0, beta=1.0, growth=growth)
-        # |x0| + i0 = 4: on level 4, inside 16 and 32
-        rep = estimate_tau_tail(frozen_model(), [3.0], 1, 1.0, [4, 16, 32], 0.1, 10, CFG,
-                                cert=cert, n_starts=1)
-        assert len(calls) == 1001
-        bounds = [rep.value(f"bound[M={m}]") for m in (4, 16, 32)]
-        assert bounds == [tau_tail_bound_poly(cert, [3.0], 1, 1.0, m) for m in (4, 16, 32)]
-        assert bounds[0] == 1.0 > bounds[1] > bounds[2]
 
     def test_ou_decreasing_below_bound(self):
         model = make_model("ou2", sigma1=2.0, sigma2=2.0)
