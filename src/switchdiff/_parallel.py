@@ -6,7 +6,6 @@ so models built from arbitrary callables need no pickling.  Results are
 joined in trajectory order, so no estimate depends on worker count.
 """
 
-import multiprocessing as mp
 import os
 
 _PAYLOAD = None
@@ -27,7 +26,11 @@ def map_indices(fn, n, threads=1, block=1):
     spread as evenly as they go, start at multiples of ``block``.
     """
     threads = max(1, min(int(threads or 1), os.cpu_count() or 1, n // (2 * block)))
-    if threads == 1 or "fork" not in mp.get_all_start_methods():
+    if threads == 1:
+        return list(fn(0, n))
+    # loaded here, not at import: a serial run never needs it
+    import multiprocessing as mp
+    if "fork" not in mp.get_all_start_methods():
         return list(fn(0, n))
     global _PAYLOAD
     blocks = -(-n // block)

@@ -24,6 +24,7 @@ growth-weighted tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple, Union
@@ -184,7 +185,8 @@ class PowerLawRates(RateMatrix):
 
         The summand g(m) = ((m+i)^b - i^b) m^-gamma (m = k - i) is
         nonincreasing for gamma >= max(beta, 1), so the tail lies in
-        [I, I + g(a)] with I the integral from a = n - i.
+        [I, I + g(a)] with I the integral from a = n - i.  Only the growth
+        factor depends on x; I and g(a) are shared by every radius.
         """
         if not 0 < beta < self.gamma - 1:
             raise TailUnresolvable(
@@ -192,33 +194,38 @@ class PowerLawRates(RateMatrix):
                 definitive=True)
         if n <= i:
             raise ValueError("beta_tail requires n > i")
-        a = float(n - i)
-        j = float(i)
-        g = self.gamma
-
-        def tail_term(m):
-            return ((m + j) ** beta - j ** beta) * m ** (-g)
-
-        def transformed(u):
-            # m = a/u maps [a, inf) to (0, 1]; integrand stays smooth since
-            # beta < gamma - 1
-            m = a / u
-            return tail_term(m) * a / (u * u)
-
-        # loaded here, not at import: scipy.integrate costs about 0.5 s of start-up
-        from scipy.integrate import quad
-        integral, err = quad(transformed, 0.0, 1.0, limit=200)
+        integral, err, lead = _tail_integral(self.gamma, n - i, i, beta)
         scale = self._growth(i, x)
         lo = scale * max(integral - err, 0.0)
-        hi = scale * (integral + err + tail_term(a))
+        hi = scale * (integral + err + lead)
         return lo, hi
 
 
+@functools.lru_cache(maxsize=4096)
+def _tail_integral(gamma, a, j, beta):
+    """(I, quad's error bound, g(a)) for g(m) = ((m+j)^b - j^b) m^-gamma, I = int_a^inf g."""
+    a, j = float(a), float(j)
+
+    def tail_term(m):
+        return ((m + j) ** beta - j ** beta) * m ** (-gamma)
+
+    def transformed(u):
+        # m = a/u maps [a, inf) to (0, 1]; integrand stays smooth since
+        # beta < gamma - 1
+        m = a / u
+        return tail_term(m) * a / (u * u)
+
+    # loaded here, not at import: scipy.integrate costs about 0.5 s of start-up
+    from scipy.integrate import quad
+    integral, err = quad(transformed, 0.0, 1.0, limit=200)
+    return integral, err, tail_term(a)
+
+
 class _KPowers:
-    """k^beta for k >= 1 at the last beta asked for, and one scratch block."""
+    """k^beta for k >= 1 at the last beta asked for, and two scratch blocks."""
 
     def __init__(self):
-        self.beta, self.table, self.buf = None, np.empty(0), np.empty(0)
+        self.beta, self.table, self.buf, self.prod = None, np.empty(0), np.empty(0), np.empty(0)
 
     def diffs(self, beta, lo, hi, jb):
         """k^beta - jb for lo <= k < hi, in the block the next call overwrites."""
@@ -227,6 +234,12 @@ class _KPowers:
         if self.buf.size < hi - lo:
             self.buf = np.empty(hi - lo)
         return np.subtract(self.table[lo - 1:hi - 1], jb, out=self.buf[:hi - lo])
+
+    def dot(self, d, w):
+        """The pairwise sum of d * w, formed in a block of its own: d and w are only read."""
+        if self.prod.size < d.size:
+            self.prod = np.empty(d.size)
+        return float(np.multiply(d, w, out=self.prod[:d.size]).sum())
 
 
 @dataclass
@@ -239,45 +252,69 @@ class _Tally:
     powers: _KPowers = field(default_factory=_KPowers)
 
 
+def _upward_batch(rates, j, xs, beta, tally):
+    """Certified (value, half_width) for sum_{k>j} (k^b - j^b) q_jk(x), for each x in xs.
+
+    Every series steps the same columns: n = j+1 on, in blocks of 512
+    doubling to 65,536.  So each block's k^b - j^b is formed once, and each
+    series still live adds the pairwise sum of its own block product, as a
+    lone series would.  A series ends at the n and with the bracket it would
+    end at alone; one that cannot be certified gets its TailUnresolvable in
+    place of the pair.
+    """
+    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
+    tally.series += len(xs)
+    jb = float(j) ** beta
+    out = [None] * len(xs)
+    partial = [0.0] * len(xs)
+    live = list(range(len(xs)))
+    n, block, examined, first = j + 1, 512, 0, True
+    while live and examined <= max_terms:
+        going = []
+        for s in live:
+            x = xs[s]
+            if rates.row_tail(j, x, n) == 0.0:
+                out[s] = (partial[s], 0.0)
+                continue
+            scale = 1.0 + abs(partial[s])
+            lead = (float(n) ** beta - jb) * rates.rate(j, n, x)
+            if first or lead <= rel_tol * scale:
+                # the first attempt surfaces definitively uncertifiable tails
+                try:
+                    lo, hi = rates.beta_tail(j, x, n, beta)
+                except TailUnresolvable as exc:
+                    if exc.definitive:
+                        out[s] = exc
+                        continue
+                else:
+                    if hi - lo <= 2.0 * rel_tol * scale:
+                        half = 0.5 * (hi - lo)
+                        tally.max_half_width = max(tally.max_half_width, half)
+                        out[s] = (partial[s] + 0.5 * (lo + hi), half)
+                        continue
+            going.append(s)
+        live, first = going, False
+        if live:
+            d = tally.powers.diffs(beta, n, n + block, jb)
+            for s in live:
+                partial[s] += tally.powers.dot(d, rates.rate_block(j, n, n + block, xs[s]))
+            tally.columns += block * len(live)
+            n += block
+            examined += block
+            block = min(2 * block, 1 << 16)
+    for s in live:
+        out[s] = TailUnresolvable(
+            f"growth-weighted series for row {j} not certified within {max_terms} terms",
+            definitive=False)
+    return out
+
+
 def _upward_series(rates, j, x, beta, tally=None):
     """Certified (value, half_width) for sum_{k>j} (k^b - j^b) q_jk(x)."""
-    rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
-    tally = _Tally() if tally is None else tally
-    tally.series += 1
-    jb = float(j) ** beta
-    partial = 0.0
-    n = j + 1
-    block = 512
-    examined = 0
-    first = True
-    while examined <= max_terms:
-        if rates.row_tail(j, x, n) == 0.0:
-            return partial, 0.0
-        scale = 1.0 + abs(partial)
-        lead = (float(n) ** beta - jb) * rates.rate(j, n, x)
-        if first or lead <= rel_tol * scale:
-            # the first attempt surfaces definitively uncertifiable tails
-            first = False
-            try:
-                lo, hi = rates.beta_tail(j, x, n, beta)
-            except TailUnresolvable as exc:
-                if exc.definitive:
-                    raise
-            else:
-                if hi - lo <= 2.0 * rel_tol * scale:
-                    half = 0.5 * (hi - lo)
-                    tally.max_half_width = max(tally.max_half_width, half)
-                    return partial + 0.5 * (lo + hi), half
-        d = tally.powers.diffs(beta, n, n + block, jb)
-        d *= rates.rate_block(j, n, n + block, x)
-        partial += float(d.sum())
-        tally.columns += block
-        n += block
-        examined += block
-        block = min(2 * block, 1 << 16)
-    raise TailUnresolvable(
-        f"growth-weighted series for row {j} not certified within {max_terms} terms",
-        definitive=False)
+    up, = _upward_batch(rates, j, [x], beta, _Tally() if tally is None else tally)
+    if isinstance(up, TailUnresolvable):
+        raise up
+    return up
 
 
 def _downward_series(rates, j, x, beta, tally=None):
@@ -287,8 +324,7 @@ def _downward_series(rates, j, x, beta, tally=None):
     tally = _Tally() if tally is None else tally
     tally.columns += j - 1
     d = tally.powers.diffs(beta, 1, j, float(j) ** beta)
-    d *= rates.rate_block(j, 1, j, x)
-    return float(d.sum())
+    return tally.powers.dot(d, rates.rate_block(j, 1, j, x))
 
 
 def signed_beta_series(rates, j, x, beta, tally=None):
@@ -383,17 +419,12 @@ def check_local_bounded_beta_sum(model, beta, grid):
     rate matrix can never certify raise TailUnresolvable.
     """
     pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
-    tally = _Tally()
-
-    def series(y, j):
-        up, _ = _upward_series(model.rates, j, y, beta, tally)
-        return up - _downward_series(model.rates, j, y, beta, tally)
-
     vals = np.full((pts.shape[0], grid.regimes), np.nan)
     failed = []
-    for a, _, j, value in _series_nodes(pts, grid.regimes, model.rates, series, failed):
-        if value is not None:
-            vals[a, j - 1] = value
+    for a, _, j, sums in _series_nodes(pts, grid.regimes, model.rates, beta, _Tally(), failed):
+        if sums is not None:
+            down, up, _ = sums
+            vals[a, j - 1] = up - down
     finite = vals[np.isfinite(vals)]
     sup = float(finite.max()) if finite.size else float("nan")
     flat = np.where(np.isfinite(vals), vals, -np.inf)
@@ -435,40 +466,46 @@ class CertificateReport:
                 f"{len(self.violations)} violating nodes)")
 
 
-def _series_nodes(pts, regimes, rates, series, failed):
-    """Yield (a, y, j, series(y, j)) over grid points and regimes 1..regimes.
+def _series_nodes(pts, regimes, rates, beta, tally, failed):
+    """Yield (a, y, j, (down, up, half)) over grid points and regimes 1..regimes.
 
-    A (y, j) whose series cannot be certified within budget is appended to
-    ``failed`` as (a, j) and yields the value None; a definitive failure
-    propagates.  For radial rates the series of (y, j) is computed once per
-    (radius(y), j) and shared by every point of that radius, a failure too.
+    The series are summed regime-major: for each j one ``_upward_batch``
+    pass steps the upward series of every distinct radius (every point, for
+    rates that are not radial), so each block's k^b - j^b, and on power-law
+    rates each tail integral, serves them all.  down is the exact downward
+    sum of each series that certified.  The sums are then yielded
+    point-major, as the margins are visited.  A (y, j) whose series cannot
+    be certified within budget is appended to ``failed`` as (a, j) and
+    yields None; the first definitive failure met in that order propagates.
     """
-    memo = {}
+    keys = [radius(y) if rates.radial else a for a, y in enumerate(pts)]
+    first = {}
+    for key, y in zip(keys, pts):
+        first.setdefault(key, y)
+    xs, sums = list(first.values()), {}
+    for j in range(1, regimes + 1):
+        for key, x, up in zip(first, xs, _upward_batch(rates, j, xs, beta, tally)):
+            ok = not isinstance(up, TailUnresolvable)
+            sums[key, j] = (_downward_series(rates, j, x, beta, tally),) + up if ok else up
     for a, y in enumerate(pts):
-        if not rates.radial:
-            memo.clear()
-        r = radius(y)
         for j in range(1, regimes + 1):
-            if (r, j) not in memo:
-                try:
-                    memo[r, j] = series(y, j)
-                except TailUnresolvable as exc:
-                    if exc.definitive:
-                        raise
-                    memo[r, j] = None
-            value = memo[r, j]
-            if value is None:
+            value = sums[keys[a], j]
+            if isinstance(value, TailUnresolvable):
+                if value.definitive:
+                    raise value
                 failed.append((a, j))
+                value = None
             yield a, y, j, value
 
 
-def _sweep(kind, model, grid, series, margin):
+def _sweep(kind, model, grid, beta, series, margin):
     """One pass over the grid nodes (y, j, t) into a CertificateReport.
 
-    series(y, j, tally) counts its work into the tally.  |sigma(y, j, t)|_HS^2
-    is evaluated once per node, so its per-time supremum also covers (y, j)
-    whose series failed.  margin(y, j, t, series, hs2) is the right side
-    minus the left side.
+    series(down, up, half) combines a node's downward sum and upward bracket
+    into the value margin reads.  |sigma(y, j, t)|_HS^2 is evaluated once
+    per node, so its per-time supremum also covers (y, j) whose series
+    failed.  margin(y, j, t, value, hs2) is the right side minus the left
+    side.
     """
     pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
     times = grid.times
@@ -478,16 +515,16 @@ def _sweep(kind, model, grid, series, margin):
     worst = (pts[0], 1, times[0])
     violations = []
     failed = []
-    for _, y, j, value in _series_nodes(pts, grid.regimes, model.rates,
-                                        lambda y, j: series(y, j, tally), failed):
+    for _, y, j, sums in _series_nodes(pts, grid.regimes, model.rates, beta, tally, failed):
         hs2 = []
         for ti, t in enumerate(times):
             s = np.asarray(model.dispersion(y, j, t), dtype=float)
             hs2.append(float((s * s).sum()))
             # max() keeps the running value over a NaN; np.maximum would not
             sup[ti] = max(sup[ti], hs2[-1])
-        if value is None:
+        if sums is None:
             continue
+        value = series(*sums)
         for t, h in zip(times, hs2):
             m = margin(y, j, t, value, h)
             if m < margin_min:
@@ -512,9 +549,8 @@ def check_condition_poly(model, cert, grid):
     """
     p, beta = cert.p, cert.beta
 
-    def series(y, j, tally):
-        val, half = signed_beta_series(model.rates, j, y, beta, tally)
-        return val + half  # sound upper end
+    def series(down, up, half):
+        return down + up + half  # sound upper end
 
     def margin(y, j, t, series_hi, hs2):
         y2 = float(y @ y)
@@ -523,7 +559,7 @@ def check_condition_poly(model, cert, grid):
         drift_term = 2.0 * float(y @ b) + (2.0 * p - 1.0) * hs2
         return rhs - (series_hi / (1.0 + y2) ** p + drift_term / (1.0 + y2))
 
-    return _sweep("polynomial", model, grid, series, margin)
+    return _sweep("polynomial", model, grid, beta, series, margin)
 
 
 def check_condition_exp(model, cert, grid):
@@ -537,9 +573,8 @@ def check_condition_exp(model, cert, grid):
     alpha, c, beta, horizon = cert.alpha, cert.c, cert.beta, cert.horizon
     discount = math.exp(-alpha * c * horizon)
 
-    def series(y, j, tally):
-        up, half = _upward_series(model.rates, j, y, beta, tally)
-        return (_downward_series(model.rates, j, y, beta, tally), up + half)
+    def series(down, up, half):
+        return down, up + half
 
     def margin(y, j, t, series, hs2):
         down, up_hi = series
@@ -554,7 +589,7 @@ def check_condition_exp(model, cert, grid):
         t3 = up_hi / w_up if np.isfinite(w_up) else 0.0
         return rhs - (term1 + t2 + t3)
 
-    return _sweep("exponential", model, grid, series, margin)
+    return _sweep("exponential", model, grid, beta, series, margin)
 
 
 def _simpson(fn, a, b, intervals=1000):

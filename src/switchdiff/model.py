@@ -56,9 +56,10 @@ class RateMatrix:
     ``radial = True`` declares that ``rate``, ``rate_block``, ``row_tail``
     and ``beta_tail`` depend on x only through ``radius(x)``; the
     certificate checkers then sum each growth-weighted series once per
-    (radius, regime) and share it between grid points of equal radius.  A
-    subclass that overrides any of those four methods without setting
-    ``radial`` itself gets ``False``.
+    (radius, regime), in one pass per regime over the distinct radii, and
+    share it between grid points of equal radius.  A subclass that
+    overrides any of those four methods without setting ``radial`` itself
+    gets ``False``.
     """
 
     territory_batch = None

@@ -1,11 +1,12 @@
 """Certificate checkers, series brackets and the power-law rate family."""
 
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
@@ -288,11 +289,15 @@ class EndlessRow2(RateMatrix):
         return float(max(n - 2, 1)) ** -2.0 if i == 2 else 0.0
 
 
+def series_keys(spy, key):
+    """The (j, key(x)) of every upward series summed through the spied _upward_batch."""
+    return [(c.args[1], key(x)) for c in spy.call_args_list for x in c.args[2]]
+
+
 class TestSweep:
     def test_one_dispersion_call_per_node(self):
         # the sweep evaluates sigma once per node and, for radial rates, the
-        # series once per (radius, j), through the module-level
-        # signed_beta_series: 9 points on 5 radii
+        # series once per (radius, j): 9 points on 5 radii
         base = make_model("powerlaw")
         calls = []
 
@@ -302,12 +307,13 @@ class TestSweep:
 
         m = model_of(base.drift, dispersion, base.rates)
         grid = default_grid(radius=4.0, n_radii=5, regimes=4)
-        with mock.patch("switchdiff.certify.signed_beta_series",
-                        wraps=signed_beta_series) as spy:
+        with mock.patch("switchdiff.certify._upward_batch",
+                        wraps=certify._upward_batch) as spy:
             rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
         assert rep.tails_certified
         assert len(calls) == rep.nodes == 9 * 4 * 3
-        assert spy.call_count == rep.series == 5 * 4
+        starts = series_keys(spy, radius)
+        assert len(starts) == len(set(starts)) == rep.series == 5 * 4
         calls.clear()
         rep = check_condition_exp(m, ExponentialCertificate(0.5, 1.0, 1.0, 1.0), grid)
         assert len(calls) == 9 * 4 * 3
@@ -321,11 +327,12 @@ class TestSweep:
         rates = FunctionRates(4, q, 100.0)
         m = model_of(lambda x, i, t: -x, lambda x, i, t: np.eye(1), rates)
         grid = default_grid(radius=4.0, n_radii=5, regimes=4)
-        with mock.patch("switchdiff.certify.signed_beta_series",
-                        wraps=signed_beta_series) as spy:
+        with mock.patch("switchdiff.certify._upward_batch",
+                        wraps=certify._upward_batch) as spy:
             rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
         assert rep.tails_certified
-        assert spy.call_count == rep.series == 9 * 4
+        starts = series_keys(spy, lambda x: float(x[0]))
+        assert len(starts) == len(set(starts)) == rep.series == 9 * 4
         assert rep.nodes == 9 * 4 * 3
 
     def test_sigma_integral_covers_failed_series(self):
@@ -499,3 +506,252 @@ class TestRadialSharing:
         else:
             assert shared.nodes == 5 * 2 * 2
             assert (shared.series, plain.series) == (3 * 3, 5 * 3)
+
+
+def exact(outcome):
+    """A series outcome with its floats as hex, or its error as (type, definitive, message)."""
+    if isinstance(outcome, TailUnresolvable):
+        return type(outcome), outcome.definitive, str(outcome)
+    return tuple(float(v).hex() for v in outcome)
+
+
+def tally_of(tally):
+    return tally.series, tally.columns, float(tally.max_half_width).hex()
+
+
+def lone_series(pts, regimes, rates, beta, tally):
+    """Each (key, j) summed alone on its first point-major visit, as before batching.
+
+    Returns the outcomes in the sweep's node order and the failed (a, j).
+    """
+    memo, out, failed = {}, [], []
+    for a, y in enumerate(pts):
+        key = radius(y) if rates.radial else a
+        for j in range(1, regimes + 1):
+            if (key, j) not in memo:
+                try:
+                    up, half = certify._upward_series(rates, j, y, beta, tally)
+                    memo[key, j] = (certify._downward_series(rates, j, y, beta, tally), up, half)
+                except TailUnresolvable as exc:
+                    memo[key, j] = exc
+            value = memo[key, j]
+            if isinstance(value, TailUnresolvable):
+                if value.definitive:
+                    raise value
+                failed.append((a, j))
+            out.append(value)
+    return out, failed
+
+
+def outward_radial(y):
+    # rates that tell y from -y: the sweep may not share their series
+    return 1.0 + max(float(y[0]), 0.0)
+
+
+matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.floats(0.0, 5.0), min_size=n * n, max_size=n * n).map(lambda v: np.reshape(v, (n, n))))
+power_laws = st.builds(PowerLawRates, st.floats(2.0, 5.0, exclude_min=True), st.floats(1.0, 3.0))
+rate_matrices = st.one_of(
+    power_laws,
+    power_laws,
+    matrices.map(DenseRates),
+    matrices.map(lambda q: FunctionRates(len(q), lambda y: q * outward_radial(y), 100.0)),
+)
+
+
+class TestBatchedSeries:
+    """One pass over many radii sums each series as it would be summed alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rates=rate_matrices,
+           coords=st.lists(st.one_of(st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]),
+                                     st.floats(-10.0, 10.0)), min_size=1, max_size=6),
+           regimes=st.integers(1, 5),
+           beta=st.floats(0.1, 4.5),
+           budget=st.sampled_from([0, 600, 5_000, 60_000]),
+           rel_tol=st.sampled_from([1e-10, 1e-7, 1e-5]))
+    def test_batch_equals_lone_series(self, rates, coords, regimes, beta, budget, rel_tol):
+        # a looser tolerance ends the series of one row at different columns
+        pts = np.array(coords)[:, None]
+        xs = list(pts)
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", budget), \
+                mock.patch("switchdiff.certify.SERIES_REL_TOL", rel_tol):
+            for j in range(1, regimes + 1):
+                batch, lone = certify._Tally(), certify._Tally()
+                got = certify._upward_batch(rates, j, xs, beta, batch)
+                want = []
+                for x in xs:
+                    try:
+                        want.append(certify._upward_series(rates, j, x, beta, lone))
+                    except TailUnresolvable as exc:
+                        want.append(exc)
+                assert [exact(g) for g in got] == [exact(w) for w in want]
+                assert tally_of(batch) == tally_of(lone)
+                for g in got:
+                    event(f"{type(rates).__name__}: " + (
+                        "certified" if not isinstance(g, TailUnresolvable)
+                        else "definitive" if g.definitive else "over budget"))
+                for x, g in zip(xs, got):
+                    if not isinstance(g, TailUnresolvable):
+                        down = certify._downward_series(rates, j, x, beta, certify._Tally())
+                        signed = signed_beta_series(rates, j, x, beta)
+                        assert exact((down + g[0], g[1])) == exact(signed)
+
+            swept, failed, alone = certify._Tally(), [], certify._Tally()
+            try:
+                nodes = [s for *_, s in certify._series_nodes(pts, regimes, rates, beta,
+                                                             swept, failed)]
+            except TailUnresolvable as exc:
+                with pytest.raises(TailUnresolvable) as info:
+                    lone_series(pts, regimes, rates, beta, alone)
+                assert exact(exc) == exact(info.value)
+                assert exc.definitive
+                return
+            sums, alone_failed = lone_series(pts, regimes, rates, beta, alone)
+        assert failed == alone_failed
+        assert [None if s is None else exact(s) for s in nodes] == \
+            [None if isinstance(s, TailUnresolvable) else exact(s) for s in sums]
+        assert tally_of(swept) == tally_of(alone)
+
+    def test_too_large_beta_raises_the_definitive_error(self):
+        rates = PowerLawRates(3.0, 1.0)
+        with pytest.raises(TailUnresolvable, match=r"beta=2\.0 outside") as info:
+            check_condition_poly(zero_model(rates), PolynomialCertificate(1.0, 2.0, 3.0),
+                                 default_grid(radius=2.0, n_radii=3, regimes=3))
+        assert info.value.definitive
+        with pytest.raises(TailUnresolvable, match=r"beta=2\.0 outside"):
+            signed_beta_series(rates, 1, np.array([0.5]), 2.0)
+
+    def test_tail_integral_shared_between_radii(self):
+        # one quad per (j, n) queried: the radii differ only in the growth factor
+        import scipy.integrate
+        m = make_model("powerlaw", gamma=3.25)
+        certify._tail_integral.cache_clear()
+        with mock.patch.object(m.rates, "beta_tail", wraps=m.rates.beta_tail) as tails, \
+                mock.patch("scipy.integrate.quad", wraps=scipy.integrate.quad) as quad:
+            rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0),
+                                       default_grid(radius=10.0, n_radii=21, regimes=4))
+        assert rep.series == 21 * 4
+        queried = {(c.args[0], c.args[2]) for c in tails.call_args_list}
+        assert quad.call_count == len(queried) < tails.call_count
+
+
+def fingerprint(rep):
+    """The fields of a checker report that batching must not move, as exact reprs."""
+    y, j = rep.worst[:2]
+    worst = (repr(y.tolist()), int(j)) + tuple(repr(t) for t in rep.worst[2:])
+    if isinstance(rep, certify.BetaSumReport):
+        values = hashlib.sha256(rep.values.tobytes()).hexdigest()[:16]
+        return repr(rep.sup), worst, rep.failed_nodes, values
+    violations = [(repr(m), repr(y.tolist()), j, repr(t)) for m, y, j, t in rep.violations]
+    return (repr(rep.margin), worst, violations, rep.tails_certified, rep.nodes,
+            rep.series, rep.columns, repr(rep.max_half_width))
+
+
+def golden_case(name):
+    """(model, grid, beta, SERIES_MAX_TERMS) of a golden checker case."""
+    if name == "dim1":
+        # a budget that some rows meet and others do not
+        return (make_model("powerlaw", gamma=3.0, p=1.0),
+                default_grid(1, radius=20.0, n_radii=5, regimes=8), 1.2, 200_000)
+    rates = PowerLawRates(3.5, 1.5) if name == "dim2" else NonRadialPowerLaw(3.5, 1.5)
+    # an outward drift gives violations away from the origin
+    m = model_of(lambda x, i, t: 2.0 * x, lambda x, i, t: np.eye(2), rates, dim=2)
+    return m, default_grid(2, radius=6.5, n_radii=4, regimes=6), 0.8, certify.SERIES_MAX_TERMS
+
+
+def golden_report(name, check):
+    m, grid, beta, budget = golden_case(name)
+    growth = 0.5 if name == "dim1" else 3.0
+    with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", budget):
+        if check == "poly":
+            return check_condition_poly(m, PolynomialCertificate(1.0, beta, growth), grid)
+        if check == "exp":
+            return check_condition_exp(m, ExponentialCertificate(0.5, growth, beta, 1.0), grid)
+        return check_local_bounded_beta_sum(m, beta, grid)
+
+
+# recorded before the series were summed regime-major
+CHECKER_GOLDENS = {
+    ("dim1", "poly"): (
+        "-2.284557659113675",
+        ("[0.0]", 1, "0.0"),
+        [("-2.284557659113675", "[0.0]", 1, "0.0"),
+         ("-2.284557659113675", "[0.0]", 1, "0.5"),
+         ("-2.284557659113675", "[0.0]", 1, "1.0"),
+         ("-1.7355676329021938", "[0.0]", 2, "0.0"),
+         ("-1.7355676329021938", "[0.0]", 2, "0.5")],
+        False, 93, 40, 9220194, "4.165821723169094e-09"),
+    ("dim1", "exp"): (
+        "-2.319033568679698",
+        ("[0.0]", 1, "0.0"),
+        [("-2.319033568679698", "[0.0]", 1, "0.0"),
+         ("-2.319033568679698", "[0.0]", 1, "0.5"),
+         ("-2.319033568679698", "[0.0]", 1, "1.0"),
+         ("-2.303876104903107", "[0.0]", 4, "0.0"),
+         ("-2.303876104903107", "[0.0]", 4, "0.5")],
+        False, 93, 40, 9220194, "4.165821723169094e-09"),
+    ("dim1", "beta-sum"): (
+        "161.81337306254517",
+        ("[20.0]", 8),
+        [(0, 3), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4),
+         (2, 5), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 1), (4, 2), (4, 3), (4, 4),
+         (4, 5), (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (6, 1), (6, 2), (6, 3), (6, 4),
+         (6, 5), (7, 1), (7, 2), (7, 3), (7, 4), (7, 5), (8, 1), (8, 2), (8, 3), (8, 4),
+         (8, 5)],
+        "6f131999e4452ff5"),
+    ("dim2", "poly"): (
+        "-1.2786851829396966",
+        ("[6.5, 0.0]", 1, "0.0"),
+        [("-1.2786851829396966", "[6.5, 0.0]", 1, "0.0"),
+         ("-1.2786851829396966", "[6.5, 0.0]", 1, "0.5"),
+         ("-1.2786851829396966", "[6.5, 0.0]", 1, "1.0"),
+         ("-1.2786851829396966", "[-6.5, 0.0]", 1, "0.0"),
+         ("-1.2786851829396966", "[-6.5, 0.0]", 1, "0.5")],
+        True, 234, 24, 372796, "1.1687575902383333e-09"),
+    ("dim2", "exp"): (
+        "-1.9091710534723902",
+        ("[4.333333333333333, 0.0]", 1, "0.0"),
+        [("-1.9091710534723902", "[4.333333333333333, 0.0]", 1, "0.0"),
+         ("-1.9091710534723902", "[4.333333333333333, 0.0]", 1, "0.5"),
+         ("-1.9091710534723902", "[4.333333333333333, 0.0]", 1, "1.0"),
+         ("-1.9091710534723902", "[-4.333333333333333, 0.0]", 1, "0.0"),
+         ("-1.9091710534723902", "[-4.333333333333333, 0.0]", 1, "0.5")],
+        True, 234, 24, 372796, "1.1687575902383333e-09"),
+    ("dim2", "beta-sum"): (
+        "33.23308793358234",
+        ("[6.5, 0.0]", 6),
+        [],
+        "98dfd43eacfc5a2c"),
+    ("dim2-nonradial", "poly"): (
+        "-1.2786851829396966",
+        ("[6.5, 0.0]", 1, "0.0"),
+        [("-1.2786851829396966", "[6.5, 0.0]", 1, "0.0"),
+         ("-1.2786851829396966", "[6.5, 0.0]", 1, "0.5"),
+         ("-1.2786851829396966", "[6.5, 0.0]", 1, "1.0"),
+         ("-1.2786851829396966", "[-6.5, 0.0]", 1, "0.0"),
+         ("-1.2786851829396966", "[-6.5, 0.0]", 1, "0.5")],
+        True, 234, 78, 1230019, "1.1687575902383333e-09"),
+    ("dim2-nonradial", "exp"): (
+        "-1.9091710534723902",
+        ("[4.333333333333333, 0.0]", 1, "0.0"),
+        [("-1.9091710534723902", "[4.333333333333333, 0.0]", 1, "0.0"),
+         ("-1.9091710534723902", "[4.333333333333333, 0.0]", 1, "0.5"),
+         ("-1.9091710534723902", "[4.333333333333333, 0.0]", 1, "1.0"),
+         ("-1.9091710534723902", "[-4.333333333333333, 0.0]", 1, "0.0"),
+         ("-1.9091710534723902", "[-4.333333333333333, 0.0]", 1, "0.5")],
+        True, 234, 78, 1230019, "1.1687575902383333e-09"),
+    ("dim2-nonradial", "beta-sum"): (
+        "33.23308793358234",
+        ("[6.5, 0.0]", 6),
+        [],
+        "98dfd43eacfc5a2c"),
+}
+
+
+class TestCheckerGoldens:
+    """Checker reports, work counts included, pinned to their recorded reprs."""
+
+    @pytest.mark.parametrize("name,check", sorted(CHECKER_GOLDENS))
+    def test_report_unchanged(self, name, check):
+        assert fingerprint(golden_report(name, check)) == CHECKER_GOLDENS[name, check]

@@ -1,6 +1,7 @@
 """End-to-end command-line runs in temporary directories."""
 
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -345,7 +346,7 @@ class TestOracleWorkers:
 
     def report(self, tmp_path, monkeypatch, threads):
         sizes = []
-        get_context = _parallel.mp.get_context
+        get_context = multiprocessing.get_context
 
         class CountingContext:
             def __init__(self, method):
@@ -356,7 +357,7 @@ class TestOracleWorkers:
                 return self.ctx.Pool(size)
 
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(_parallel.mp, "get_context", CountingContext)
+        monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
         cfg = write_config(tmp_path / "c.cfg", self.CONFIG)
         prefix = str(tmp_path / f"t{threads}")
         assert run_cli("--config", cfg, "--out", prefix, "--threads", str(threads)) == 0

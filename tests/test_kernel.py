@@ -2,6 +2,7 @@
 
 import copy
 import math
+import multiprocessing
 from dataclasses import replace
 from unittest import mock
 
@@ -172,8 +173,8 @@ class TestOnePool:
             Pool = FakePool
 
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(_parallel.mp, "get_all_start_methods", lambda: ["fork"])
-        monkeypatch.setattr(_parallel.mp, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
         # small blocks, so that these small ensembles still start 2 workers
         monkeypatch.setattr(hybrid, "BLOCK_ROWS", 2)
         return pools

@@ -1,6 +1,7 @@
 """Monte Carlo probes against closed-form and frozen-dynamics oracles."""
 
 import hashlib
+import multiprocessing
 from unittest import mock
 
 import numpy as np
@@ -269,8 +270,8 @@ class TestWorkerCap:
             Pool = FakePool
 
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(_parallel.mp, "get_all_start_methods", lambda: ["fork"])
-        monkeypatch.setattr(_parallel.mp, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
         out = _parallel.map_indices(lambda lo, hi: [k * k for k in range(lo, hi)], 100,
                                     threads=64)
         assert out == [k * k for k in range(100)]
@@ -305,8 +306,8 @@ class TestSplitRule:
             return [k * k for k in range(lo, hi)]
 
         with mock.patch.object(_parallel.os, "cpu_count", lambda: cpus), \
-                mock.patch.object(_parallel.mp, "get_all_start_methods", lambda: ["fork"]), \
-                mock.patch.object(_parallel.mp, "get_context", lambda method: FakeContext):
+                mock.patch.object(multiprocessing, "get_all_start_methods", lambda: ["fork"]), \
+                mock.patch.object(multiprocessing, "get_context", lambda method: FakeContext):
             out = _parallel.map_indices(fn, n, threads, block)
         assert out == fn(0, n)
         workers = min(threads, cpus, n // (2 * block))

@@ -2,8 +2,10 @@
 
 ``PowerLawRates.beta_tail`` (``quad``) and ``ctmc_oracle`` (``expm``) import
 scipy where they call it, so importing the package, building models,
-simulating and probing pay for numpy alone.  The other test modules import
-scipy themselves, so the contract is checked in a fresh interpreter.
+simulating and probing pay for numpy alone.  ``multiprocessing`` loads only
+when an ensemble forks, so serial runs never pay for it.  The other test
+modules import scipy themselves, so the contract is checked in a fresh
+interpreter.
 """
 
 import os
@@ -22,6 +24,7 @@ def scipy_loaded():
 
 import switchdiff, switchdiff.cli
 assert not scipy_loaded(), ("import", scipy_loaded())
+assert "multiprocessing" not in sys.modules, "import"
 
 from switchdiff import (PolynomialCertificate, SimConfig, check_condition_poly,
                         ctmc_oracle, default_grid, estimate_moment, estimate_tau_tail,
@@ -44,6 +47,7 @@ for command in ("simulate", "ensemble"):
         fh.write(f"command = {command}\nmodel = ou2\nseed = 1\nn = 20\n")
     assert main(["--config", path, "--out", f"{out}/{command}"]) == 0, command
 assert not scipy_loaded(), ("work", scipy_loaded())
+assert "multiprocessing" not in sys.modules, "serial work"
 
 rep = check_condition_poly(pl, cert, default_grid(1, n_radii=3, regimes=4))
 assert rep.nodes > 0 and "scipy.integrate" in sys.modules
