@@ -13,7 +13,7 @@ block at once, equal word for word to ``SeedSequence(seed, spawn_key=(traj,
 purpose, *extra)).generate_state(2, uint64)``: the seed's part of
 ``SeedSequence``'s hash is mixed once per seed in Python ints, and each
 spawn word over a (4, n) uint32 array, since the four pool words take it in
-independently (a lone row, or an index of two words, stays in Python ints).
+independently (a lone row, or an index of two words, asks ``SeedSequence``).
 ``KeyedGenerator`` is one ``Philox`` and ``Generator`` that
 a row borrows by setting its key with a zero counter and an empty buffer,
 which draws exactly what ``substream`` would.
@@ -96,13 +96,6 @@ def _absorb(pool, k, words):
     return pool, k
 
 
-def _key(pool):
-    """``generate_state(2, uint64)`` of a pool, as two ints."""
-    w = [(p ^ _B[i]) * _B[i + 1] & _M32 for i, p in enumerate(pool)]
-    w = [v ^ v >> 16 for v in w]
-    return w[0] | w[1] << 32, w[2] | w[3] << 32
-
-
 @lru_cache(maxsize=16)
 def _seed_pool(seed):
     """The pool after the run seed's words, and the hashmix calls that took.
@@ -176,9 +169,11 @@ def philox_keys(seed, trajs, purpose, *extra):
         raise ConfigError("trajectory indices must lie in [0, 2 ** 64)")
     if len(t) > 1 and max(t) <= _M32:
         return _mix_keys(pool, used, np.array(t, dtype=np.uint32), tail)
-    # the array pass costs more than it saves for one row; indices of two
-    # words shift the later hash calls; both take Python ints row by row
-    keys = [_key(_absorb(pool, used, _words(k) + tail)[0]) for k in t]
+    # the array pass costs more than it saves for one row, and indices of
+    # two words shift the later hash calls: both take the definition itself
+    spawn = (int(purpose),) + tuple(int(e) for e in extra)
+    keys = [np.random.SeedSequence(int(seed), spawn_key=(k,) + spawn).generate_state(2, np.uint64)
+            for k in t]
     return np.array(keys, dtype=np.uint64).reshape(-1, 2)
 
 

@@ -37,7 +37,7 @@ from .model import RateMatrix, radius
 SERIES_REL_TOL = 1e-10
 SERIES_MAX_TERMS = 10**6
 ZETA_TERMS = 100_000
-# initial row count of the PowerLawRates prefix tables and the k^beta table
+# initial extent of the PowerLawRates tables and of the k^beta table
 POWERLAW_TABLE = 4096
 
 
@@ -71,6 +71,11 @@ def _grow_powers(table, exponent, size):
     return np.concatenate([table, ks ** exponent])
 
 
+def _cumsum_on(sums, new):
+    """Running sums carried on over new: cumsum adds in sequence, so one cumsum's bytes."""
+    return np.concatenate([sums[:-1], np.cumsum(np.concatenate([sums[-1:], new]))])
+
+
 class PowerLawRates(RateMatrix):
     """Rates (j + |x|^p) / |k - j|^gamma for j != k, with certified tails.
 
@@ -81,9 +86,10 @@ class PowerLawRates(RateMatrix):
     its terms fall below SERIES_REL_TOL within SERIES_MAX_TERMS columns:
     with gamma = 3 that fails from about b = 1.5 on.
 
-    Internal prefix tables grow lazily with the largest regime queried, and
-    the table of m^-gamma that ``rate`` and ``rate_block`` read with the
-    largest column distance.
+    Its tables keep one extent, grown by appending: the table of m^-gamma
+    that ``rate`` and ``rate_block`` read, and the prefix sums over it that
+    give row sums, tail bounds and anchors in O(1).  Each query grows them
+    to the index it reads.
     """
 
     radial = True
@@ -99,31 +105,24 @@ class PowerLawRates(RateMatrix):
         self.zeta = c_mid
         self._zeta_hi = c_mid + c_half
         self._inv = np.empty(0)
-        self._build_tables(POWERLAW_TABLE)
+        # _H[a] = sum_{m<=a} m^-gamma; with S_i = zeta + H_{i-1} (row i's sum
+        # at growth 1), _A_weighted[a] = sum_{i<=a} i S_i, _A_plain[a] = sum_{i<=a} S_i
+        self._H = self._A_weighted = self._A_plain = np.zeros(1)
+        self._powers(POWERLAW_TABLE)
 
     def _powers(self, size):
-        """The table inv[m-1] = m^-gamma, grown by doubling to at least size rows."""
+        """The table inv[m-1] = m^-gamma and its prefix sums, grown to at least size rows."""
         # every rate, ``rate``'s included, reads this table, since numpy's
         # SIMD power and the scalar pow may differ in the last place
+        have = self._inv.size
         self._inv = _grow_powers(self._inv, -self.gamma, size)
+        if self._inv.size > have:
+            self._H = _cumsum_on(self._H, self._inv[have:])
+            s = self.zeta + self._H[have:-1]
+            ms = np.arange(have + 1, self._inv.size + 1, dtype=float)
+            self._A_weighted = _cumsum_on(self._A_weighted, ms * s)
+            self._A_plain = _cumsum_on(self._A_plain, s)
         return self._inv
-
-    def _build_tables(self, size):
-        ms = np.arange(1, size + 1, dtype=float)
-        inv = self._powers(size)[:size]
-        # _H[a] = sum_{m=1}^{a} m^-gamma, _H[0] = 0
-        self._H = np.concatenate([[0.0], np.cumsum(inv)])
-        # upper bound on sum_{m>=a} m^-gamma, index a in [1, size]
-        self._tail_up = np.maximum(self._zeta_hi - self._H[:-1], 0.0)
-        s = self.zeta + self._H[:-1]           # s[i-1] = S_i = zeta + H_{i-1}
-        self._S = s
-        self._A_weighted = np.concatenate([[0.0], np.cumsum(ms * s)])
-        self._A_plain = np.concatenate([[0.0], np.cumsum(s)])
-        self._size = size
-
-    def _ensure(self, i):
-        if i > self._size:
-            self._build_tables(max(2 * self._size, int(i) + 1))
 
     def _growth(self, i, x):
         return float(i) + radius(x) ** self.p
@@ -148,18 +147,19 @@ class PowerLawRates(RateMatrix):
         return out
 
     def row_sum(self, i, x):
-        self._ensure(i)
-        return self._growth(i, x) * float(self._S[i - 1])
+        self._powers(i - 1)
+        return self._growth(i, x) * float(self.zeta + self._H[i - 1])
 
     def row_tail(self, i, x, n):
         if n <= 1:
             return self.row_sum(i, x)
-        self._ensure(max(i, n))
         if n <= i:
             # remaining downward columns n..i-1 plus the whole upward side
-            t = float(self._H[i - n]) + float(self._tail_up[0])
+            self._powers(i - n)
+            t = float(self._H[i - n]) + self._zeta_hi
         else:
-            t = float(self._tail_up[n - i - 1])
+            self._powers(n - i - 1)
+            t = max(self._zeta_hi - float(self._H[n - i - 1]), 0.0)
         return self._growth(i, x) * t
 
     def block_bound(self, level):
@@ -169,16 +169,16 @@ class PowerLawRates(RateMatrix):
         return 2.0 * self._zeta_hi * (count * (count + 1) / 2.0 + count * float(m) ** self.p)
 
     def anchor(self, i, x):
-        self._ensure(i)
+        self._powers(i - 1)
         gp = radius(x) ** self.p
         return float(self._A_weighted[i - 1]) + gp * float(self._A_plain[i - 1])
 
     def territory_batch(self, lam, R):
-        self._ensure(int(lam.max()))
-        gp = R ** self.p
         k = lam - 1
+        self._powers(int(k.max()))
+        gp = R ** self.p
         lo = self._A_weighted[k] + gp * self._A_plain[k]
-        return lo, lo + (lam + gp) * self._S[k]
+        return lo, lo + (lam + gp) * (self.zeta + self._H[k])
 
     def beta_tail(self, i, x, n, beta):
         """Bracket for sum_{k>=n} (k^b - i^b) q_ik(x), n > i.

@@ -114,6 +114,51 @@ class TestSharedPowerLawRates:
                     assert got is OverflowError
 
 
+def one_pass_tables(gamma, zeta, size):
+    """_H, _A_weighted and _A_plain over size rows, each summed by one cumsum."""
+    ms = np.arange(1, size + 1, dtype=float)
+    H = np.concatenate([[0.0], np.cumsum(ms ** -gamma)])
+    s = zeta + H[:-1]
+    return H, np.concatenate([[0.0], np.cumsum(ms * s)]), np.concatenate([[0.0], np.cumsum(s)])
+
+
+def table_query(rates, query):
+    """One query's answer, as float hex."""
+    name, i, n, r = query
+    x = np.array([r])
+    if name == "territory_batch":
+        lam = np.array([i, max(n, 1), 1])
+        return [v.tobytes().hex() for v in rates.territory_batch(lam, np.full(3, r))]
+    args = {"row_tail": (i, x, n), "rate": (i, max(n, 1), x),
+            "row_sum": (i, x), "anchor": (i, x)}[name]
+    return float(getattr(rates, name)(*args)).hex()
+
+
+class TestPowerLawTables:
+    """Every table grows by appending, and holds the bytes of one pass over its extent."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.one_of(st.sampled_from([3.0, 2.5]), st.floats(2.0, 5.0, exclude_min=True)),
+           p=st.floats(1.0, 3.0),
+           queries=st.lists(st.tuples(
+               st.sampled_from(["row_tail", "rate", "row_sum", "anchor", "territory_batch"]),
+               # regimes and columns on both sides of each other and of the
+               # initial 4096 rows, so the tables grow in several steps
+               st.one_of(st.integers(1, 60), st.integers(1, 1 << 17)),
+               st.one_of(st.integers(0, 60), st.integers(0, 1 << 17)),
+               st.floats(0.0, 50.0)), min_size=1, max_size=10))
+    def test_grown_tables_equal_one_pass(self, gamma, p, queries):
+        shared = PowerLawRates(gamma, p)
+        for query in queries:
+            want = table_query(PowerLawRates(gamma, p), query)
+            assert table_query(shared, query) == want, query
+        size = len(shared._inv)
+        assert len(shared._H) == len(shared._A_weighted) == len(shared._A_plain) == size + 1
+        for got, want in zip((shared._H, shared._A_weighted, shared._A_plain),
+                             one_pass_tables(shared.gamma, shared.zeta, size)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBetaSeries:
     def test_pi_squared_over_six(self):
         # row 1 at x=0, beta=1, gamma=3: the series telescopes to zeta(2)
