@@ -634,6 +634,6 @@ def tau_tail_bound_poly(cert, x0, i0, t, level):
     infimum beyond the level boundary.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if float(np.linalg.norm(x0)) + i0 >= level:
+    if radius(x0) + i0 >= level:
         return 1.0
     return min(1.0, gronwall_bound_poly(cert, x0, i0, t) / exit_level_infimum(cert, level))

@@ -17,6 +17,18 @@ higher-level one.  Reaching the level ceiling or a non-finite state is an
 operational explosion, since true blow-up is unobservable in finite
 precision.
 
+Between events the walk is the Euler-Maruyama recursion of the current
+regime on a breakpoint-aligned grid: its start time, the stream events
+after it and the horizon are nodes, each span between them is cut into the
+fewest equal steps no longer than ``dt_target``, and events at one time
+share one node (the span between them gets no step).  Increments are drawn
+in node order from the trajectory's Brownian substream, so runs that agree
+in (generator state, breakpoints, dt_target) are bit-identical.
+Euler-Maruyama is used deliberately: coefficients may be merely
+measurable, possibly degenerate, so there is no extra regularity for a
+higher-order scheme to exploit, and state-adaptive stepping would consume
+randomness state-dependently and break cross-cutoff coupling.
+
 ``walk`` is the one kernel.  It steps a block of trajectories in lockstep:
 each row keeps its own substreams, grid, stop level, cutoff and node, and
 one vectorised Euler update moves every row that sits between events by
@@ -32,15 +44,15 @@ Philox keys of the POISSON and BROWNIAN substreams of every distinct
 trajectory at once, and one ``KeyedGenerator`` per walk draws each stream
 and grid with the trajectory's key swapped in; a row keeps its BROWNIAN
 state between grid draws.  Every grid, first or redrawn, comes from
-``_Walk.draw``, which builds the grids of several rows in one
-``_grid_block`` pass; the first grids of the rows that start below their
-level are built ``GRID_ROWS`` at a time.  Each piece equals what the
-per-row ``substream``, ``sample_stream`` and a one-row ``_grid_block``
-give, bit for bit, so no random number depends on the block.  Coupled
-rows (several starts on one trajectory index) therefore draw once: rows
-that share a trajectory share its stream, each extension band of it, and
-its first grid, whose storage they share too unless paths are recorded.
-Level cutoffs are resolved once per walk.
+``_Walk.draw``, which lays the grids of several rows straight into the
+block's grid storage in one ``_Grids.lay`` pass; the first grids of the
+rows that start below their level are laid ``GRID_ROWS`` at a time.  Each
+piece equals what the per-row ``substream``, ``sample_stream`` and a
+one-row ``lay`` give, bit for bit, so no random number depends on the
+block.  Coupled rows (several starts on one trajectory index) therefore
+draw once: rows that share a trajectory share its stream, each extension
+band of it, and its first grid, whose storage they share too unless paths
+are recorded.  Level cutoffs are resolved once per walk.
 
 Most marks fall outside the current regime's row.  When at least
 ``SCREEN_ROWS`` rows reach event nodes in one iteration and the rate matrix
@@ -63,7 +75,6 @@ import numpy as np
 
 from ._rng import BROWNIAN, POISSON, KeyedGenerator, philox_keys
 from .errors import ConfigError
-from .integrate import _grid_block
 from .jumps import JumpStream, _stream, extend_stream
 from .model import mark_displacement, radius
 
@@ -285,13 +296,30 @@ class _Grids:
         self.mark = np.empty(0) if screen else None
         self.next = np.empty(0, dtype=np.intp) if screen else None
 
-    def append(self, nodes, steps, increments, bidx, marks):
-        """Store grids laid end to end, as ``_grid_block`` returns them.
+    def lay(self, bp, lens, dt_target, normals, marks):
+        """Lay grids end to end after the stored ones; return (offset, break_index).
 
-        bidx is the position of every breakpoint and marks the mark at each,
-        for the screen (NaN at each grid's first and last breakpoint).
+        bp holds each row's breakpoints in turn and ``lens`` their counts.  A
+        row's breakpoints must not decrease, and none may tie with its first
+        or last.  ``normals(r, out)`` fills the C-contiguous (steps of row r,
+        dim) array ``out`` with row r's standard normals, row by row.  marks
+        is the screen's mark at every breakpoint (NaN at each grid's ends).
+        break_index is the node of every breakpoint, counted from offset.
         """
-        n = nodes.size
+        last = np.cumsum(lens) - 1
+        start = last - lens + 1
+        # every breakpoint closes the span from the one before it; a row's
+        # first closes an empty span of one node from itself
+        lo = np.empty_like(bp)
+        lo[1:] = bp[:-1]
+        lo[start] = bp[start]
+        spans = bp - lo
+        if not ((spans >= 0).all() and (spans[last] > 0).all() and (spans[start + 1] > 0).all()):
+            raise ValueError("breakpoints must not decrease or tie with a grid's ends")
+        counts = np.ceil(spans / dt_target * (1.0 - 1e-12)).astype(np.int64)
+        counts[start] = 1
+        ends = np.cumsum(counts)
+        n = int(ends[-1])
         off = self.used
         self.used += n
         if self.used > len(self.table):
@@ -303,15 +331,25 @@ class _Grids:
                     new[:off] = old[:off]
                     setattr(self, name, new)
         rows = self.table[off:off + n]
-        rows[:, 0] = nodes
-        rows[:steps.size, 1] = steps
-        rows[:steps.size, 2:] = increments
+        nodes, steps = rows[:, 0], rows[:, 1]
+        seg = np.repeat(np.arange(bp.size), counts)
+        frac = (np.arange(1, n + 1) - np.repeat(ends - counts, counts)) / np.repeat(counts, counts)
+        np.add(lo[seg], frac * spans[seg], out=nodes)
+        bidx = ends - 1
+        nodes[bidx] = bp                        # breakpoints survive as nodes bit-exactly
+        first, stop = bidx[start], bidx[last]   # each row's first and last node
+        np.subtract(nodes[1:], nodes[:-1], out=steps[:-1])
+        steps[stop] = 0.0
+        z = np.zeros((n, rows.shape[1] - 2))
+        for r, (a, b) in enumerate(zip(first.tolist(), stop.tolist())):
+            normals(r, z[a:b])
+        np.multiply(z, np.sqrt(steps)[:, None], out=rows[:, 2:])
         if self.mark is not None:
             ev = off + bidx
             self.mark[ev] = marks
             # a last node's NaN mark is never skipped, so its entry is never read
             self.next[ev[:-1]] = ev[1:]
-        return off
+        return off, bidx
 
 
 class _Row:
@@ -487,9 +525,9 @@ class _Walk:
         The rows of a group share their time, stream and BROWNIAN state:
         coupled rows at t = 0, or a single row.  A grid's breakpoints are
         that time, the horizon and the stream events in between, events at
-        one time sharing a breakpoint.  Its increments continue the group's
+        one time sharing a node.  Its increments continue the group's
         Brownian substream where its last grid stopped, so a grid does not
-        depend on the other groups of the ``_grid_block`` pass.
+        depend on the other groups of the ``_Grids.lay`` pass.
         """
         keyed, horizon = self.keyed, self.horizon
         events = [_events(group[0].stream, group[0].t, horizon) for group in groups]
@@ -505,12 +543,10 @@ class _Walk:
         z = np.full(bp.size, np.nan)
         z[inner] = np.concatenate([marks for _, marks in events])
         # every event lies strictly between its grid's time and the horizon,
-        # so ties sit inside one grid; idx is each breakpoint's merged position
-        keep = np.ones(bp.size, dtype=bool)
-        keep[1:] = bp[1:] != bp[:-1]
-        idx = np.cumsum(keep) - 1
-        merged = idx[last] - idx[start] + 1
-        z[np.repeat(merged < lens, lens)] = np.nan  # the screen skips no tied grid's mark
+        # so ties sit inside one grid; the screen skips no tied grid's mark
+        tie = np.zeros(bp.size, dtype=bool)
+        tie[1:] = bp[1:] == bp[:-1]
+        z[np.repeat(np.logical_or.reduceat(tie, start), lens)] = np.nan
 
         def normals(r, out):
             lead = groups[r][0]
@@ -520,13 +556,11 @@ class _Walk:
             for row in groups[r]:
                 row.bstate = state
 
-        nodes, steps, incr, bidx = _grid_block(bp[keep], merged, self.cfg.dt_target, self.dim,
-                                               normals)
-        off = self.grids.append(nodes, steps, incr, bidx, z[keep])
-        first = bidx[idx[start]]
-        at = (bidx - np.repeat(first, merged))[idx]  # every breakpoint's node in its own grid
+        off, bidx = self.grids.lay(bp, lens, self.cfg.dt_target, normals, z)
+        first = bidx[start]
+        at = bidx - np.repeat(first, lens)  # every breakpoint's node in its own grid
         for group, (_, marks), f, size, b in zip(groups, events, first.tolist(),
-                                                 (bidx[idx[last]] - first + 1).tolist(),
+                                                 (bidx[last] - first + 1).tolist(),
                                                  start.tolist()):
             ev_at = at[b + 1:b + 1 + marks.size]
             for row in group:

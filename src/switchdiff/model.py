@@ -311,12 +311,12 @@ def truncate_coefficients(model, level):
     base_b, base_s, d = model.drift, model.dispersion, model.dim
 
     def drift(x, i, t):
-        if t <= level and float(np.linalg.norm(x)) <= level:
+        if t <= level and radius(x) <= level:
             return base_b(x, i, t)
         return np.zeros(d)
 
     def dispersion(x, i, t):
-        if t <= level and float(np.linalg.norm(x)) <= level:
+        if t <= level and radius(x) <= level:
             return base_s(x, i, t)
         return np.zeros((d, d))
 

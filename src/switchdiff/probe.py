@@ -24,6 +24,7 @@ from ._rng import AUX, substream
 from .certify import gronwall_bound_poly, tau_tail_bound_poly
 from .errors import ConfigError, TruncationLeak
 from .hybrid import _level_schedule, walk
+from .model import radius
 
 # largest simulated mass above j_trunc that ctmc_oracle accepts
 ORACLE_LEAK_TOL = 1e-3
@@ -297,7 +298,7 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
     p_exact = expm(gen * float(t))[i0 - 1]
     leak_exact = max(0.0, 1.0 - float(p_exact.sum()))
 
-    level = J + 2 + int(math.ceil(float(np.linalg.norm(x0))))
+    level = J + 2 + int(math.ceil(radius(x0)))
     run_cfg = replace(cfg, horizon=float(t), stop_level=level, max_stop_level=level)
 
     if t > 0.0:

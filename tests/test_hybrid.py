@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import expm
 from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (ConfigError, DenseRates, FunctionRates, PowerLawRates,
@@ -180,6 +181,31 @@ class TestSwitchLaw:
             p = simulate(model, [1.0], 2, SimConfig(stop_level=10, seed=11),
                          traj=traj, record="events")
             assert (p.regimes >= 1).all()
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_stop_time_law_of_a_pure_birth_chain(self, seed):
+        # frozen diffusion at x = 0 under q_{i,i+1} = i^2: the stop time of
+        # level M is the chain's hitting time of regime M, whose law is
+        # P(hit_M <= t) = exp(Q_M t)[0, M-1] with M made absorbing
+        N, levels, t, n = 40, [2, 4, 8, 16], 1.0, 2000
+        Q = np.zeros((N, N))
+        i = np.arange(1, N)
+        Q[i - 1, i] = i.astype(float) ** 2
+        model = RegimeModel(1, lambda x, i, t: np.zeros(1), lambda x, i, t: np.zeros((1, 1)),
+                            DenseRates(Q), t, lambda X, lam, t: np.zeros_like(X),
+                            lambda X, lam, t, dW: np.zeros_like(dW))
+        cfg = SimConfig(stop_level=levels[0], max_stop_level=levels[-1], dt_target=1.0,
+                        seed=seed)
+        hit = run_ensemble(model, [0.0], 1, cfg, n, levels=levels)["hit"]
+        z = 1.96
+        for col, M in enumerate(levels):
+            gen = Q[:M, :M].copy()
+            gen[np.arange(M - 1), np.arange(M - 1)] = -Q[np.arange(M - 1)].sum(axis=1)
+            exact = expm(gen * t)[0, M - 1]
+            p = float((hit[:, col] <= t).mean())
+            centre = (p + z * z / (2 * n)) / (1 + z * z / n)
+            half = z / (1 + z * z / n) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+            assert abs(exact - centre) <= 3 * half, (M, p, exact)
 
 
 class TestExplosion:

@@ -1,29 +1,33 @@
 """Grid construction and the fixed-regime Euler-Maruyama recursion.
 
-Grids are built as the walk builds them, by ``_grid_block``; ``one_grid``
-is a one-row block.  The recursion runs through ``simulate`` on zero-rate
+Grids are built as the walk builds them, by ``_Grids.lay``; ``one_grid``
+lays one grid.  The recursion runs through ``simulate`` on zero-rate
 models, where a path is the Euler-Maruyama recursion on its grid;
 ``euler_reference`` is the plain loop the solver is compared against.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from switchdiff import DenseRates, RegimeModel, SimConfig, run_ensemble, simulate
 from switchdiff._rng import BROWNIAN, substream
-from switchdiff.integrate import _grid_block
+from switchdiff.hybrid import _Grids
 
 NO_RATES = DenseRates(np.zeros((1, 1)))
 
 
 def one_grid(bp, dt_target, dim, rng):
     """The grid on breakpoints bp with normals drawn from rng:
-    ``(nodes, steps, increments, break_index)`` of a one-row ``_grid_block``,
+    ``(nodes, steps, increments, break_index)`` of a one-grid ``lay``,
     without the last node's empty step."""
     bp = np.asarray(bp, dtype=float)
-    nodes, steps, incr, bidx = _grid_block(bp, [bp.size], dt_target, dim,
-                                           lambda r, out: rng.standard_normal(out=out))
-    return nodes, steps[:-1], incr[:-1], bidx
+    grids = _Grids(dim, None, False)
+    off, bidx = grids.lay(bp, np.array([bp.size]), dt_target,
+                          lambda r, out: rng.standard_normal(out=out), None)
+    rows = grids.table[off:grids.used]
+    return rows[:, 0], rows[:-1, 1], rows[:-1, 2:], bidx
 
 
 def euler_reference(model, x0, regime, nodes, steps, increments):
@@ -88,6 +92,41 @@ class TestMakeGrid:
     def test_rejects_bad_breakpoints(self):
         with pytest.raises(ValueError):
             one_grid([0.0, 0.0, 1.0], 0.1, 1, substream(0, 0, BROWNIAN))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tied_events_share_a_node(self, data):
+        # one lay over several grids with tied events gives, grid by grid,
+        # the bytes of laying the grid alone from its distinct breakpoints,
+        # with every tied breakpoint on the node of its distinct one
+        dt = data.draw(st.floats(1e-3, 0.5), label="dt")
+        grids, ties = [], 0
+        for _ in range(data.draw(st.integers(1, 4), label="grids")):
+            t0 = data.draw(st.floats(0.0, 0.9))
+            inner = st.floats(t0, 1.0, exclude_min=True, exclude_max=True)
+            events = data.draw(st.lists(inner, min_size=1, max_size=6))
+            tied = data.draw(st.lists(st.sampled_from(events), max_size=3))
+            ties += len(tied)
+            grids.append(np.array([t0] + sorted(events + tied) + [1.0]))
+        assume(ties > 0)
+        lens = np.array([bp.size for bp in grids])
+        store = _Grids(2, None, False)
+        for _ in range(2):  # the second lay starts at an offset
+            off, bidx = store.lay(np.concatenate(grids), lens, dt,
+                                  lambda r, out: substream(0, r, BROWNIAN).standard_normal(out=out),
+                                  None)
+            for r, (bp, lo) in enumerate(zip(grids, np.cumsum(lens) - lens)):
+                distinct = np.unique(bp)
+                nodes, steps, incr, at = one_grid(distinct, dt, 2, substream(0, r, BROWNIAN))
+                assert at[0] == 0 and nodes[-1] == 1.0
+                assert np.array_equal(nodes[at], distinct)
+                first = off + bidx[lo]
+                rows = store.table[first:first + nodes.size]
+                assert rows[:, 0].tobytes() == nodes.tobytes()
+                assert rows[:-1, 1].tobytes() == steps.tobytes()
+                assert rows[:-1, 2:].tobytes() == incr.tobytes()
+                assert np.array_equal(bidx[lo:lo + bp.size] - bidx[lo],
+                                      at[np.searchsorted(distinct, bp)])
 
 
 class TestIntegrateSegment:

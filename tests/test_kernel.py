@@ -392,7 +392,7 @@ class TestBlockSetup:
     ])
     def test_one_pass_draws_every_first_grid(self, trajs, times):
         # rows below their first level get their first grids from
-        # _grid_block passes of GRID_ROWS trajectories before the lockstep
+        # _Grids.lay passes of GRID_ROWS trajectories before the lockstep
         # loop starts, tied streams and one-row blocks included
         model = ou_model(DenseRates(np.array([[0.0, 2.0], [1.0, 0.0]])), 1, True)
         cfg = SimConfig(stop_level=4, mark_cutoff=8.0, seed=5)
@@ -407,7 +407,8 @@ class TestBlockSetup:
 
         with mock.patch.object(hybrid, "GRID_ROWS", 2), \
                 mock.patch.object(hybrid._Walk, "lockstep", first_iteration), \
-                mock.patch.object(hybrid, "_grid_block", wraps=hybrid._grid_block) as gb:
+                mock.patch.object(hybrid._Grids, "lay", autospec=True,
+                                  side_effect=hybrid._Grids.lay) as gb:
             list(hybrid.walk(model, [[0.5]] * len(trajs), 1, cfg, trajs, stream=stream))
         assert counts == [math.ceil(len(set(trajs)) / 2)]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchdiff import (DenseRates, FunctionRates, RegimeModel, TailUnresolvable,
-                        mark_displacement, truncate_coefficients)
+                        make_model, mark_displacement, truncate_coefficients)
 from switchdiff.certify import PowerLawRates
 
 Q3 = np.array([
@@ -283,6 +283,15 @@ class TestTruncateCoefficients:
     def test_rates_unchanged(self):
         m = truncate_coefficients(self.base, 5.0)
         assert m.rates is self.base.rates
+
+    def test_window_measures_the_kernels_radius(self):
+        # |x| in one dimension, where squaring would overflow or underflow
+        model = make_model("ou2")
+        with np.errstate(over="ignore", under="ignore"):
+            big = truncate_coefficients(model, 1e250).drift(np.array([1e200]), 1, 0.0)
+            tiny = truncate_coefficients(model, 1e-180).drift(np.array([1e-170]), 1, 0.0)
+        assert big[0] == -1e200
+        assert tiny[0] == 0.0
 
 
 def scalar_territory(rates, i, x):
