@@ -173,12 +173,14 @@ class PowerLawRates(RateMatrix):
         gp = radius(x) ** self.p
         return float(self._A_weighted[i - 1]) + gp * float(self._A_plain[i - 1])
 
-    def territory_batch(self, lam, R):
+    def territory_batch(self, lam, r_lo, r_hi):
+        # the anchor and the row sum both grow with the radius
         k = lam - 1
         self._powers(int(k.max()))
-        gp = R ** self.p
-        lo = self._A_weighted[k] + gp * self._A_plain[k]
-        return lo, lo + (lam + gp) * (self.zeta + self._H[k])
+        weighted, plain = self._A_weighted[k], self._A_plain[k]
+        gp = r_hi ** self.p
+        return (weighted + r_lo ** self.p * plain,
+                weighted + gp * plain + (lam + gp) * (self.zeta + self._H[k]))
 
     def beta_tail(self, i, x, n, beta):
         """Bracket for sum_{k>=n} (k^b - i^b) q_ik(x), n > i.

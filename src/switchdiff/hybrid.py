@@ -54,18 +54,25 @@ draw once: rows that share a trajectory share its stream, each extension
 band of it, and its first grid, whose storage they share too unless paths
 are recorded.  Level cutoffs are resolved once per walk.
 
-Most marks fall outside the current regime's row.  When at least
-``SCREEN_ROWS`` rows reach event nodes in one iteration and the rate matrix
-has a ``territory_batch``, one array pass reads each row's mark from the
-block's grid storage and lets the row step on without classification when
-the mark is thinned (at or above the cutoff) or lies outside the row's
-territory by a relative margin, where ``mark_displacement`` would return 0.
-Marks near or inside the territory, several marks at one node and
-non-finite bounds go to the per-row code, so the screen changes no result.
+Most marks fall outside the current regime's row, and the walk steps past
+them without stopping.  Whenever a row gets its next target, it gets a
+band: bounds on its regime's territory, from the rate matrix's
+``territory_batch``, that hold over a window of radii around its current
+radius, widened by a relative margin.  A regime whose territory is finite
+over every radius (every regime of a ``DenseRates``) needs no window.  A
+scan then moves the target past every later mark that is thinned (at or
+above the cutoff) or outside the band, to the first mark that could switch
+the row or to the grid's last node.  The lockstep loop stops a row whose
+radius leaves its window, and a stop re-reads the marks from its node on,
+so every mark skipped is one ``mark_displacement`` would leave at 0: the
+bands change no result.  Windows are made of radius cells ``WINDOW`` wide,
+so a walk keeps each band it computes and reuses it for the next row of
+that regime in that cell.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -82,9 +89,12 @@ from .model import mark_displacement, radius
 BLOCK_ROWS = 256
 # Most grids one array pass of ``_Walk.draw`` builds; bounds its temporaries.
 GRID_ROWS = 32
-# Fewest rows at event nodes in one iteration that the mark screen takes:
-# for fewer, its array pass costs more than the classifications it saves.
-SCREEN_ROWS = 4
+# Width of the radius cells a band's window is made of: the window of a
+# radius spans its own cell and the one on either side, so it reaches at
+# least WINDOW beyond the radius.  Wider windows give wider bands, which
+# skip fewer marks; narrower ones stop rows more often.  On the powerlaw
+# tail probe, 0.5 made the fewest stops of 0.25, 0.33, 0.5, 0.75 and 1.
+WINDOW = 0.5
 
 
 @dataclass(frozen=True)
@@ -228,14 +238,17 @@ def _below(level):
     return float(level) * (1.0 - 2.0 ** -30)
 
 
-def _outside(z, lo, hi):
-    """Marks z outside their territories [lo, hi) by far more than rounding error.
+def _band(lo, hi):
+    """The band of a territory [lo, hi): marks below its first bound or at or
+    above its second lie outside by far more than rounding error.
 
     The relative margin absorbs any difference between the batch bounds and
-    the scalar ``anchor`` and ``row_sum``; a non-finite bound never counts,
-    so a scalar overflow still reaches ``mark_displacement``.
+    the scalar ``anchor`` and ``row_sum``; a non-finite bound puts no mark
+    outside, so a scalar overflow still reaches ``mark_displacement``.
     """
-    return ((z < lo * (1.0 - 2.0 ** -30)) | (z >= hi * (1.0 + 2.0 ** -30))) & np.isfinite(hi)
+    if hi < math.inf:
+        return lo * (1.0 - 2.0 ** -30), hi * (1.0 + 2.0 ** -30)
+    return -math.inf, math.inf
 
 
 def _step_terms(model, X, lam, t, dt, dW):
@@ -281,29 +294,22 @@ class _Grids:
     one per node: the node time, the step leaving the node and its Brownian
     increment (both unused at the last node).  Rows on one trajectory share
     their first grid, except when paths are recorded: ``states`` then holds
-    each row's state at each node.  For the mark screen, ``mark`` holds the
-    mark at each event node and ``next`` the flat row of the row's next
-    target (the next event node, or the grid's last node); the last node's
-    mark, and every mark of a grid with two marks at one node, is NaN,
-    which the screen never skips.  A redrawn grid is appended, so nothing
+    each row's state at each node.  A redrawn grid is appended, so nothing
     stored earlier moves.
     """
 
-    def __init__(self, d, record, screen):
+    def __init__(self, d, record):
         self.used = 0
         self.table = np.empty((0, 2 + d))
         self.states = np.empty((0, d)) if record else None
-        self.mark = np.empty(0) if screen else None
-        self.next = np.empty(0, dtype=np.intp) if screen else None
 
-    def lay(self, bp, lens, dt_target, normals, marks):
+    def lay(self, bp, lens, dt_target, normals):
         """Lay grids end to end after the stored ones; return (offset, break_index).
 
         bp holds each row's breakpoints in turn and ``lens`` their counts.  A
         row's breakpoints must not decrease, and none may tie with its first
         or last.  ``normals(r, out)`` fills the C-contiguous (steps of row r,
-        dim) array ``out`` with row r's standard normals, row by row.  marks
-        is the screen's mark at every breakpoint (NaN at each grid's ends).
+        dim) array ``out`` with row r's standard normals, row by row.
         break_index is the node of every breakpoint, counted from offset.
         """
         last = np.cumsum(lens) - 1
@@ -324,7 +330,7 @@ class _Grids:
         self.used += n
         if self.used > len(self.table):
             cap = max(2 * len(self.table), self.used, 1024)
-            for name in ("table", "states", "mark", "next"):
+            for name in ("table", "states"):
                 old = getattr(self, name)
                 if old is not None:
                     new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
@@ -344,11 +350,6 @@ class _Grids:
         for r, (a, b) in enumerate(zip(first.tolist(), stop.tolist())):
             normals(r, z[a:b])
         np.multiply(z, np.sqrt(steps)[:, None], out=rows[:, 2:])
-        if self.mark is not None:
-            ev = off + bidx
-            self.mark[ev] = marks
-            # a last node's NaN mark is never skipped, so its entry is never read
-            self.next[ev[:-1]] = ev[1:]
         return off, bidx
 
 
@@ -357,19 +358,20 @@ class _Row:
 
     x, r, lam and t are the state, radius, regime and time at node k of the
     current grid, which starts at flat offset ``off`` (-1 before the first
-    grid); ``target`` is the node the row steps to next.  li indexes the
-    current level; stale is set while the grid must be drawn again from node
-    k.  Marks e .. n_ev - 1 of the grid are still to be classified, at nodes
-    ``ev_node``; while the row is in ``_Walk.lockstep``, e and target lag
-    behind the marks the screen skipped.  ``kept`` lists (offset, event
-    nodes, end) of the recorded grids left behind.  bkey is the row's
+    grid); ``target`` is the node the row steps to next, and the row stops
+    early once its radius leaves ``[wlo, whi)``.  li indexes the current
+    level; stale is set while the grid must be drawn again from node k.
+    Marks e .. n_ev - 1 of the grid are still to be classified, at nodes
+    ``ev_node``; while the row is in ``_Walk.lockstep``, e is the mark its
+    target stops for, past the marks its band skipped.  ``kept`` lists
+    (offset, event nodes, end) of the recorded grids left behind.  bkey is the row's
     BROWNIAN key and bstate the generator state its last grid draw left
     (None before its first).  Once ``status`` is set the row has ended.
     """
 
     __slots__ = ("traj", "stream", "bkey", "bstate", "x", "r", "lam", "t", "li",
-                 "level", "cutoff", "stale", "off", "k", "target", "e", "n_ev", "n_nodes",
-                 "ev_node", "ev_z", "ev_at", "kept", "switches", "escalations",
+                 "level", "cutoff", "stale", "off", "k", "target", "wlo", "whi", "e", "n_ev",
+                 "n_nodes", "ev_node", "ev_z", "ev_at", "kept", "switches", "escalations",
                  "cutoffs", "status", "times", "states")
 
 
@@ -396,7 +398,11 @@ class _Walk:
         self.resolved = {}
         self.extended = {}  # (traj, level index) -> stream, within one block
         self.keyed = KeyedGenerator()
-        self.grids = self.screen = None
+        self.grids = None
+        self.territory = getattr(model.rates, "territory_batch", None)
+        # regime -> its band over every radius, or None when that is not
+        # finite; (regime, r // WINDOW) -> its band over that radius window
+        self.bands, self.cells = {}, {}
 
     def level_cutoff(self, li):
         """The mark cutoff of level li, resolved once per walk."""
@@ -540,13 +546,6 @@ class _Walk:
         bp[start] = [group[0].t for group in groups]
         bp[last] = horizon
         bp[inner] = np.concatenate([ev_t for ev_t, _ in events])
-        z = np.full(bp.size, np.nan)
-        z[inner] = np.concatenate([marks for _, marks in events])
-        # every event lies strictly between its grid's time and the horizon,
-        # so ties sit inside one grid; the screen skips no tied grid's mark
-        tie = np.zeros(bp.size, dtype=bool)
-        tie[1:] = bp[1:] == bp[:-1]
-        z[np.repeat(np.logical_or.reduceat(tie, start), lens)] = np.nan
 
         def normals(r, out):
             lead = groups[r][0]
@@ -556,7 +555,7 @@ class _Walk:
             for row in groups[r]:
                 row.bstate = state
 
-        off, bidx = self.grids.lay(bp, lens, self.cfg.dt_target, normals, z)
+        off, bidx = self.grids.lay(bp, lens, self.cfg.dt_target, normals)
         first = bidx[start]
         at = bidx - np.repeat(first, lens)  # every breakpoint's node in its own grid
         for group, (_, marks), f, size, b in zip(groups, events, first.tolist(),
@@ -604,23 +603,69 @@ class _Walk:
         row.bkey = row.bstate = row.ev_node = row.ev_z = row.ev_at = row.kept = None
         return False
 
+    def aim(self, rows):
+        """Move each row's target past the marks that cannot switch it.
+
+        Every row has just been sent on by ``advance``.  Its band is its
+        regime's territory (``_band``) over every radius if that is finite,
+        and otherwise over the window of the row's radius r: with
+        m = r // WINDOW, the radii [(m - 1) WINDOW, (m + 2) WINDOW).  Both
+        kinds are kept per walk, and the ones a call lacks come from one
+        ``territory_batch`` call each.  The scan stops at the first mark
+        below the cutoff and inside the band.  A row that skipped a mark on
+        a window's band keeps to that window, capped by its level; every
+        other row is capped by its level alone.
+        """
+        bands, cells, territory = self.bands, self.cells, self.territory
+        new = list({row.lam for row in rows} - bands.keys())
+        if new:
+            if territory is None:
+                bands.update(dict.fromkeys(new, (-math.inf, math.inf)))
+            else:
+                lo, hi = territory(np.array(new), np.zeros(len(new)), np.full(len(new), math.inf))
+                for i, a, b in zip(new, lo.tolist(), hi.tolist()):
+                    bands[i] = _band(a, b) if b < math.inf else None
+        keys = [(row.lam, row.r // WINDOW) if bands[row.lam] is None else None for row in rows]
+        new = list({key for key in keys if key is not None} - cells.keys())
+        if new:
+            m = np.array([m for _, m in new])
+            lo, hi = territory(np.array([i for i, _ in new]), np.maximum((m - 1) * WINDOW, 0.0),
+                               (m + 2) * WINDOW)
+            for key, a, b in zip(new, lo.tolist(), hi.tolist()):
+                cells[key] = _band(a, b)
+        for row, key in zip(rows, keys):
+            lo, hi = bands[row.lam] if key is None else cells[key]
+            ev_z, n_ev, e = row.ev_z, row.n_ev, row.e
+            top = min(hi, row.cutoff)
+            while e < n_ev and not lo <= ev_z[e] < top:
+                e += 1
+            room = self.thresholds[row.li] - row.lam
+            if key is not None and e > row.e and hi < math.inf:
+                m = key[1]
+                row.wlo, row.whi = (m - 1) * WINDOW, min((m + 2) * WINDOW, room)
+            else:
+                row.wlo, row.whi = -math.inf, room
+            row.e = e
+            row.target = row.ev_node[e] if e < n_ev else row.n_nodes - 1
+
     def lockstep(self, live):
-        """Step every live row to its next event node in one update per node.
+        """Step every live row to its next target node in one update per node.
 
         Each iteration moves all live rows one node along their own grids.
-        When at least SCREEN_ROWS rows clear of their level reach event
-        nodes, the screen sends the ones whose mark cannot switch on to
-        their next event node.  The other rows that reach their target
-        node, come near their level or fail drop to ``advance``, which
-        either sends them on or ends them.
+        Rows that reach their target, leave their window (which keeps them
+        clear of their level) or fail drop to ``advance``, which either
+        sends them on, with targets ``aim`` moves past the marks that cannot
+        switch them, or ends them.  A stop re-reads the marks from its node
+        on, the ones the band skipped included.
         """
-        g, d, screen = self.grids, self.dim, self.screen
+        g, d = self.grids, self.dim
+        self.aim(live)
         X = np.array([row.x for row in live])
         pos = np.array([row.off + row.k for row in live])
         end = np.array([row.off + row.target for row in live])
         lam = np.array([row.lam for row in live])
-        room = np.array([self.thresholds[row.li] - row.lam for row in live])
-        cut = np.array([row.cutoff for row in live])
+        wlo = np.array([row.wlo for row in live])
+        whi = np.array([row.whi for row in live])
         while live:
             node = g.table.take(pos, axis=0)
             bdt, noise, failed = _step_terms(self.model, X, lam, node[:, 0], node[:, 1:2],
@@ -630,27 +675,12 @@ class _Walk:
             if g.states is not None:
                 g.states[pos] = X
             r = _radii(X)
-            go = (r < room) & (pos != end)
+            go = (wlo <= r) & (r < whi) & (pos != end)
             if failed is not None:
                 go &= ~failed
-            n_go = np.count_nonzero(go)
-            if n_go == len(live):
+            if np.count_nonzero(go) == len(live):
                 continue
-            if screen is not None and len(live) - n_go >= SCREEN_ROWS:
-                at = np.flatnonzero((pos == end) & (r < room))
-                if failed is not None:
-                    at = at[~failed[at]]
-                if at.size >= SCREEN_ROWS:
-                    p = pos[at]
-                    z = g.mark[p]
-                    lo, hi = screen(lam[at], r[at])
-                    skip = (z >= cut[at]) | _outside(z, lo, hi)
-                    at = at[skip]
-                    end[at] = g.next[p[skip]]
-                    go[at] = True
-                    if n_go + at.size == len(live):
-                        continue
-            ended = []
+            ended, sent = [], []
             for i in np.flatnonzero(~go).tolist():
                 row = live[i]
                 p = int(pos[i])
@@ -662,35 +692,33 @@ class _Walk:
                     continue
                 row.x = X[i].copy()
                 row.r = radius(row.x)
-                if screen is not None:
-                    # the first mark not skipped is the first at or after this node
-                    row.e = bisect_left(row.ev_node, row.k)
-                if self.advance(row):
+                # the first mark not yet classified is the first at or after this node
+                row.e = bisect_left(row.ev_node, row.k)
+                (sent if self.advance(row) else ended).append(i)
+            if sent:
+                self.aim([live[i] for i in sent])
+                for i in sent:
+                    row = live[i]
                     pos[i], end[i] = row.off + row.k, row.off + row.target
-                    lam[i], room[i] = row.lam, self.thresholds[row.li] - row.lam
-                    cut[i] = row.cutoff
-                else:
-                    ended.append(i)
+                    lam[i], wlo[i], whi[i] = row.lam, row.wlo, row.whi
             if ended:
                 keep = np.ones(len(live), dtype=bool)
                 keep[ended] = False
                 live = [row for row, kp in zip(live, keep.tolist()) if kp]
-                X, pos, end, lam, room, cut = (X[keep], pos[keep], end[keep], lam[keep],
-                                               room[keep], cut[keep])
+                X, pos, end, lam, wlo, whi = (X[keep], pos[keep], end[keep], lam[keep],
+                                              wlo[keep], whi[keep])
 
     def run(self, starts, i0, trajs):
         """Yield the ended rows, walking them in blocks of at most BLOCK_ROWS."""
-        screen = getattr(self.model.rates, "territory_batch", None)
         for lo in range(0, len(trajs), BLOCK_ROWS):
-            self.screen = screen if len(trajs[lo:lo + BLOCK_ROWS]) >= SCREEN_ROWS else None
-            self.grids = _Grids(self.dim, self.record, self.screen is not None)
+            self.grids = _Grids(self.dim, self.record)
             self.extended = {}
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 rows = self.begin(starts[lo:lo + BLOCK_ROWS], i0, trajs[lo:lo + BLOCK_ROWS])
                 live = [row for row in rows if self.advance(row)]
                 if live:
                     self.lockstep(live)
-            self.grids = self.screen = None
+            self.grids = None
             yield from rows
 
 

@@ -41,17 +41,20 @@ class RateMatrix:
 
     The diagonal is conservative by convention; ``rate(i, i, x)`` is 0.
 
-    ``territory_batch(lam, R) -> (lo, hi)`` is optional.  For arrays of
-    regimes ``lam`` and state radii ``R`` over rows it returns arrays with
-    row n's territory ``[anchor(i, x), anchor(i, x) + row_sum(i, x))`` for
-    i = lam[n] and any x with |x| = R[n], so only matrices whose anchor and
-    row sum depend on x through |x| can give it.  The solver uses it
-    conservatively: it skips a mark without calling ``mark_displacement``
-    only when the mark lies outside these bounds by a relative margin and
-    the bounds are finite, so they need not match the scalar methods to the
-    last bit.  ``None`` (the default) means no screen: every mark below the
-    cutoff is classified.  A subclass that overrides ``anchor`` or
-    ``row_sum`` without giving its own ``territory_batch`` gets ``None``.
+    ``territory_batch(lam, r_lo, r_hi) -> (lo, hi)`` is optional.  For
+    arrays of regimes ``lam`` and radius windows ``[r_lo, r_hi]`` over rows
+    it returns arrays with bounds that hold for every x with r_lo[n] <= |x|
+    <= r_hi[n]: row n's territory ``[anchor(i, x), anchor(i, x) +
+    row_sum(i, x))`` for i = lam[n] lies within ``[lo[n], hi[n])``, and
+    where r_lo[n] == r_hi[n] it is that territory.  So only matrices whose
+    anchor and row sum depend on x through |x| can give it, and a window
+    may reach to infinity.  The solver uses it conservatively: it skips a
+    mark without calling ``mark_displacement`` only when the mark lies
+    outside these bounds by a relative margin and the bounds are finite, so
+    they need not match the scalar methods to the last bit.  ``None`` (the
+    default) means no bands: every mark below the cutoff is classified.  A
+    subclass that overrides ``anchor`` or ``row_sum`` without giving its
+    own ``territory_batch`` gets ``None``.
 
     ``radial = True`` declares that ``rate``, ``rate_block``, ``row_tail``
     and ``beta_tail`` depend on x only through ``radius(x)``; the
@@ -67,7 +70,7 @@ class RateMatrix:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # an inherited screen is only valid for the layout it was written for
+        # inherited bands are only valid for the layout they were written for
         if "territory_batch" not in vars(cls) and {"anchor", "row_sum"} & vars(cls).keys():
             cls.territory_batch = None
         # and an inherited radial claim only for the rates it was made for
@@ -169,8 +172,9 @@ class DenseRates(RateMatrix):
     def anchor(self, i, x):
         return float(self._cum[min(i - 1, self.size)])
 
-    def territory_batch(self, lam, R):
-        # _cum[i] is _cum[i - 1] + row_sum(i); regimes beyond size sit at _cum[size]
+    def territory_batch(self, lam, r_lo, r_hi):
+        # no rate depends on x; _cum[i] is _cum[i - 1] + row_sum(i), and
+        # regimes beyond size sit at _cum[size]
         return self._cum.take(lam - 1, mode="clip"), self._cum.take(lam, mode="clip")
 
     def beta_tail(self, i, x, n, beta):

@@ -13,8 +13,8 @@ worker count or scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -32,7 +32,12 @@ ORACLE_LEAK_TOL = 1e-3
 
 @dataclass
 class ProbeReport:
-    """Labelled estimates with 95% confidence half-widths and diagnostics."""
+    """Labelled estimates with 95% confidence half-widths and diagnostics.
+
+    ``intervals`` maps some labels to a 95% confidence interval of their
+    own (a Wilson score interval for a probability); ``rows`` does not
+    write it.
+    """
 
     name: str
     params: Dict[str, object]
@@ -41,6 +46,7 @@ class ProbeReport:
     half_widths: List[float]
     n: int
     diagnostics: Dict[str, object]
+    intervals: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
     def value(self, label):
         return self.estimates[self.labels.index(label)]
@@ -132,6 +138,19 @@ def _binom_hw(p_hat, n):
     return 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
+def _wilson(p_hat, n):
+    """The 95% Wilson score interval of a proportion p_hat of n trials.
+
+    Unlike the Wald half-width, which is 0 at p_hat = 0 or 1, it keeps a
+    width of about z^2 / n there (z = 1.96).
+    """
+    z = 1.96
+    shrink = 1.0 + z * z / n
+    centre = (p_hat + z * z / (2 * n)) / shrink
+    half = z / shrink * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n + z * z / (4 * n * n))
+    return max(centre - half, 0.0), min(centre + half, 1.0)
+
+
 def estimate_moment(model, cert, x0, i0, t, n, cfg, *, threads=1):
     """Estimate E[(1+|X|^2)^p + p*regime^beta] at t stopped at the level ceiling.
 
@@ -170,6 +189,8 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
     starts share trajectory substreams, so the per-M supremum inherits the
     per-path monotonicity of stop times in the level.  When a polynomial
     certificate is supplied, the analytic tail bound is reported per level.
+    Every tail estimate also gets its Wilson score interval in
+    ``intervals``.
     """
     levels = sorted(int(m) for m in m_list)
     if not levels:
@@ -191,16 +212,15 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
     explosions = int(ens["nonfinite"].sum())
     tails = (ens["hit"] <= horizon).mean(axis=1)
 
-    labels, ests, hws = [], [], []
+    labels, ests, hws, intervals = [], [], [], {}
     for li, lv in enumerate(levels):
-        for si in range(len(starts)):
-            labels.append(f"tail[M={lv},start={si}]")
+        top = int(np.argmax(tails[:, li]))
+        named = [(f"tail[M={lv},start={si}]", si) for si in range(len(starts))]
+        for label, si in named + [(f"tail_sup[M={lv}]", top)]:
+            labels.append(label)
             ests.append(float(tails[si, li]))
             hws.append(_binom_hw(tails[si, li], n))
-        top = int(np.argmax(tails[:, li]))
-        labels.append(f"tail_sup[M={lv}]")
-        ests.append(float(tails[top, li]))
-        hws.append(_binom_hw(tails[top, li], n))
+            intervals[label] = _wilson(float(tails[si, li]), n)
         if cert is not None:
             labels.append(f"bound[M={lv}]")
             ests.append(max(tau_tail_bound_poly(cert, y, i0, t, lv) for y in starts))
@@ -209,7 +229,7 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
         "tau_tail",
         {"t": t, "delta": delta, "m_list": levels, "i0": i0,
          "x0": list(map(float, x0)), "n_starts": len(starts)},
-        labels, ests, hws, n, {"explosions": explosions},
+        labels, ests, hws, n, {"explosions": explosions}, intervals,
     )
 
 

@@ -128,7 +128,8 @@ def table_query(rates, query):
     x = np.array([r])
     if name == "territory_batch":
         lam = np.array([i, max(n, 1), 1])
-        return [v.tobytes().hex() for v in rates.territory_batch(lam, np.full(3, r))]
+        return [v.tobytes().hex()
+                for v in rates.territory_batch(lam, np.full(3, r), np.full(3, 2.0 * r))]
     args = {"row_tail": (i, x, n), "rate": (i, max(n, 1), x),
             "row_sum": (i, x), "anchor": (i, x)}[name]
     return float(getattr(rates, name)(*args)).hex()

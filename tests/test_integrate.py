@@ -23,9 +23,9 @@ def one_grid(bp, dt_target, dim, rng):
     ``(nodes, steps, increments, break_index)`` of a one-grid ``lay``,
     without the last node's empty step."""
     bp = np.asarray(bp, dtype=float)
-    grids = _Grids(dim, None, False)
+    grids = _Grids(dim, None)
     off, bidx = grids.lay(bp, np.array([bp.size]), dt_target,
-                          lambda r, out: rng.standard_normal(out=out), None)
+                          lambda r, out: rng.standard_normal(out=out))
     rows = grids.table[off:grids.used]
     return rows[:, 0], rows[:-1, 1], rows[:-1, 2:], bidx
 
@@ -110,11 +110,10 @@ class TestMakeGrid:
             grids.append(np.array([t0] + sorted(events + tied) + [1.0]))
         assume(ties > 0)
         lens = np.array([bp.size for bp in grids])
-        store = _Grids(2, None, False)
+        store = _Grids(2, None)
         for _ in range(2):  # the second lay starts at an offset
             off, bidx = store.lay(np.concatenate(grids), lens, dt,
-                                  lambda r, out: substream(0, r, BROWNIAN).standard_normal(out=out),
-                                  None)
+                                  lambda r, out: substream(0, r, BROWNIAN).standard_normal(out=out))
             for r, (bp, lo) in enumerate(zip(grids, np.cumsum(lens) - lens)):
                 distinct = np.unique(bp)
                 nodes, steps, incr, at = one_grid(distinct, dt, 2, substream(0, r, BROWNIAN))

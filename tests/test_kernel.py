@@ -213,16 +213,19 @@ def ou_model(rates, dim, batch):
 
 @st.composite
 def screen_cases(draw):
-    """Screened and unscreened models, a start, a regime and a configuration.
+    """Screened and unscreened models, a start, a regime, a configuration
+    and maybe a caller-supplied stream.
 
     ou escalates (extending the stream and classifying marks at stop nodes
-    under the next level) in one or two dimensions; blowup ends rows at a
-    non-finite state, and cube by an overflow in its per-row drift; huge
-    starts so far out that the power-law rates overflow, which ends rows
-    at their first classified mark.
+    under the next level) in one or two dimensions; tied walks it over a
+    stream with several marks at one time; blowup ends rows at a non-finite
+    state, and cube by an overflow in its per-row drift; huge starts so far
+    out that the power-law rates overflow, which ends rows at their first
+    classified mark.
     """
-    family = draw(st.sampled_from(["ou", "ou", "ou", "blowup", "cube", "huge"]))
+    family = draw(st.sampled_from(["ou", "ou", "ou", "tied", "blowup", "cube", "huge"]))
     i0 = 1
+    stream = None
     gamma = st.floats(2.0, 5.0, exclude_min=True)
     pl = st.builds(PowerLawRates, gamma=gamma, p=st.floats(1.0, 3.0))
     seed = draw(st.integers(0, 2 ** 16))
@@ -236,6 +239,18 @@ def screen_cases(draw):
         stop = draw(st.integers(4, 5))
         cfg = SimConfig(stop_level=stop, max_stop_level=stop * draw(st.sampled_from([1, 2])),
                         dt_target=0.05, seed=seed)
+    elif family == "tied":
+        rates = draw(st.one_of(dense_rates, pl))
+        model = lambda r: ou_model(r, 1, True)  # noqa: E731
+        x0 = [draw(st.floats(0.0, 2.5))]
+        times = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=30))
+        times = sorted(times + times[:draw(st.integers(1, len(times)))])
+        marks = draw(st.lists(st.floats(0.0, 9.99), min_size=len(times), max_size=len(times)))
+        stream = JumpStream(10.0, 1.0, np.array(times), np.array(marks))
+        stop = draw(st.integers(2, 5))
+        cfg = SimConfig(stop_level=stop, max_stop_level=stop * draw(st.sampled_from([1, 4])),
+                        mark_cutoff=draw(st.sampled_from([4.0, 8.0])), dt_target=0.05,
+                        seed=seed)
     elif family in ("blowup", "cube"):
         rates = draw(st.one_of(dense_rates, pl))
         forms = coefficients(family, draw(st.floats(0.5, 3.0)), True)
@@ -253,28 +268,49 @@ def screen_cases(draw):
         i0 = draw(st.integers(1, 3))
         cfg = SimConfig(stop_level=10 ** 300, mark_cutoff=30.0, stream_rate=30.0,
                         dt_target=0.1, seed=seed)
-    return model(rates), model(unscreened(rates)), x0, i0, cfg
+    return model(rates), model(unscreened(rates)), x0, i0, cfg, stream
+
+
+def walked_rows(model, x0, i0, cfg, stream):
+    """Everything N walked trajectories from x0 give, in comparable form."""
+    return [(w.t, w.x.tobytes(), w.lam, w.status, w.switches, w.escalations, w.cutoffs)
+            for w in hybrid.walk(model, [x0] * N, i0, cfg, list(range(N)), stream=stream)]
+
+
+def watch_window_exits(exits):
+    """``_Walk.advance``, noting each row that stops before its target
+    because its radius left its band's window, clear of its level."""
+    advance = hybrid._Walk.advance
+
+    def watch(walker, row):
+        if getattr(row, "target", row.k) > row.k and np.isfinite(row.wlo) and \
+                row.r < walker.thresholds[row.li] - row.lam:
+            exits.append(row.traj)
+        return advance(walker, row)
+    return watch
 
 
 class TestMarkScreen:
     @settings(max_examples=40, deadline=None)
-    @given(case=screen_cases(), block=st.integers(1, 8), screen_rows=st.integers(1, 4))
-    def test_records_equal_unscreened_rates(self, case, block, screen_rows):
-        screened, plain, x0, i0, cfg = case
+    @given(case=screen_cases(), block=st.integers(1, 8))
+    def test_records_equal_unscreened_rates(self, case, block):
+        screened, plain, x0, i0, cfg, stream = case
         assert plain.rates.territory_batch is None
-        calls = []
+        calls, exits = [], []
         for model in (screened, plain):
             with mock.patch.object(hybrid, "BLOCK_ROWS", block), \
-                    mock.patch.object(hybrid, "SCREEN_ROWS", screen_rows), \
+                    mock.patch.object(hybrid._Walk, "advance", watch_window_exits(exits)), \
                     mock.patch.object(hybrid, "mark_displacement",
                                       wraps=hybrid.mark_displacement) as md:
-                calls.append((run_ensemble(model, x0, i0, cfg, N), md.call_count))
-        assert_records_equal(calls[0][0], calls[1][0])
+                calls.append((walked_rows(model, x0, i0, cfg, stream), md.call_count))
+        assert calls[0][0] == calls[1][0]
         assert calls[0][1] <= calls[1][1]
-        rec = calls[0][0]
+        rows = calls[0][0]
         event(f"marks skipped: {calls[0][1] < calls[1][1]}")
-        event(f"non-finite rows: {bool(rec['nonfinite'].any())}")
-        event(f"escalated rows: {bool(np.isfinite(rec['hit'][:, 0]).any())}")
+        event(f"non-finite rows: {any(status.nonfinite for _, _, _, status, *_ in rows)}")
+        event(f"escalated rows: {any(esc for *_, esc, _ in rows)}")
+        event(f"row left its window: {bool(exits)}")
+        event(f"tied grid: {stream is not None}")
 
     def test_tied_and_carried_marks_match_unscreened(self):
         # a hand-built stream with several marks at one time; the drift takes
@@ -289,9 +325,8 @@ class TestMarkScreen:
         rows, calls = [], []
         for r in (rates, unscreened(rates)):
             model = RegimeModel(1, lambda x, i, t: np.ones(1), lambda x, i, t: 0.3 * EYE, r, 1.0)
-            with mock.patch.object(hybrid, "SCREEN_ROWS", 1), \
-                    mock.patch.object(hybrid, "mark_displacement",
-                                      wraps=hybrid.mark_displacement) as md:
+            with mock.patch.object(hybrid, "mark_displacement",
+                                   wraps=hybrid.mark_displacement) as md:
                 rows.append([(w.t, w.x, w.lam, w.status, w.switches, w.escalations, w.times,
                               w.states) for w in hybrid.walk(model, [[1.2]] * 16, 1, cfg,
                                                              list(range(16)), levels=[2, 4, 8],
@@ -305,6 +340,21 @@ class TestMarkScreen:
         assert escalated & set(times) and any(w[4] for w in rows[0])
         # the marks at 0.3 and 0.8 lie outside the row's territory
         assert calls[0] < calls[1]
+
+    def test_bands_spare_most_classifications(self):
+        # on powerlaw about 1.5% of the marks switch a regime, so a walk that
+        # classifies more than a tenth of what the unscreened one does has
+        # lost its bands
+        model = make_model("powerlaw")
+        cfg = SimConfig(stop_level=8, max_stop_level=64, seed=505)
+        recs, calls = [], []
+        for m in (model, replace(model, rates=unscreened(model.rates))):
+            with mock.patch.object(hybrid, "mark_displacement",
+                                   wraps=hybrid.mark_displacement) as md:
+                recs.append(run_ensemble(m, [1.0], 1, cfg, 40))
+            calls.append(md.call_count)
+        assert_records_equal(*recs)
+        assert calls[0] <= 0.1 * calls[1]
 
 
 @st.composite

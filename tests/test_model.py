@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from switchdiff import (DenseRates, FunctionRates, RegimeModel, TailUnresolvable,
                         make_model, mark_displacement, truncate_coefficients)
 from switchdiff.certify import PowerLawRates
+from switchdiff.model import radius
 
 Q3 = np.array([
     [0.0, 1.0, 2.0],
@@ -315,38 +316,53 @@ radii = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e200))
 class TestTerritoryBatch:
     @settings(max_examples=60, deadline=None)
     @given(rates=territory_rates, dim=st.sampled_from([1, 2]),
-           rows=st.lists(st.tuples(st.integers(1, 2000), radii), min_size=1, max_size=12),
+           rows=st.lists(st.tuples(st.integers(1, 2000), radii, radii, st.booleans()),
+                         min_size=1, max_size=12),
            u=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
     def test_bounds_match_scalar_and_skipped_marks_never_switch(self, rates, dim, rows, u):
-        from switchdiff.hybrid import _outside, _radii
-        lam = np.array([i for i, _ in rows])
-        X = np.array([np.full(dim, r / np.sqrt(dim)) for _, r in rows])
-        # the kernel measures radii this way and screens only finite ones
-        R = _radii(X)
+        from switchdiff.hybrid import _band
+        lam = np.array([i for i, *_ in rows])
+        r_lo, r_hi, X, measured = [], [], [], []
         with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
-            lo, hi = rates.territory_batch(lam, R)
+            for n, (_, a, b, point) in enumerate(rows):
+                # a radius R inside the window [r_lo, r_hi]; a point window is
+                # the radius of x as the kernel measures it
+                R = min(a, b) + u[n] * abs(b - a)
+                X.append(np.full(dim, R / np.sqrt(dim)))
+                measured.append(radius(X[-1]))
+                r_lo.append(measured[-1] if point else min(a, b))
+                r_hi.append(measured[-1] if point else max(a, b))
+            lo, hi = rates.territory_batch(lam, np.array(r_lo), np.array(r_hi))
         model = zero_coeff_model(rates, dim)
         for n, (i, x) in enumerate(zip(lam.tolist(), X)):
-            if not np.isfinite(R[n]):
-                continue
+            if not np.isfinite(measured[n]):
+                continue  # the kernel stops a row there: no window holds it
+            blo, bhi = _band(lo[n], hi[n])
             want = scalar_territory(rates, i, x)
             if want is None or not np.isfinite(want[1]):
                 # a scalar overflow must reach mark_displacement
                 assert not np.isfinite(hi[n])
-                assert not _outside(np.array([0.0, u[0], 1e300]), lo[n], hi[n]).any()
+                assert blo == -np.inf and bhi == np.inf
                 continue
-            assert lo[n] == pytest.approx(want[0], rel=1e-12, abs=0.0)
-            assert hi[n] == pytest.approx(want[1], rel=1e-12, abs=0.0)
-            # marks around both bounds, inside, and far beyond the territory
+            if r_lo[n] == r_hi[n]:
+                assert lo[n] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+                assert hi[n] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+            elif np.isfinite(hi[n]):
+                # the bounds at the window's far end may overflow, and then
+                # they put no mark outside
+                assert lo[n] <= want[0] * (1 + 1e-12)
+                assert want[1] <= hi[n] * (1 + 1e-12)
+            # marks around the territory at x and around the band, inside
+            # both, and far beyond the territory
             span = want[1] - want[0]
             marks = [want[0] * (1 - 1e-6 * u[0]), want[0] * (1 - 2.0 ** -29), want[0],
                      want[0] + u[1] * span, want[1] * (1 - 2.0 ** -52), want[1],
-                     want[1] * (1 + 2.0 ** -29), want[1] * (1 + u[2]), 2.0 * u[3] * want[1]]
-            skipped = _outside(np.array(marks), lo[n], hi[n])
-            for z, out in zip(marks, skipped):
-                if out:
+                     want[1] * (1 + 2.0 ** -29), want[1] * (1 + u[2]), 2.0 * u[3] * want[1],
+                     lo[n] * (1 - 2.0 ** -29), lo[n], hi[n], hi[n] * (1 + 2.0 ** -29)]
+            for z in marks:
+                if np.isfinite(z) and not blo <= z < bhi:
                     assert mark_displacement(model, i, x, z) == 0, (i, x, z)
-        beyond = [n for n, (i, _) in enumerate(rows) if isinstance(rates, DenseRates)
+        beyond = [n for n, (i, *_) in enumerate(rows) if isinstance(rates, DenseRates)
                   and i > rates.size]
         # regimes past a dense matrix own no marks: an empty territory at its total mass
         assert all(lo[n] == hi[n] == rates.anchor(rates.size + 1, None) for n in beyond)

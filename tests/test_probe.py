@@ -14,6 +14,7 @@ from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeMo
                         estimate_tau_tail, feller_probe, make_model,
                         run_ensemble)
 from switchdiff import _parallel, hybrid
+from switchdiff.probe import _wilson
 from test_hybrid import dense_rates, ou_with_rates
 
 
@@ -55,6 +56,28 @@ class TestEstimateTauTail:
                                 100, CFG)
         assert rep.value("tail_sup[M=4]") == 0.0
         assert rep.value("tail_sup[M=8]") == 0.0
+
+    def test_wilson_interval_keeps_a_width_at_zero(self):
+        n = 100
+        rep = estimate_tau_tail(frozen_model(), [1.0], 1, 1.0, [4, 8], 0.1, n, CFG)
+        z2 = 1.96 ** 2
+        for m in (4, 8):
+            # the Wald half-width vanishes at p = 0; the Wilson interval is
+            # [0, z^2 / (n + z^2)] there
+            assert rep.value(f"tail_sup[M={m}]") == rep.half_width(f"tail_sup[M={m}]") == 0.0
+            lo, hi = rep.intervals[f"tail_sup[M={m}]"]
+            assert lo == 0.0 and hi == pytest.approx(z2 / (n + z2), rel=1e-12)
+        assert set(rep.intervals) == {lab for lab in rep.labels if lab.startswith("tail")}
+        assert all(len(row) == 7 for row in rep.rows())
+
+    def test_wilson_interval_by_hand(self):
+        # 10 of 50: centre (0.2 + z^2/100) / (1 + z^2/50) = 0.221405, half-width
+        # z sqrt(0.2 * 0.8 / 50 + z^2 / 10^4) / (1 + z^2/50) = 0.108969
+        lo, hi = _wilson(0.2, 50)
+        assert lo == pytest.approx(0.112436, abs=1e-6)
+        assert hi == pytest.approx(0.330374, abs=1e-6)
+        lo, hi = _wilson(1.0, 50)
+        assert hi == 1.0 and lo == pytest.approx(50 / (50 + 1.96 ** 2), rel=1e-12)
 
     def test_already_outside_is_one(self):
         rep = estimate_tau_tail(frozen_model(), [5.0], 2, 1.0, [4], 0.1, 50, CFG)
