@@ -13,7 +13,7 @@ block at once, equal word for word to ``SeedSequence(seed, spawn_key=(traj,
 purpose, *extra)).generate_state(2, uint64)``: the seed's part of
 ``SeedSequence``'s hash is mixed once per seed in Python ints, and each
 spawn word over a (4, n) uint32 array, since the four pool words take it in
-independently (a lone row, or an index of two words, asks ``SeedSequence``).
+independently (an index of two words asks ``SeedSequence``).
 ``KeyedGenerator`` is one ``Philox`` and ``Generator`` that
 a row borrows by setting its key with a zero counter and an empty buffer,
 which draws exactly what ``substream`` would.
@@ -167,10 +167,10 @@ def philox_keys(seed, trajs, purpose, *extra):
     t = [int(k) for k in trajs]
     if t and not 0 <= min(t) <= max(t) < 2 ** 64:
         raise ConfigError("trajectory indices must lie in [0, 2 ** 64)")
-    if len(t) > 1 and max(t) <= _M32:
+    if t and max(t) <= _M32:
         return _mix_keys(pool, used, np.array(t, dtype=np.uint32), tail)
-    # the array pass costs more than it saves for one row, and indices of
-    # two words shift the later hash calls: both take the definition itself
+    # indices of two words shift the later hash calls: they take the
+    # definition itself
     spawn = (int(purpose),) + tuple(int(e) for e in extra)
     keys = [np.random.SeedSequence(int(seed), spawn_key=(k,) + spawn).generate_state(2, np.uint64)
             for k in t]

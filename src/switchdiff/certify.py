@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
 import numpy as np
@@ -223,10 +223,15 @@ def _tail_integral(gamma, a, j, beta):
     return integral, err, tail_term(a)
 
 
-class _KPowers:
-    """k^beta for k >= 1 at the last beta asked for, and two scratch blocks."""
+class _Tally:
+    """One sweep's series summed, columns read and widest bracket, with its k^beta table.
+
+    The table holds k^beta for k >= 1 at the last beta asked for; ``diffs``
+    and ``dot`` form their blocks in two scratch arrays of their own.
+    """
 
     def __init__(self):
+        self.series, self.columns, self.max_half_width = 0, 0, 0.0
         self.beta, self.table, self.buf, self.prod = None, np.empty(0), np.empty(0), np.empty(0)
 
     def diffs(self, beta, lo, hi, jb):
@@ -244,25 +249,19 @@ class _KPowers:
         return float(np.multiply(d, w, out=self.prod[:d.size]).sum())
 
 
-@dataclass
-class _Tally:
-    """One sweep's series summed, columns read, widest bracket and k^beta table."""
+def _series_batch(rates, j, xs, beta, tally):
+    """Certified (down, up, half) of sum_{k != j} (k^b - j^b) q_jk(x), for each x in xs.
 
-    series: int = 0
-    columns: int = 0
-    max_half_width: float = 0.0
-    powers: _KPowers = field(default_factory=_KPowers)
-
-
-def _upward_batch(rates, j, xs, beta, tally):
-    """Certified (value, half_width) for sum_{k>j} (k^b - j^b) q_jk(x), for each x in xs.
-
-    Every series steps the same columns: n = j+1 on, in blocks of 512
-    doubling to 65,536.  So each block's k^b - j^b is formed once, and each
-    series still live adds the pairwise sum of its own block product, as a
-    lone series would.  A series ends at the n and with the bracket it would
-    end at alone; one that cannot be certified gets its TailUnresolvable in
-    place of the pair.
+    down is the exact downward sum over k < j (finitely many terms, all
+    <= 0), and up +- half the certified bracket of the upward series over
+    k > j.  Every upward series steps the same columns: n = j+1 on, in
+    blocks of 512 doubling to 65,536.  So each block's k^b - j^b is formed
+    once, and each series still live adds the pairwise sum of its own block
+    product, as a lone series would.  A series ends at the n and with the
+    bracket it would end at alone; one that cannot be certified gets its
+    TailUnresolvable in place of the triple.  The downward block is then
+    formed once and dotted with each certified x's rates.  A lone series is
+    a batch of one x.
     """
     rel_tol, max_terms = SERIES_REL_TOL, SERIES_MAX_TERMS
     tally.series += len(xs)
@@ -297,9 +296,9 @@ def _upward_batch(rates, j, xs, beta, tally):
             going.append(s)
         live, first = going, False
         if live:
-            d = tally.powers.diffs(beta, n, n + block, jb)
+            d = tally.diffs(beta, n, n + block, jb)
             for s in live:
-                partial[s] += tally.powers.dot(d, rates.rate_block(j, n, n + block, xs[s]))
+                partial[s] += tally.dot(d, rates.rate_block(j, n, n + block, xs[s]))
             tally.columns += block * len(live)
             n += block
             examined += block
@@ -308,31 +307,12 @@ def _upward_batch(rates, j, xs, beta, tally):
         out[s] = TailUnresolvable(
             f"growth-weighted series for row {j} not certified within {max_terms} terms",
             definitive=False)
+    certified = [s for s, up in enumerate(out) if not isinstance(up, TailUnresolvable)]
+    d = tally.diffs(beta, 1, j, jb)
+    tally.columns += (j - 1) * len(certified)
+    for s in certified:
+        out[s] = (tally.dot(d, rates.rate_block(j, 1, j, xs[s])),) + out[s]
     return out
-
-
-def _upward_series(rates, j, x, beta, tally=None):
-    """Certified (value, half_width) for sum_{k>j} (k^b - j^b) q_jk(x)."""
-    up, = _upward_batch(rates, j, [x], beta, _Tally() if tally is None else tally)
-    if isinstance(up, TailUnresolvable):
-        raise up
-    return up
-
-
-def _downward_series(rates, j, x, beta, tally=None):
-    """Exact sum_{k<j} (k^b - j^b) q_jk(x) (finitely many terms, all <= 0)."""
-    if j <= 1:
-        return 0.0
-    tally = _Tally() if tally is None else tally
-    tally.columns += j - 1
-    d = tally.powers.diffs(beta, 1, j, float(j) ** beta)
-    return tally.powers.dot(d, rates.rate_block(j, 1, j, x))
-
-
-def signed_beta_series(rates, j, x, beta, tally=None):
-    """Certified (value, half_width) for sum_{k != j} (k^b - j^b) q_jk(x)."""
-    up, half = _upward_series(rates, j, x, beta, tally)
-    return _downward_series(rates, j, x, beta, tally) + up, half
 
 
 @dataclass(frozen=True)
@@ -471,11 +451,10 @@ class CertificateReport:
 def _series_nodes(pts, regimes, rates, beta, tally, failed):
     """Yield (a, y, j, (down, up, half)) over grid points and regimes 1..regimes.
 
-    The series are summed regime-major: for each j one ``_upward_batch``
-    pass steps the upward series of every distinct radius (every point, for
-    rates that are not radial), so each block's k^b - j^b, and on power-law
-    rates each tail integral, serves them all.  down is the exact downward
-    sum of each series that certified.  The sums are then yielded
+    The series are summed regime-major: for each j one ``_series_batch``
+    pass sums the series of every distinct radius (every point, for rates
+    that are not radial), so each block's k^b - j^b, and on power-law rates
+    each tail integral, serves them all.  The sums are then yielded
     point-major, as the margins are visited.  A (y, j) whose series cannot
     be certified within budget is appended to ``failed`` as (a, j) and
     yields None; the first definitive failure met in that order propagates.
@@ -486,9 +465,8 @@ def _series_nodes(pts, regimes, rates, beta, tally, failed):
         first.setdefault(key, y)
     xs, sums = list(first.values()), {}
     for j in range(1, regimes + 1):
-        for key, x, up in zip(first, xs, _upward_batch(rates, j, xs, beta, tally)):
-            ok = not isinstance(up, TailUnresolvable)
-            sums[key, j] = (_downward_series(rates, j, x, beta, tally),) + up if ok else up
+        for key, value in zip(first, _series_batch(rates, j, xs, beta, tally)):
+            sums[key, j] = value
     for a, y in enumerate(pts):
         for j in range(1, regimes + 1):
             value = sums[keys[a], j]
@@ -594,25 +572,23 @@ def check_condition_exp(model, cert, grid):
     return _sweep("exponential", model, grid, beta, series, margin)
 
 
-def _simpson(fn, a, b, intervals=1000):
-    """Composite Simpson integral of fn over [a, b]; a non-callable fn is a constant."""
+def _simpson(fn, a, b):
+    """Composite Simpson integral of fn over [a, b] on 1,000 intervals; fn may be a constant."""
     if b <= a:
         return 0.0
-    if intervals % 2:
-        intervals += 1
-    xs = np.linspace(a, b, intervals + 1)
+    xs = np.linspace(a, b, 1001)
     if callable(fn):
         ys = np.array([float(fn(float(x))) for x in xs])
     else:
         ys = np.full(xs.shape, float(fn))
-    h = (b - a) / intervals
+    h = (b - a) / 1000
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
 def gronwall_bound_poly(cert, x0, i0, t):
     """Moment bound exp(int_0^t C(s) ds) * [(1+|x0|^2)^p + p * i0^beta].
 
-    The growth integral is composite Simpson over 10^3 nodes.
+    The growth integral is composite Simpson over 1,000 intervals.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     integral = _simpson(cert.growth, 0.0, float(t))

@@ -224,8 +224,13 @@ def _level_schedule(cfg):
 
 
 def _radii(X):
-    """The radius of every row of X, as the lockstep loop measures it."""
-    return np.abs(X[:, 0]) if X.shape[1] == 1 else np.sqrt(np.einsum("ij,ij->i", X, X))
+    """The radius of every row of X, as the lockstep loop measures it: as ``radius``."""
+    if X.shape[1] == 1:
+        return np.abs(X[:, 0])
+    r = np.sqrt(np.einsum("ij,ij->i", X, X))
+    for i in np.flatnonzero(~np.isfinite(r)).tolist():
+        r[i] = radius(X[i])
+    return r
 
 
 def _below(level):

@@ -21,9 +21,6 @@ from .errors import TailUnresolvable
 
 DEFAULT_MAX_TERMS = 10**6
 
-# Pure round-off slack for conservativeness checks.
-REL_TOL = 1e-12
-
 
 class RateMatrix:
     """Transition-rate data over the countable regime set {1, 2, 3, ...}.
@@ -259,8 +256,14 @@ class RegimeModel:
 
 
 def radius(x):
-    """|x| as a Python float: |x_1| in one dimension, sqrt(x . x) otherwise."""
-    return abs(float(x[0])) if x.size == 1 else math.sqrt(x @ x)
+    """|x| as a Python float: |x_1| in one dimension, sqrt(x . x) otherwise.
+
+    Where x . x overflows, the scaled norm ``math.hypot`` gives it.
+    """
+    if x.size == 1:
+        return abs(float(x[0]))
+    r = math.sqrt(x @ x)
+    return r if math.isfinite(r) else math.hypot(*x)
 
 
 def mark_displacement(model, regime, x, mark):

@@ -41,9 +41,11 @@ def _ou_pair(thetas, sigmas, rates, horizon, dim):
     return RegimeModel(dim, drift, dispersion, rates, horizon, drift_batch, noise_batch)
 
 
-def _frozen(drift, drift_batch, rates, horizon):
-    """One-dimensional model without noise."""
-    zmat = np.zeros((1, 1))
+def _frozen(rates, horizon, drift=None, drift_batch=None):
+    """One-dimensional model without noise; with no drift given, the state stays put."""
+    zero, zmat = np.zeros(1), np.zeros((1, 1))
+    if drift is None:
+        drift, drift_batch = (lambda x, i, t: zero), (lambda X, lam, t: np.zeros_like(X))
     return RegimeModel(1, drift, lambda x, i, t: zmat, rates, horizon, drift_batch,
                        lambda X, lam, t, dW: np.zeros_like(dW))
 
@@ -57,10 +59,7 @@ def build_ou2(theta1=1.0, theta2=0.5, sigma1=1.0, sigma2=1.0,
 
 def build_ctmc2(q12=1.0, q21=2.0, horizon=1.0):
     """Pure switching between two regimes; the diffusion is frozen."""
-    rates = DenseRates([[0.0, q12], [q21, 0.0]])
-    zero = np.zeros(1)
-    return _frozen(lambda x, i, t: zero, lambda X, lam, t: np.zeros_like(X), rates,
-                   horizon)
+    return _frozen(DenseRates([[0.0, q12], [q21, 0.0]]), horizon)
 
 
 def build_ctmcn(n_regimes=5, scale=1.0, horizon=2.0):
@@ -73,9 +72,7 @@ def build_ctmcn(n_regimes=5, scale=1.0, horizon=2.0):
         for b in range(n):
             if a != b:
                 q[a, b] = scale / abs(a - b)
-    zero = np.zeros(1)
-    return _frozen(lambda x, i, t: zero, lambda X, lam, t: np.zeros_like(X),
-                   DenseRates(q), horizon)
+    return _frozen(DenseRates(q), horizon)
 
 
 def build_powerlaw(gamma=3.0, p=1.0, theta=1.0, sigma=1.0, horizon=1.0, dim=1):
@@ -94,33 +91,13 @@ def build_blowup(horizon=1.0):
 
     Started from x0 = 2 the closed-form trajectory blows up at time 1/2.
     """
-    rates = DenseRates([[0.0]])
-
-    def drift(x, i, t):
-        return x * x
-
-    return _frozen(drift, lambda X, lam, t: X * X, rates, horizon)
+    return _frozen(DenseRates([[0.0]]), horizon, lambda x, i, t: x * x,
+                   lambda X, lam, t: X * X)
 
 
 def build_degenerate(theta=1.0, sigma=1.0, q12=1.0, q21=1.0, horizon=1.0):
     """Two regimes where the second has zero dispersion (degenerate diffusion)."""
-    rates = DenseRates([[0.0, q12], [q21, 0.0]])
-    smat = sigma * np.eye(1)
-    zmat = np.zeros((1, 1))
-
-    def drift(x, i, t):
-        return -theta * x
-
-    def dispersion(x, i, t):
-        return smat if i == 1 else zmat
-
-    def drift_batch(X, lam, t):
-        return -theta * X
-
-    def noise_batch(X, lam, t, dW):
-        return np.where(lam == 1, sigma, 0.0)[:, None] * dW
-
-    return RegimeModel(1, drift, dispersion, rates, horizon, drift_batch, noise_batch)
+    return _ou_pair([theta], [sigma, 0.0], DenseRates([[0.0, q12], [q21, 0.0]]), horizon, 1)
 
 
 # Each builder's keyword defaults are the model's parameters: a value given

@@ -17,7 +17,7 @@ from switchdiff import (ConfigError, DenseRates, ExponentialCertificate, Functio
                         gronwall_bound_poly, make_model, mark_displacement,
                         tau_tail_bound_poly, zeta_partial)
 from switchdiff import certify
-from switchdiff.certify import GridSpec, PowerLawRates, signed_beta_series
+from switchdiff.certify import GridSpec, PowerLawRates
 from switchdiff.model import radius
 
 ZERO_RATES = DenseRates(np.zeros((1, 1)))
@@ -30,6 +30,15 @@ def model_of(b, s, rates=ZERO_RATES, dim=1, horizon=1.0):
 def zero_model(rates=ZERO_RATES):
     z, zm = np.zeros(1), np.zeros((1, 1))
     return model_of(lambda x, i, t: z, lambda x, i, t: zm, rates)
+
+
+def lone_series(rates, j, x, beta, tally=None):
+    """The (down, up, half) of one series: a _series_batch of the one x, raising its error."""
+    out, = certify._series_batch(rates, j, [x], beta,
+                                 certify._Tally() if tally is None else tally)
+    if isinstance(out, TailUnresolvable):
+        raise out
+    return out
 
 
 class TestZeta:
@@ -177,8 +186,8 @@ class TestBetaSeries:
             x = np.array([xv])
             h = sum(m ** -2.0 for m in range(1, j))
             exact = (j + abs(xv)) * (scipy_zeta(2.0) - h)
-            mid, half = signed_beta_series(rates, j, x, 1.0)
-            assert abs(mid - exact) <= half + 1e-9
+            down, up, half = lone_series(rates, j, x, 1.0)
+            assert abs(down + up - exact) <= half + 1e-9
 
     def test_beta_too_large_raises(self):
         rates = PowerLawRates(gamma=3.0, p=1.0)
@@ -207,9 +216,9 @@ class TestBetaSeries:
 
 
 def series_outcome(rates, j, x, beta, tally):
-    """signed_beta_series, or the type of error it raised."""
+    """The series' (down, up, half), or the type of error it raised."""
     try:
-        return signed_beta_series(rates, j, x, beta, tally)
+        return lone_series(rates, j, x, beta, tally)
     except TailUnresolvable as exc:
         return type(exc), exc.definitive
 
@@ -225,7 +234,7 @@ class TestPowerTable:
     def test_slices_equal_fresh_powers(self, beta, queries):
         # the SIMD power must not depend on where in the array k sits, so
         # any run of columns, grown from any earlier table, reads as fresh
-        table = certify._KPowers()
+        table = certify._Tally()
         for n, b in queries:
             got = table.diffs(beta, n, n + b, 0.0)
             want = np.arange(n, n + b, dtype=float) ** beta
@@ -259,7 +268,7 @@ class TestPowerTable:
             return out
 
         rates.rate_block = spy
-        signed_beta_series(rates, 3, np.array([1.0]), 1.3)
+        lone_series(rates, 3, np.array([1.0]), 1.3)
         assert len(blocks) > 1
         assert all(np.array_equal(out, kept) for out, kept in blocks)
 
@@ -324,6 +333,14 @@ class TestPolynomialChecker:
         rep = check_condition_poly(m, cert, default_grid(regimes=10))
         assert rep.certified
 
+    def test_callable_growth_equals_constant(self):
+        m = make_model("powerlaw")
+        grid = default_grid(radius=4.0, n_radii=5, regimes=4)
+        reps = [check_condition_poly(m, PolynomialCertificate(1.0, 1.0, g), grid)
+                for g in (3.0, lambda t: 3.0)]
+        assert report_fields(reps[1], skip=()) == report_fields(reps[0], skip=())
+        assert reps[1].margin.hex() == reps[0].margin.hex()
+
 
 class EndlessRow2(RateMatrix):
     """Row 1 has no rates; row 2 reaches every regime and declares no tail bound."""
@@ -336,7 +353,7 @@ class EndlessRow2(RateMatrix):
 
 
 def series_keys(spy, key):
-    """The (j, key(x)) of every upward series summed through the spied _upward_batch."""
+    """The (j, key(x)) of every series summed through the spied _series_batch."""
     return [(c.args[1], key(x)) for c in spy.call_args_list for x in c.args[2]]
 
 
@@ -353,8 +370,8 @@ class TestSweep:
 
         m = model_of(base.drift, dispersion, base.rates)
         grid = default_grid(radius=4.0, n_radii=5, regimes=4)
-        with mock.patch("switchdiff.certify._upward_batch",
-                        wraps=certify._upward_batch) as spy:
+        with mock.patch("switchdiff.certify._series_batch",
+                        wraps=certify._series_batch) as spy:
             rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
         assert rep.tails_certified
         assert len(calls) == rep.nodes == 9 * 4 * 3
@@ -373,8 +390,8 @@ class TestSweep:
         rates = FunctionRates(4, q, 100.0)
         m = model_of(lambda x, i, t: -x, lambda x, i, t: np.eye(1), rates)
         grid = default_grid(radius=4.0, n_radii=5, regimes=4)
-        with mock.patch("switchdiff.certify._upward_batch",
-                        wraps=certify._upward_batch) as spy:
+        with mock.patch("switchdiff.certify._series_batch",
+                        wraps=certify._series_batch) as spy:
             rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
         assert rep.tails_certified
         starts = series_keys(spy, lambda x: float(x[0]))
@@ -472,7 +489,8 @@ class TestTailSoundness:
         rates = PowerLawRates(gamma=2.6, p=1.0)
         j, x, beta = 3, np.array([0.8]), 1.2
         with mock.patch("switchdiff.certify.SERIES_REL_TOL", 1e-6):
-            mid, half = signed_beta_series(rates, j, x, beta)
+            down, up, half = lone_series(rates, j, x, beta)
+        mid = down + up
         ks = np.arange(1, 2_000_000, dtype=float)
         w = rates.rate_block(j, 1, 2_000_000, x)
         brute = float(((ks ** beta - float(j) ** beta) * w).sum())
@@ -565,7 +583,7 @@ def tally_of(tally):
     return tally.series, tally.columns, float(tally.max_half_width).hex()
 
 
-def lone_series(pts, regimes, rates, beta, tally):
+def lone_nodes(pts, regimes, rates, beta, tally):
     """Each (key, j) summed alone on its first point-major visit, as before batching.
 
     Returns the outcomes in the sweep's node order and the failed (a, j).
@@ -575,11 +593,7 @@ def lone_series(pts, regimes, rates, beta, tally):
         key = radius(y) if rates.radial else a
         for j in range(1, regimes + 1):
             if (key, j) not in memo:
-                try:
-                    up, half = certify._upward_series(rates, j, y, beta, tally)
-                    memo[key, j] = (certify._downward_series(rates, j, y, beta, tally), up, half)
-                except TailUnresolvable as exc:
-                    memo[key, j] = exc
+                memo[key, j], = certify._series_batch(rates, j, [y], beta, tally)
             value = memo[key, j]
             if isinstance(value, TailUnresolvable):
                 if value.definitive:
@@ -624,13 +638,8 @@ class TestBatchedSeries:
                 mock.patch("switchdiff.certify.SERIES_REL_TOL", rel_tol):
             for j in range(1, regimes + 1):
                 batch, lone = certify._Tally(), certify._Tally()
-                got = certify._upward_batch(rates, j, xs, beta, batch)
-                want = []
-                for x in xs:
-                    try:
-                        want.append(certify._upward_series(rates, j, x, beta, lone))
-                    except TailUnresolvable as exc:
-                        want.append(exc)
+                got = certify._series_batch(rates, j, xs, beta, batch)
+                want = [certify._series_batch(rates, j, [x], beta, lone)[0] for x in xs]
                 assert [exact(g) for g in got] == [exact(w) for w in want]
                 assert tally_of(batch) == tally_of(lone)
                 for g in got:
@@ -639,9 +648,8 @@ class TestBatchedSeries:
                         else "definitive" if g.definitive else "over budget"))
                 for x, g in zip(xs, got):
                     if not isinstance(g, TailUnresolvable):
-                        down = certify._downward_series(rates, j, x, beta, certify._Tally())
-                        signed = signed_beta_series(rates, j, x, beta)
-                        assert exact((down + g[0], g[1])) == exact(signed)
+                        # a fresh tally: no k^beta table from an earlier series
+                        assert exact(g) == exact(lone_series(rates, j, x, beta))
 
             swept, failed, alone = certify._Tally(), [], certify._Tally()
             try:
@@ -649,11 +657,11 @@ class TestBatchedSeries:
                                                              swept, failed)]
             except TailUnresolvable as exc:
                 with pytest.raises(TailUnresolvable) as info:
-                    lone_series(pts, regimes, rates, beta, alone)
+                    lone_nodes(pts, regimes, rates, beta, alone)
                 assert exact(exc) == exact(info.value)
                 assert exc.definitive
                 return
-            sums, alone_failed = lone_series(pts, regimes, rates, beta, alone)
+            sums, alone_failed = lone_nodes(pts, regimes, rates, beta, alone)
         assert failed == alone_failed
         assert [None if s is None else exact(s) for s in nodes] == \
             [None if isinstance(s, TailUnresolvable) else exact(s) for s in sums]
@@ -666,7 +674,7 @@ class TestBatchedSeries:
                                  default_grid(radius=2.0, n_radii=3, regimes=3))
         assert info.value.definitive
         with pytest.raises(TailUnresolvable, match=r"beta=2\.0 outside"):
-            signed_beta_series(rates, 1, np.array([0.5]), 2.0)
+            lone_series(rates, 1, np.array([0.5]), 2.0)
 
     def test_tail_integral_shared_between_radii(self):
         # one quad per (j, n) queried: the radii differ only in the growth factor

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from switchdiff import (PolynomialCertificate, SimConfig, _parallel, auto_truncation,
-                        check_condition_poly, ctmc_oracle, default_grid, hybrid, make_model,
-                        simulate)
-from switchdiff.cli import main
+                        check_condition_poly, ctmc_oracle, default_grid, feller_probe, hybrid,
+                        make_model, simulate)
+from switchdiff.cli import PROBE_HEADER, TEST_FUNCTIONS, _write_csv, main
 
 
 def write_config(path, text):
@@ -419,6 +419,24 @@ class TestProbeCommands:
             assert run_cli("--config", cfg, "--out", prefix) == 0, command
             report = (tmp_path / f"{command}_report.csv").read_text()
             assert report.startswith("# switchdiff-csv v1")
+
+    def test_feller_uncoupled(self, tmp_path):
+        text = ("command = feller\nmodel = ou2\nseed = 3\nn = 50\nsim.stop_level = 8\n"
+                "offsets = 0.1\nt = 0.5\ncouple = false\n")
+        prefix = str(tmp_path / "f")
+        assert run_cli("--config", write_config(tmp_path / "c.cfg", text), "--out", prefix,
+                       "--threads", "1") == 0
+        report = feller_probe(make_model("ou2"), TEST_FUNCTIONS["indicator_positive"], 0.5,
+                              np.zeros(1), 1, [0.1], 50,
+                              SimConfig(stop_level=8, max_stop_level=512, seed=3),
+                              couple=False)
+        _write_csv(str(tmp_path / "want.csv"), PROBE_HEADER, report.rows())
+        assert (tmp_path / "f_report.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        rows = (tmp_path / "f_report.csv").read_text().splitlines()[2:]
+        assert rows and all("couple=False" in r.split(",")[1].split(";") for r in rows)
+        assert "couple = False" in (tmp_path / "f_meta.txt").read_text().splitlines()
+        text = text.replace("couple = false", "couple = maybe")
+        assert run_cli("--config", write_config(tmp_path / "c.cfg", text), "--out", prefix) == 2
 
     def test_feller_in_two_dimensions(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg",

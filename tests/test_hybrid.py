@@ -1,5 +1,6 @@
 """Interlacing solver: coupling, localization, escalation, explosion."""
 
+import math
 import sys
 
 import numpy as np
@@ -11,9 +12,10 @@ from scipy.linalg import expm
 from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (ConfigError, DenseRates, FunctionRates, PowerLawRates,
-                        RegimeModel, SimConfig, auto_truncation, make_model,
+                        RegimeModel, SimConfig, auto_truncation, hybrid, make_model,
                         run_ensemble, sample_stream, simulate, truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
+from switchdiff.model import radius
 from test_integrate import euler_reference, one_grid
 
 
@@ -152,6 +154,20 @@ class TestAgainstIntegrator:
         assert path.status.kind == "horizon"
 
 
+BIRTH_LEVELS = [2, 4, 8, 16]
+
+
+def pure_birth_chain(horizon, n_regimes=40):
+    """(Q, model): q_{i,i+1} = i^2 on regimes 1..n_regimes, diffusion frozen."""
+    Q = np.zeros((n_regimes, n_regimes))
+    i = np.arange(1, n_regimes)
+    Q[i - 1, i] = i.astype(float) ** 2
+    model = RegimeModel(1, lambda x, i, t: np.zeros(1), lambda x, i, t: np.zeros((1, 1)),
+                        DenseRates(Q), horizon, lambda X, lam, t: np.zeros_like(X),
+                        lambda X, lam, t, dW: np.zeros_like(dW))
+    return Q, model
+
+
 class TestSwitchLaw:
     def test_first_switch_time_exponential(self):
         # frozen diffusion, constant rates: the first switch out of regime 1
@@ -187,13 +203,8 @@ class TestSwitchLaw:
         # frozen diffusion at x = 0 under q_{i,i+1} = i^2: the stop time of
         # level M is the chain's hitting time of regime M, whose law is
         # P(hit_M <= t) = exp(Q_M t)[0, M-1] with M made absorbing
-        N, levels, t, n = 40, [2, 4, 8, 16], 1.0, 2000
-        Q = np.zeros((N, N))
-        i = np.arange(1, N)
-        Q[i - 1, i] = i.astype(float) ** 2
-        model = RegimeModel(1, lambda x, i, t: np.zeros(1), lambda x, i, t: np.zeros((1, 1)),
-                            DenseRates(Q), t, lambda X, lam, t: np.zeros_like(X),
-                            lambda X, lam, t, dW: np.zeros_like(dW))
+        levels, t, n = BIRTH_LEVELS, 1.0, 2000
+        Q, model = pure_birth_chain(t)
         cfg = SimConfig(stop_level=levels[0], max_stop_level=levels[-1], dt_target=1.0,
                         seed=seed)
         hit = run_ensemble(model, [0.0], 1, cfg, n, levels=levels)["hit"]
@@ -206,6 +217,22 @@ class TestSwitchLaw:
             centre = (p + z * z / (2 * n)) / (1 + z * z / n)
             half = z / (1 + z * z / n) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
             assert abs(exact - centre) <= 3 * half, (M, p, exact)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_escalations_at_the_switch_that_reaches_the_level(self, seed):
+        # at x = 0 a row reaches level M at its first switch into a regime
+        # >= M, so each escalation must carry that switch's time, not the
+        # time of a later node
+        _, model = pure_birth_chain(1.0)
+        cfg = SimConfig(stop_level=BIRTH_LEVELS[0], max_stop_level=BIRTH_LEVELS[-1],
+                        dt_target=1.0, seed=seed)
+        seen = 0
+        for row in hybrid.walk(model, [np.zeros(1)] * 500, 1, cfg, list(range(500)),
+                               levels=BIRTH_LEVELS):
+            for level, tau in row.escalations:
+                assert tau == next(s.time for s in row.switches if s.dst >= level)
+                seen += 1
+        assert seen > 500
 
 
 class TestExplosion:
@@ -266,6 +293,18 @@ class TestExplosion:
                 assert p.times[-1] == p.status.tau
                 assert p.escalations == [(10 ** 100, p.status.tau)]
         assert carried > 0
+
+    def test_large_finite_state_in_two_dimensions_is_not_an_explosion(self):
+        # x . x overflows above |x| of about 1.34e154 while |x| is finite
+        model, cfg = make_model("ou2", dim=2), SimConfig(stop_level=10 ** 300, seed=1)
+        p = simulate(model, [1e154, 1e154], 1, cfg)
+        assert p.status.kind == "horizon" and p.times[-1] == 1.0
+        ens = run_ensemble(model, [1e154, 1e154], 1, cfg, 4)
+        assert (ens["kind"] == "horizon").all() and (ens["t_end"] == 1.0).all()
+        X = np.array([[1e154, 1e154], [3.0, 4.0], [-1e300, 1e300]])
+        with np.errstate(over="ignore"):
+            assert hybrid._radii(X).tolist() == [radius(x) for x in X] == \
+                [math.hypot(1e154, 1e154), 5.0, math.hypot(1e300, 1e300)]
 
     def test_immediate_stop_when_already_outside(self):
         model = make_model("ou2")
