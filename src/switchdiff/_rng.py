@@ -178,11 +178,7 @@ def philox_keys(seed, trajs, purpose, *extra):
 
 
 class KeyedGenerator:
-    """One Philox ``Generator`` shared by many keyed substreams.
-
-    ``start(key)`` gives it a fresh substream's state; ``save`` and
-    ``resume`` carry a substream across other rows' draws.
-    """
+    """One Philox ``Generator`` shared by many keyed substreams, each begun by ``start``."""
 
     def __init__(self):
         self.gen = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
@@ -194,11 +190,3 @@ class KeyedGenerator:
         self.fresh["state"]["key"] = key
         self.bits.state = self.fresh
         return self.gen
-
-    def resume(self, state):
-        """The generator where ``save`` left a substream."""
-        self.bits.state = state
-        return self.gen
-
-    def save(self):
-        return self.bits.state

@@ -478,6 +478,7 @@ def _series_nodes(pts, regimes, rates, beta, tally, failed):
             yield a, y, j, value
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sweep(kind, model, grid, beta, series, margin):
     """One pass over the grid nodes (y, j, t) into a CertificateReport.
 
@@ -485,7 +486,7 @@ def _sweep(kind, model, grid, beta, series, margin):
     into the value margin reads.  |sigma(y, j, t)|_HS^2 is evaluated once
     per node, so its per-time supremum also covers (y, j) whose series
     failed.  margin(y, j, t, value, hs2) is the right side minus the left
-    side.
+    side, and a margin that overflow made NaN counts as -inf.
     """
     pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
     times = grid.times
@@ -506,7 +507,7 @@ def _sweep(kind, model, grid, beta, series, margin):
             continue
         value = series(*sums)
         for t, h in zip(times, hs2):
-            m = margin(y, j, t, value, h)
+            m = max(-np.inf, margin(y, j, t, value, h))  # max() turns NaN into -inf
             if m < margin_min:
                 margin_min = m
                 worst = (y, j, t)

@@ -42,17 +42,17 @@ batch coefficients when it has them and the per-row ``drift`` and
 A block starts in one pass (``_Walk.begin``).  ``philox_keys`` derives the
 Philox keys of the POISSON and BROWNIAN substreams of every distinct
 trajectory at once, and one ``KeyedGenerator`` per walk draws each stream
-and grid with the trajectory's key swapped in; a row keeps its BROWNIAN
-state between grid draws.  Every grid, first or redrawn, comes from
-``_Walk.draw``, which lays the grids of several rows straight into the
-block's grid storage in one ``_Grids.lay`` pass; the first grids of the
-rows that start below their level are laid ``GRID_ROWS`` at a time.  Each
-piece equals what the per-row ``substream``, ``sample_stream`` and a
-one-row ``lay`` give, bit for bit, so no random number depends on the
-block.  Coupled rows (several starts on one trajectory index) therefore
-draw once: rows that share a trajectory share its stream, each extension
-band of it, and its first grid, whose storage they share too unless paths
-are recorded.  Level cutoffs are resolved once per walk.
+and grid with the trajectory's key swapped in; a row counts the normals
+its grids took, and a redraw restarts the key and discards that many.
+Every grid, first or redrawn, comes from ``_Walk.draw``, which lays the
+grids of several rows straight into the block's grid storage, all first
+grids of a block in passes of at most ``GRID_NODES`` nodes.  Each piece
+equals what the per-row ``substream``, ``sample_stream`` and a one-row
+``lay`` give, bit for bit, so no random number depends on the block.
+Coupled rows (several starts on one trajectory index) therefore draw once:
+rows that share a trajectory share its stream, each extension band of it,
+and its first grid, whose storage they share too unless paths are
+recorded.  Level cutoffs are resolved once per walk.
 
 Most marks fall outside the current regime's row, and the walk steps past
 them without stopping.  Whenever a row gets its next target, it gets a
@@ -87,8 +87,8 @@ from .model import mark_displacement, radius
 
 # Most rows stepped together; bounds a block's grid storage.
 BLOCK_ROWS = 256
-# Most grids one array pass of ``_Walk.draw`` builds; bounds its temporaries.
-GRID_ROWS = 32
+# Most nodes one ``_Grids.lay`` pass lays, unless one grid has more; bounds its temporaries.
+GRID_NODES = 2 ** 14
 # Width of the radius cells a band's window is made of: the window of a
 # radius spans its own cell and the one on either side, so it reaches at
 # least WINDOW beyond the radius.  Wider windows give wider bands, which
@@ -287,8 +287,8 @@ def _step_terms(model, X, lam, t, dt, dW):
 def _events(stream, t, horizon):
     """The times and marks of the stream's events strictly between t and the
     horizon, in order."""
-    lo = int(np.searchsorted(stream.times, t, side="right"))
-    hi = int(np.searchsorted(stream.times, horizon, side="left"))
+    lo = int(stream.times.searchsorted(t, side="right"))
+    hi = int(stream.times.searchsorted(horizon, side="left"))
     return stream.times[lo:hi], stream.marks[lo:hi]
 
 
@@ -370,11 +370,11 @@ class _Row:
     ``ev_node``; while the row is in ``_Walk.lockstep``, e is the mark its
     target stops for, past the marks its band skipped.  ``kept`` lists
     (offset, event nodes, end) of the recorded grids left behind.  bkey is the row's
-    BROWNIAN key and bstate the generator state its last grid draw left
-    (None before its first).  Once ``status`` is set the row has ended.
+    BROWNIAN key and bdrawn the number of normals its grids took from it.
+    Once ``status`` is set the row has ended.
     """
 
-    __slots__ = ("traj", "stream", "bkey", "bstate", "x", "r", "lam", "t", "li",
+    __slots__ = ("traj", "stream", "bkey", "bdrawn", "x", "r", "lam", "t", "li",
                  "level", "cutoff", "stale", "off", "k", "target", "wlo", "whi", "e", "n_ev",
                  "n_nodes", "ev_node", "ev_z", "ev_at", "kept", "switches", "escalations",
                  "cutoffs", "status", "times", "states")
@@ -441,8 +441,8 @@ class _Walk:
 
         Keys and streams are derived once per distinct trajectory: rows that
         share one (coupled starts) share its stream and BROWNIAN key, and
-        unless paths are recorded they share its first grid as one group of
-        ``draw``, which takes ``GRID_ROWS`` groups at a time.
+        unless paths are recorded they share its first grid as one group.
+        One ``draw`` call lays every group's first grid.
         """
         if i0 < 1:
             raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
@@ -462,7 +462,7 @@ class _Walk:
             row = _Row()
             row.traj = traj
             row.stream = streams[traj]
-            row.bkey, row.bstate = bkeys[traj], None
+            row.bkey, row.bdrawn = bkeys[traj], 0
             x = np.atleast_1d(np.asarray(x0, dtype=float))
             if x.shape != (self.dim,):
                 raise ConfigError(f"initial state shape {x.shape} does not match dim {self.dim}")
@@ -478,9 +478,8 @@ class _Walk:
             rows.append(row)
             if row.r + row.lam < row.level:
                 groups.setdefault(id(row) if self.record else traj, []).append(row)
-        groups = list(groups.values())
-        for c in range(0, len(groups), GRID_ROWS):
-            self.draw(groups[c:c + GRID_ROWS])
+        if groups:
+            self.draw(list(groups.values()))
         return rows
 
     def advance(self, row):
@@ -533,15 +532,21 @@ class _Walk:
     def draw(self, groups):
         """Draw one grid per group of rows and put every row of a group on it.
 
-        The rows of a group share their time, stream and BROWNIAN state:
+        The rows of a group share their time, stream and BROWNIAN position:
         coupled rows at t = 0, or a single row.  A grid's breakpoints are
         that time, the horizon and the stream events in between, events at
         one time sharing a node.  Its increments continue the group's
         Brownian substream where its last grid stopped, so a grid does not
-        depend on the other groups of the ``_Grids.lay`` pass.
+        depend on the other groups of its ``_Grids.lay`` pass, which takes at
+        least one group and no more than surely fit in ``GRID_NODES`` nodes.
         """
         keyed, horizon = self.keyed, self.horizon
         events = [_events(group[0].stream, group[0].t, horizon) for group in groups]
+        # a grid from t has at most (horizon - t) / dt_target nodes plus one per breakpoint
+        bound = np.cumsum([(horizon - group[0].t) / self.cfg.dt_target + ev_t.size + 2
+                           for group, (ev_t, _) in zip(groups, events)])
+        cut = max(1, int(bound.searchsorted(GRID_NODES, side="right")))
+        groups, events, rest = groups[:cut], events[:cut], groups[cut:]
         lens = np.array([ev_t.size + 2 for ev_t, _ in events])
         last = np.cumsum(lens) - 1
         start = last - lens + 1
@@ -553,12 +558,14 @@ class _Walk:
         bp[inner] = np.concatenate([ev_t for ev_t, _ in events])
 
         def normals(r, out):
-            lead = groups[r][0]
-            rng = keyed.start(lead.bkey) if lead.bstate is None else keyed.resume(lead.bstate)
+            # the ziggurat draws in sequence: skip the normals earlier grids took
+            drawn = groups[r][0].bdrawn
+            rng = keyed.start(groups[r][0].bkey)
+            if drawn:
+                rng.standard_normal(drawn)
             rng.standard_normal(out=out)
-            state = keyed.save()
             for row in groups[r]:
-                row.bstate = state
+                row.bdrawn = drawn + out.size
 
         off, bidx = self.grids.lay(bp, lens, self.cfg.dt_target, normals)
         first = bidx[start]
@@ -569,6 +576,8 @@ class _Walk:
             ev_at = at[b + 1:b + 1 + marks.size]
             for row in group:
                 self.place(row, off + f, size, ev_at, marks)
+        if rest:
+            self.draw(rest)
 
     def place(self, row, off, n_nodes, ev_at, marks):
         """Put the row on the first node of its new grid, stored from flat offset off.
@@ -605,7 +614,7 @@ class _Walk:
                 S.append(g.states[keep])
             row.times = np.concatenate(T + [[row.t]])
             row.states = np.concatenate(S + [[row.x]])
-        row.bkey = row.bstate = row.ev_node = row.ev_z = row.ev_at = row.kept = None
+        row.bkey = row.ev_node = row.ev_z = row.ev_at = row.kept = None
         return False
 
     def aim(self, rows):

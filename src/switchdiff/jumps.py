@@ -48,10 +48,11 @@ def _stream(rng, k_max, horizon):
     if k_max == 0:
         return JumpStream(float(k_max), float(horizon), np.empty(0), np.empty(0))
     n = int(rng.poisson(k_max * horizon))
-    times = np.sort(rng.uniform(0.0, horizon, n))
-    marks = rng.uniform(0.0, k_max, n)
-    keep = times > 0.0
-    return JumpStream(float(k_max), float(horizon), times[keep], marks[keep])
+    # uniform(0.0, h, n) is 0.0 + h * random(n), bit for bit
+    times = rng.random(n) * horizon
+    times.sort()
+    lo = int(times.searchsorted(0.0, side="right"))  # the window is open at 0
+    return JumpStream(float(k_max), float(horizon), times[lo:], (rng.random(n) * k_max)[lo:])
 
 
 def extend_stream(stream, new_k_max, seed, traj=0, chunk=1):

@@ -262,7 +262,8 @@ def radius(x):
     """
     if x.size == 1:
         return abs(float(x[0]))
-    r = math.sqrt(x @ x)
+    with np.errstate(over="ignore"):
+        r = math.sqrt(x @ x)
     return r if math.isfinite(r) else math.hypot(*x)
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -315,6 +317,20 @@ class TestPolynomialChecker:
         assert rep.margin < 0
         assert rep.violations
         assert "VIOLATED" in rep.summary()
+
+    def test_point_whose_square_overflows_warns_nothing_and_certifies_nothing(self):
+        # x . x overflows for this 2-D point: radius falls back to hypot, and
+        # the margins that the overflow leaves NaN count as -inf
+        y = np.array([1e155, -1e155])
+        model = make_model("ou2", dim=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert radius(y) == math.hypot(*y)
+            rep = check_condition_poly(model, PolynomialCertificate(1.0, 1.0, 6.0),
+                                       GridSpec(np.array([[1.0, 0.0], y]), 2, (0.0, 1.0)))
+        assert not rep.certified and rep.margin == -np.inf
+        assert np.array_equal(rep.worst[0], y)
+        assert [v[0] for v in rep.violations] == [-np.inf] * 4
 
     def test_margin_monotone_in_growth(self):
         rates = DenseRates([[0.0, 1.0], [2.0, 0.0]])

@@ -4,6 +4,7 @@ import numpy as np
 from scipy import stats
 
 from switchdiff import extend_stream, jumps, sample_stream
+from switchdiff._rng import POISSON, substream
 
 
 class TestSampleStream:
@@ -55,6 +56,37 @@ class TestSampleStream:
         assert (s.k_max, s.horizon) == (0.0, 2.5)
         for a in (s.times, s.marks):
             assert a.dtype == np.float64 and a.shape == (0,)
+
+    def test_stream_equals_uniform_sort_and_mask(self):
+        # the stream is the one drawn by uniform, sorted, and cut to t > 0
+        for seed in range(40):
+            for k_max in (0.3, 4.0, 57.5):
+                for horizon in (1e-3, 0.7, 2.0, 31.0):
+                    got = jumps._stream(substream(seed, 1, POISSON), k_max, horizon)
+                    rng = substream(seed, 1, POISSON)
+                    n = int(rng.poisson(k_max * horizon))
+                    times = np.sort(rng.uniform(0.0, horizon, n))
+                    marks = rng.uniform(0.0, k_max, n)
+                    keep = times > 0.0
+                    assert np.array_equal(got.times, times[keep])
+                    assert np.array_equal(got.marks, marks[keep])
+
+    def test_events_at_time_zero_are_dropped(self):
+        # times of exactly 0.0 sort first and are dropped, with the marks in
+        # their places; the window is open at 0
+        class Stub:
+            def __init__(self):
+                self.draws = iter([[0.5, 0.0, 0.25, 0.0], [0.1, 0.2, 0.3, 0.4]])
+
+            def poisson(self, lam):
+                return 4
+
+            def random(self, n):
+                return np.array(next(self.draws))
+
+        s = jumps._stream(Stub(), 10.0, 2.0)
+        assert np.array_equal(s.times, [0.5, 1.0])
+        assert np.array_equal(s.marks, [3.0, 4.0])
 
 
 class TestThin:

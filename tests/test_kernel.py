@@ -389,8 +389,8 @@ def setup_cases(draw, rates=dense_rates):
 
 class TestBlockSetup:
     @settings(max_examples=40, deadline=None)
-    @given(case=setup_cases(), block=st.integers(1, N - 1), grid_rows=st.integers(1, 4))
-    def test_block_setup_equals_row_setup(self, case, block, grid_rows):
+    @given(case=setup_cases(), block=st.integers(1, N - 1), grid_nodes=st.integers(1, 64))
+    def test_block_setup_equals_row_setup(self, case, block, grid_nodes):
         # every row's stream equals sample_stream's, and its first grid and
         # each grid it redraws equal a one-row grid's from its own BROWNIAN
         # substream, continued from one draw to the next
@@ -405,7 +405,7 @@ class TestBlockSetup:
 
         trajs = list(range(3, 3 + N))
         with mock.patch.object(hybrid, "BLOCK_ROWS", block), \
-                mock.patch.object(hybrid, "GRID_ROWS", grid_rows), \
+                mock.patch.object(hybrid, "GRID_NODES", grid_nodes), \
                 mock.patch.object(hybrid._Walk, "place", record):
             rows = list(hybrid.walk(model, starts, 1, cfg, trajs, stream=stream))
         horizon, levels = model.horizon, hybrid._level_schedule(cfg)
@@ -441,26 +441,28 @@ class TestBlockSetup:
         ([3], [0.5, 0.5]),                             # one row on it
     ])
     def test_one_pass_draws_every_first_grid(self, trajs, times):
-        # rows below their first level get their first grids from
-        # _Grids.lay passes of GRID_ROWS trajectories before the lockstep
-        # loop starts, tied streams and one-row blocks included
+        # rows below their first level get their first grids before the
+        # lockstep loop starts, tied streams and one-row blocks included: in
+        # one _Grids.lay pass when the block's grids fit in GRID_NODES nodes,
+        # and one pass per trajectory when no two grids fit together
         model = ou_model(DenseRates(np.array([[0.0, 2.0], [1.0, 0.0]])), 1, True)
         cfg = SimConfig(stop_level=4, mark_cutoff=8.0, seed=5)
         stream = None if times is None else JumpStream(
             10.0, model.horizon, np.array(times), np.linspace(0.5, 9.5, len(times)))
-        counts = []
-        lockstep = hybrid._Walk.lockstep
+        for grid_nodes, passes in ((hybrid.GRID_NODES, 1), (1, len(set(trajs)))):
+            counts = []
+            lockstep = hybrid._Walk.lockstep
 
-        def first_iteration(walker, live):
-            counts.append(gb.call_count)
-            return lockstep(walker, live)
+            def first_iteration(walker, live):
+                counts.append(gb.call_count)
+                return lockstep(walker, live)
 
-        with mock.patch.object(hybrid, "GRID_ROWS", 2), \
-                mock.patch.object(hybrid._Walk, "lockstep", first_iteration), \
-                mock.patch.object(hybrid._Grids, "lay", autospec=True,
-                                  side_effect=hybrid._Grids.lay) as gb:
-            list(hybrid.walk(model, [[0.5]] * len(trajs), 1, cfg, trajs, stream=stream))
-        assert counts == [math.ceil(len(set(trajs)) / 2)]
+            with mock.patch.object(hybrid, "GRID_NODES", grid_nodes), \
+                    mock.patch.object(hybrid._Walk, "lockstep", first_iteration), \
+                    mock.patch.object(hybrid._Grids, "lay", autospec=True,
+                                      side_effect=hybrid._Grids.lay) as gb:
+                list(hybrid.walk(model, [[0.5]] * len(trajs), 1, cfg, trajs, stream=stream))
+            assert counts == [passes]
 
 
 def spy_on(calls, fn, key):
@@ -483,9 +485,9 @@ class TestCoupledRows:
     @settings(max_examples=60, deadline=None)
     @given(case=setup_cases(powerlaw),
            trajs=st.lists(st.integers(3, 6), min_size=N, max_size=N),
-           block=st.integers(1, N), grid_rows=st.integers(1, 4),
+           block=st.integers(1, N), grid_nodes=st.integers(1, 64),
            record=st.sampled_from([None, "nodes", "events"]))
-    def test_rows_sharing_a_trajectory_equal_lone_paths(self, case, trajs, block, grid_rows,
+    def test_rows_sharing_a_trajectory_equal_lone_paths(self, case, trajs, block, grid_nodes,
                                                         record):
         # rows on one trajectory share its stream, extension bands and
         # first grid, and each still ends as a lone simulate call does;
@@ -511,7 +513,7 @@ class TestCoupledRows:
             extended.append(keys)
         streams, extensions = [], []
         with mock.patch.object(hybrid, "BLOCK_ROWS", block), \
-                mock.patch.object(hybrid, "GRID_ROWS", grid_rows), \
+                mock.patch.object(hybrid, "GRID_NODES", grid_nodes), \
                 mock.patch.object(hybrid, "_stream",
                                   spy_on(streams, hybrid._stream, lambda *a: None)), \
                 mock.patch.object(hybrid, "extend_stream",
