@@ -522,6 +522,28 @@ def _sweep(kind, model, grid, beta, series, margin):
                              tally.columns, tally.max_half_width)
 
 
+def _lift(y, y2, q):
+    """(1 + |y|^2) ** q given y2 = y @ y, inf past the float range.  Where y2
+    itself overflows, in the scaled form s ** 2q (1 + 1/s^2) ** q with
+    s = radius(y), finite through hypot."""
+    try:
+        if math.isfinite(y2):
+            return (1.0 + y2) ** q
+        s = radius(y)
+        return s ** (2.0 * q) * (1.0 + 1.0 / s / s) ** q
+    except OverflowError:  # a float power raises where numpy would give inf
+        return math.inf
+
+
+def _drift_share(y, y2, b, extra):
+    """(2 y.b + extra) / (1 + |y|^2) for y2 = y @ y; where y2 overflows, in the
+    scaled form (2 (u.b)/s + extra/s^2) / (1 + 1/s^2) with s = radius(y), u = y/s."""
+    if math.isfinite(y2):
+        return (2.0 * float(y @ b) + extra) / (1.0 + y2)
+    s = radius(y)
+    return (2.0 * float(y / s @ b) / s + extra / s / s) / (1.0 + 1.0 / s / s)
+
+
 def check_condition_poly(model, cert, grid):
     """Check the polynomial certificate inequality on every grid node.
 
@@ -535,10 +557,10 @@ def check_condition_poly(model, cert, grid):
 
     def margin(y, j, t, series_hi, hs2):
         y2 = float(y @ y)
-        rhs = cert.growth_at(t) * (1.0 + float(j) ** beta / (1.0 + y2) ** p)
+        w = _lift(y, y2, p)
+        rhs = cert.growth_at(t) * (1.0 + float(j) ** beta / w)
         b = np.asarray(model.drift(y, j, t), dtype=float)
-        drift_term = 2.0 * float(y @ b) + (2.0 * p - 1.0) * hs2
-        return rhs - (series_hi / (1.0 + y2) ** p + drift_term / (1.0 + y2))
+        return rhs - (series_hi / w + _drift_share(y, y2, b, (2.0 * p - 1.0) * hs2))
 
     return _sweep("polynomial", model, grid, beta, series, margin)
 
@@ -560,11 +582,15 @@ def check_condition_exp(model, cert, grid):
     def margin(y, j, t, series, hs2):
         down, up_hi = series
         y2 = float(y @ y)
-        v = (1.0 + y2) ** alpha
+        v = _lift(y, y2, alpha)
         w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
         rhs = c * (1.0 + (float(j) ** beta / w_up if np.isfinite(w_up) else 0.0))
         b = np.asarray(model.drift(y, j, t), dtype=float)
-        term1 = (2.0 * float(y @ b) + (1.0 + 2.0 * alpha * v) * hs2) / (1.0 + y2)
+        if math.isfinite(y2):
+            term1 = _drift_share(y, y2, b, (1.0 + 2.0 * alpha * v) * hs2)
+        else:
+            # 2 alpha v |sigma|^2 / (1 + |y|^2) = 2 alpha |sigma|^2 (1 + |y|^2) ** (alpha - 1)
+            term1 = _drift_share(y, y2, b, hs2) + 2.0 * alpha * hs2 * _lift(y, y2, alpha - 1.0)
         w_down = v * math.exp(v) if v < 700.0 else np.inf
         t2 = down / w_down if np.isfinite(w_down) else 0.0
         t3 = up_hi / w_up if np.isfinite(w_up) else 0.0

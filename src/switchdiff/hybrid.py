@@ -124,6 +124,8 @@ class SimConfig:
             raise ConfigError("stop_level must be a positive integer")
         if not self.dt_target > 0:
             raise ConfigError("dt_target must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         for name in ("mark_cutoff", "stream_rate"):
             value = getattr(self, name)
             if value != "auto" and not 0 <= float(value) < np.inf:
@@ -488,8 +490,8 @@ class _Walk:
         In the order of one walk: the level check (raising the level in
         place, or ending the row at the last level or a non-finite radius),
         the node's remaining marks, a grid draw when the level was raised,
-        and the end of the grid.  Returns True with ``row.target`` set when
-        the row should step on, False once it has ended.
+        and the end of the grid.  Returns True once ``aim`` has sent the row
+        on to its next target, False once it has ended.
         """
         try:
             while True:
@@ -514,10 +516,10 @@ class _Walk:
                     if row.t >= self.horizon:
                         return self.end(row, PathStatus("horizon"))
                     self.draw([[row]])
+                elif row.k < row.n_nodes - 1:
+                    self.aim(row)
+                    return True
                 else:
-                    row.target = row.ev_node[row.e] if row.e < row.n_ev else row.n_nodes - 1
-                    if row.k < row.target:
-                        return True
                     return self.end(row, PathStatus("horizon"))
         except (OverflowError, FloatingPointError):
             # an overflow in in-grid classification ends the path at a
@@ -617,50 +619,49 @@ class _Walk:
         row.bkey = row.ev_node = row.ev_z = row.ev_at = row.kept = None
         return False
 
-    def aim(self, rows):
-        """Move each row's target past the marks that cannot switch it.
+    def aim(self, row):
+        """Set the row's target past the marks that cannot switch it.
 
-        Every row has just been sent on by ``advance``.  Its band is its
+        The row has just been sent on by ``advance``.  Its band is its
         regime's territory (``_band``) over every radius if that is finite,
         and otherwise over the window of the row's radius r: with
         m = r // WINDOW, the radii [(m - 1) WINDOW, (m + 2) WINDOW).  Both
-        kinds are kept per walk, and the ones a call lacks come from one
-        ``territory_batch`` call each.  The scan stops at the first mark
-        below the cutoff and inside the band.  A row that skipped a mark on
-        a window's band keeps to that window, capped by its level; every
+        kinds are kept per walk, and a missing one comes from one
+        ``territory_batch`` call.  The scan stops at the first mark below
+        the cutoff and inside the band.  A row that skipped a mark on a
+        window's band keeps to that window, capped by its level; every
         other row is capped by its level alone.
         """
-        bands, cells, territory = self.bands, self.cells, self.territory
-        new = list({row.lam for row in rows} - bands.keys())
-        if new:
-            if territory is None:
-                bands.update(dict.fromkeys(new, (-math.inf, math.inf)))
+        bands, cells, lam = self.bands, self.cells, row.lam
+        if lam not in bands:
+            if self.territory is None:
+                bands[lam] = (-math.inf, math.inf)
             else:
-                lo, hi = territory(np.array(new), np.zeros(len(new)), np.full(len(new), math.inf))
-                for i, a, b in zip(new, lo.tolist(), hi.tolist()):
-                    bands[i] = _band(a, b) if b < math.inf else None
-        keys = [(row.lam, row.r // WINDOW) if bands[row.lam] is None else None for row in rows]
-        new = list({key for key in keys if key is not None} - cells.keys())
-        if new:
-            m = np.array([m for _, m in new])
-            lo, hi = territory(np.array([i for i, _ in new]), np.maximum((m - 1) * WINDOW, 0.0),
-                               (m + 2) * WINDOW)
-            for key, a, b in zip(new, lo.tolist(), hi.tolist()):
-                cells[key] = _band(a, b)
-        for row, key in zip(rows, keys):
-            lo, hi = bands[row.lam] if key is None else cells[key]
-            ev_z, n_ev, e = row.ev_z, row.n_ev, row.e
-            top = min(hi, row.cutoff)
-            while e < n_ev and not lo <= ev_z[e] < top:
-                e += 1
-            room = self.thresholds[row.li] - row.lam
-            if key is not None and e > row.e and hi < math.inf:
-                m = key[1]
-                row.wlo, row.whi = (m - 1) * WINDOW, min((m + 2) * WINDOW, room)
-            else:
-                row.wlo, row.whi = -math.inf, room
-            row.e = e
-            row.target = row.ev_node[e] if e < n_ev else row.n_nodes - 1
+                a, b = self.territory_of(lam, 0.0, math.inf)
+                bands[lam] = _band(a, b) if b < math.inf else None
+        key = None if bands[lam] is not None else (lam, row.r // WINDOW)
+        if key is not None and key not in cells:
+            m = key[1]
+            cells[key] = _band(*self.territory_of(lam, max((m - 1) * WINDOW, 0.0),
+                                                  (m + 2) * WINDOW))
+        lo, hi = bands[lam] if key is None else cells[key]
+        ev_z, n_ev, e = row.ev_z, row.n_ev, row.e
+        top = min(hi, row.cutoff)
+        while e < n_ev and not lo <= ev_z[e] < top:
+            e += 1
+        room = self.thresholds[row.li] - lam
+        if key is not None and e > row.e and hi < math.inf:
+            m = key[1]
+            row.wlo, row.whi = (m - 1) * WINDOW, min((m + 2) * WINDOW, room)
+        else:
+            row.wlo, row.whi = -math.inf, room
+        row.e = e
+        row.target = row.ev_node[e] if e < n_ev else row.n_nodes - 1
+
+    def territory_of(self, lam, r_lo, r_hi):
+        """Bounds on regime lam's territory over the radii [r_lo, r_hi), as floats."""
+        lo, hi = self.territory(np.array([lam]), np.array([r_lo]), np.array([r_hi]))
+        return float(lo[0]), float(hi[0])
 
     def lockstep(self, live):
         """Step every live row to its next target node in one update per node.
@@ -668,12 +669,11 @@ class _Walk:
         Each iteration moves all live rows one node along their own grids.
         Rows that reach their target, leave their window (which keeps them
         clear of their level) or fail drop to ``advance``, which either
-        sends them on, with targets ``aim`` moves past the marks that cannot
-        switch them, or ends them.  A stop re-reads the marks from its node
-        on, the ones the band skipped included.
+        sends them on through ``aim``, past the marks that cannot switch
+        them, or ends them.  A stop re-reads the marks from its node on, the
+        ones the band skipped included.
         """
         g, d = self.grids, self.dim
-        self.aim(live)
         X = np.array([row.x for row in live])
         pos = np.array([row.off + row.k for row in live])
         end = np.array([row.off + row.target for row in live])
@@ -694,7 +694,7 @@ class _Walk:
                 go &= ~failed
             if np.count_nonzero(go) == len(live):
                 continue
-            ended, sent = [], []
+            ended = []
             for i in np.flatnonzero(~go).tolist():
                 row = live[i]
                 p = int(pos[i])
@@ -708,13 +708,11 @@ class _Walk:
                 row.r = radius(row.x)
                 # the first mark not yet classified is the first at or after this node
                 row.e = bisect_left(row.ev_node, row.k)
-                (sent if self.advance(row) else ended).append(i)
-            if sent:
-                self.aim([live[i] for i in sent])
-                for i in sent:
-                    row = live[i]
+                if self.advance(row):
                     pos[i], end[i] = row.off + row.k, row.off + row.target
                     lam[i], wlo[i], whi[i] = row.lam, row.wlo, row.whi
+                else:
+                    ended.append(i)
             if ended:
                 keep = np.ones(len(live), dtype=bool)
                 keep[ended] = False

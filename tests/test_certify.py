@@ -320,17 +320,29 @@ class TestPolynomialChecker:
 
     def test_point_whose_square_overflows_warns_nothing_and_certifies_nothing(self):
         # x . x overflows for this 2-D point: radius falls back to hypot, and
-        # the margins that the overflow leaves NaN count as -inf
+        # the margins there, once NaN and counted as -inf, are taken in
+        # scaled form; they are growth + 2 theta_j, for ou2's theta = (1, 0.5)
         y = np.array([1e155, -1e155])
         model = make_model("ou2", dim=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert radius(y) == math.hypot(*y)
-            rep = check_condition_poly(model, PolynomialCertificate(1.0, 1.0, 6.0),
-                                       GridSpec(np.array([[1.0, 0.0], y]), 2, (0.0, 1.0)))
-        assert not rep.certified and rep.margin == -np.inf
-        assert np.array_equal(rep.worst[0], y)
-        assert [v[0] for v in rep.violations] == [-np.inf] * 4
+            reps = [check_condition_poly(model, PolynomialCertificate(1.0, 1.0, 6.0),
+                                         GridSpec(np.array([[1.0, 0.0], y]), regimes, (0.0, 1.0)))
+                    for regimes in (1, 2)]
+        for rep, want in zip(reps, (8.0, 7.0)):
+            assert rep.margin == pytest.approx(want, rel=1e-12)
+            assert np.array_equal(rep.worst[0], y)
+
+    def test_point_whose_weight_overflows_has_a_finite_margin(self):
+        # (1 + x . x) ** p overflows though x . x does not: a float power
+        # raised OverflowError; the weight is now inf and its share 0
+        model = make_model("ou2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_condition_poly(model, PolynomialCertificate(2.0, 1.0, 6.0),
+                                       GridSpec(np.array([[1e150]]), 2, (0.0, 1.0)))
+        assert rep.margin == pytest.approx(7.0, rel=1e-12)
 
     def test_margin_monotone_in_growth(self):
         rates = DenseRates([[0.0, 1.0], [2.0, 0.0]])
@@ -448,6 +460,20 @@ class TestExponentialChecker:
         cert = ExponentialCertificate(alpha=alpha, c=1.0, beta=1.0, horizon=1.0)
         rep = check_condition_exp(m, cert, default_grid(radius=8.0))
         assert rep.certified
+
+    def test_point_whose_square_overflows_has_finite_margins(self):
+        # x . x overflows for this 2-D point; in scaled form the margins are
+        # c + 2 theta_j - 2 alpha |sigma|^2 (1 + |y|^2) ** (alpha - 1), with
+        # ou2's theta = (1, 0.5) and |sigma|^2 = 2, to rounding
+        y = np.array([[1e155, -1e155]])
+        model = make_model("ou2", dim=2)
+        for alpha, want in ((0.5, (3.0, 2.0)), (1.0, (-1.0, -2.0))):
+            cert = ExponentialCertificate(alpha=alpha, c=1.0, beta=1.0, horizon=1.0)
+            for regimes, m in zip((1, 2), want):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rep = check_condition_exp(model, cert, GridSpec(y, regimes, (0.0, 1.0)))
+                assert rep.margin == pytest.approx(m, rel=1e-12)
 
     def test_downward_only_switching(self):
         # no upward rates: the upward split is empty and must contribute zero

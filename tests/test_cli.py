@@ -85,6 +85,15 @@ class TestBadInput:
         assert err[0].startswith("switchdiff: ConfigError: ")
         assert not list(tmp_path.glob("r_*"))
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # it used to end in a raw ValueError from the key derivation
+        cfg = write_config(tmp_path / "c.cfg", "command = ensemble\nmodel = ou2\nn = 5\nseed = -1\n")
+        assert run_cli("--config", cfg, "--out", str(tmp_path / "r"), "--threads", "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("switchdiff: ConfigError: ")
+        assert not list(tmp_path.glob("r_*"))
+
     def test_uncertifiable_beta_exits_2(self, tmp_path, capsys):
         # powerlaw has gamma = 3, and no budget certifies a beta of gamma - 1
         # or more; beta = 1.6 only outruns the budget (TestCertifyOutput)

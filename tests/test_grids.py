@@ -58,7 +58,7 @@ def ou_model(theta=1.0, sigma=np.sqrt(2.0)):
                            lambda x, i, t: sigma * eye)
 
 
-class TestMakeGrid:
+class TestLay:
     """One-row grids, as ``one_grid`` builds them."""
 
     def test_breakpoints_are_nodes_exactly(self):
@@ -128,7 +128,7 @@ class TestMakeGrid:
                                       at[np.searchsorted(distinct, bp)])
 
 
-class TestIntegrateSegment:
+class TestEulerGrid:
     """The fixed-regime recursion, run through simulate with zero rates."""
 
     def test_frozen_dynamics(self):

@@ -16,7 +16,7 @@ from switchdiff import (ConfigError, DenseRates, FunctionRates, PowerLawRates,
                         run_ensemble, sample_stream, simulate, truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
 from switchdiff.model import radius
-from test_integrate import euler_reference, one_grid
+from test_grids import euler_reference, one_grid
 
 
 def paths_equal(a, b):
@@ -424,6 +424,12 @@ class TestInputValidation:
         # they used to fail only when a stream was sampled, with a raw ValueError
         with pytest.raises(ConfigError):
             SimConfig(stop_level=8, **{key: value})
+
+    def test_negative_seed_rejected(self):
+        # it used to be accepted and to fail with a raw ValueError at the
+        # first key derivation
+        with pytest.raises(ConfigError):
+            SimConfig(stop_level=4, seed=-1)
 
     def test_start_regime_below_one_rejected(self):
         # a negative start regime used to read the dense rate tables from the end

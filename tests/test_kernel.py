@@ -16,7 +16,7 @@ from switchdiff import (DenseRates, FunctionRates, JumpStream, PowerLawRates, Re
                         hybrid, make_model, run_ensemble, sample_stream, simulate)
 from switchdiff._rng import BROWNIAN, substream
 from test_hybrid import dense_rates
-from test_integrate import one_grid
+from test_grids import one_grid
 
 EYE = np.eye(1)
 N = 9  # more than the largest block drawn below, so every split is exercised

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from switchdiff._rng import KeyedGenerator, philox_keys, substream
 
-seeds = st.integers(0, 2 ** 128)
+seeds = st.integers(0, 2 ** 320)
 trajs = st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=40)
 purposes = st.integers(0, 3)
 chunks = st.lists(st.integers(0, 2 ** 40), max_size=1)
@@ -23,13 +23,16 @@ def test_keys_equal_seed_sequence(seed, trajs, purpose, extra):
 
 
 def test_keys_of_long_seeds_and_indices():
-    # seeds past the 4-word pool and indices past one word shift the hash calls
+    # seeds past the 4-word pool and indices past one word shift the hash
+    # calls; a block of one-word indices takes the array path, and one index
+    # of two words sends the whole block to SeedSequence
     trajs = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 64 - 1]
-    for seed in (2 ** 128, 2 ** 200 + 12345):
-        keys = philox_keys(seed, trajs, 2, 5)
-        for traj, key in zip(trajs, keys):
-            ss = np.random.SeedSequence(seed, spawn_key=(traj, 2, 5))
-            assert np.array_equal(key, ss.generate_state(2, np.uint64))
+    for seed in (12345, 2 ** 128, 2 ** 200 + 12345):
+        for block in (trajs[:3], trajs):
+            keys = philox_keys(seed, block, 2, 5)
+            for traj, key in zip(block, keys):
+                ss = np.random.SeedSequence(seed, spawn_key=(traj, 2, 5))
+                assert np.array_equal(key, ss.generate_state(2, np.uint64))
 
 
 def draws(gen, n):
