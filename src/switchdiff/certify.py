@@ -173,14 +173,15 @@ class PowerLawRates(RateMatrix):
         gp = radius(x) ** self.p
         return float(self._A_weighted[i - 1]) + gp * float(self._A_plain[i - 1])
 
-    def territory_batch(self, lam, r_lo, r_hi):
-        # the anchor and the row sum both grow with the radius
-        k = lam - 1
-        self._powers(int(k.max()))
-        weighted, plain = self._A_weighted[k], self._A_plain[k]
-        gp = r_hi ** self.p
-        return (weighted + r_lo ** self.p * plain,
-                weighted + gp * plain + (lam + gp) * (self.zeta + self._H[k]))
+    def territory(self, i, r_lo, r_hi):
+        # the anchor and the row sum both grow with the radius; numpy takes
+        # a power past the float range to inf
+        self._powers(i - 1)
+        weighted, plain = self._A_weighted[i - 1], self._A_plain[i - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            glo, ghi = np.array([r_lo, r_hi]) ** self.p
+            return (float(weighted + glo * plain),
+                    float(weighted + ghi * plain + (i + ghi) * (self.zeta + self._H[i - 1])))
 
     def beta_tail(self, i, x, n, beta):
         """Bracket for sum_{k>=n} (k^b - i^b) q_ik(x), n > i.
@@ -357,7 +358,7 @@ class ExponentialCertificate:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Finite evaluation grid: state points, regime cutoff, time nodes."""
+    """Finite evaluation grid: state points, regime cutoff, finite nondecreasing time nodes."""
 
     points: np.ndarray
     regimes: int
@@ -366,6 +367,8 @@ class GridSpec:
     def __post_init__(self):
         if len(self.points) == 0 or self.regimes < 1 or not self.times:
             raise ConfigError("grid needs at least one point, one regime and one time")
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) >= 0).all()):
+            raise ConfigError("grid times must be finite and nondecreasing")
 
 
 def default_grid(dim=1, radius=10.0, n_radii=21, regimes=12,

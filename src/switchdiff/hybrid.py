@@ -57,7 +57,7 @@ recorded.  Level cutoffs are resolved once per walk.
 Most marks fall outside the current regime's row, and the walk steps past
 them without stopping.  Whenever a row gets its next target, it gets a
 band: bounds on its regime's territory, from the rate matrix's
-``territory_batch``, that hold over a window of radii around its current
+``territory``, that hold over a window of radii around its current
 radius, widened by a relative margin.  A regime whose territory is finite
 over every radius (every regime of a ``DenseRates``) needs no window.  A
 scan then moves the target past every later mark that is thinned (at or
@@ -105,10 +105,11 @@ class SimConfig:
     first reaches it.  mark_cutoff "auto" selects the smallest cutoff that
     provably loses no switch below the stop level; stream_rate "auto" sizes
     the master stream to that cutoff; a number given for either must be
-    finite and >= 0.  max_stop_level caps escalation (equal
-    to stop_level by default: no escalation); no level may exceed the
-    largest float.  All randomness derives from (seed, trajectory index):
-    trajectories sharing both are fully coupled.
+    finite and >= 0.  max_stop_level caps escalation (equal to stop_level by
+    default: no escalation); levels are positive integers no greater than
+    the largest float.  dt_target and the horizon (the model's by default)
+    must be positive and finite.  All randomness derives from (seed,
+    trajectory index): trajectories sharing both are fully coupled.
     """
 
     stop_level: int
@@ -120,19 +121,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stop_level < 1:
-            raise ConfigError("stop_level must be a positive integer")
-        if not self.dt_target > 0:
-            raise ConfigError("dt_target must be positive")
+        _level_schedule(self)
+        if not 0 < self.dt_target < math.inf:
+            raise ConfigError("dt_target must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         for name in ("mark_cutoff", "stream_rate"):
             value = getattr(self, name)
             if value != "auto" and not 0 <= float(value) < np.inf:
                 raise ConfigError(f"{name} must be 'auto' or a finite number >= 0")
-        if self.max_stop_level is not None and self.max_stop_level < self.stop_level:
-            raise ConfigError("max_stop_level must be >= stop_level")
-        _check_levels([self.max_stop_level or self.stop_level])  # the ceiling
 
 
 class Switch(NamedTuple):
@@ -188,12 +185,6 @@ class HybridPath:
         return float(self.times[-1]), self.states[-1], int(self.regimes[-1])
 
 
-def _check_levels(levels):
-    """Reject levels the float arithmetic of the walk cannot compare against."""
-    if any(m > sys.float_info.max for m in levels):
-        raise ConfigError("stop levels must not exceed the largest float")
-
-
 def auto_truncation(model, stop_level):
     """Smallest safe mark cutoff for a stop level: the declared ball block bound.
 
@@ -211,17 +202,33 @@ def auto_truncation(model, stop_level):
     return k
 
 
-def _resolve_cutoff(cfg, model, stop_level):
-    if cfg.mark_cutoff == "auto":
-        return auto_truncation(model, stop_level)
-    return float(cfg.mark_cutoff)
+def _stop_level(m, name):
+    """m as an int, if it is a positive integer no greater than the largest float."""
+    if m > sys.float_info.max:
+        raise ConfigError("stop levels must not exceed the largest float")
+    if not (float(m).is_integer() and m >= 1):
+        raise ConfigError(f"{name} must be a positive integer")
+    return int(m)
 
 
-def _level_schedule(cfg):
-    ceiling = cfg.max_stop_level if cfg.max_stop_level is not None else cfg.stop_level
-    levels = [int(cfg.stop_level)]
+def _level_schedule(cfg, levels=None):
+    """The checked stop levels of a walk, strictly increasing: ``levels``, or
+    by default cfg.stop_level doubling up to cfg.max_stop_level."""
+    if levels is not None:
+        levels = [_stop_level(m, "every stop level") for m in levels]
+        if not levels:
+            raise ConfigError("levels must name at least one level")
+        if not all(b > a for a, b in zip(levels, levels[1:])):
+            raise ConfigError("levels must be strictly increasing")
+        return levels
+    levels = [_stop_level(cfg.stop_level, "stop_level")]
+    ceiling = levels[0]
+    if cfg.max_stop_level is not None:
+        ceiling = _stop_level(cfg.max_stop_level, "max_stop_level")
+        if ceiling < levels[0]:
+            raise ConfigError("max_stop_level must be >= stop_level")
     while levels[-1] < ceiling:
-        levels.append(min(2 * levels[-1], int(ceiling)))
+        levels.append(min(2 * levels[-1], ceiling))
     return levels
 
 
@@ -386,27 +393,19 @@ class _Walk:
     """Trajectories of one model, configuration and level schedule."""
 
     def __init__(self, model, cfg, levels, stream, record):
-        if levels is None:
-            levels = _level_schedule(cfg)
-        else:
-            _check_levels(levels)
-            levels = [int(m) for m in levels]
-            if not all(b > a for a, b in zip(levels, levels[1:])):
-                raise ConfigError("levels must be strictly increasing")
         horizon = cfg.horizon if cfg.horizon is not None else model.horizon
-        if not horizon > 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
         self.horizon = float(horizon)
         if stream is not None and stream.horizon < self.horizon:
             raise ConfigError("stream horizon does not cover the simulation horizon")
-        self.model, self.cfg, self.levels = model, cfg, levels
+        self.model, self.cfg, self.levels = model, cfg, _level_schedule(cfg, levels)
         self.stream, self.record, self.dim = stream, record, model.dim
-        self.thresholds = [_below(m) for m in levels]
+        self.thresholds = [_below(m) for m in self.levels]
         self.resolved = {}
         self.extended = {}  # (traj, level index) -> stream, within one block
         self.keyed = KeyedGenerator()
         self.grids = None
-        self.territory = getattr(model.rates, "territory_batch", None)
         # regime -> its band over every radius, or None when that is not
         # finite; (regime, r // WINDOW) -> its band over that radius window
         self.bands, self.cells = {}, {}
@@ -414,7 +413,9 @@ class _Walk:
     def level_cutoff(self, li):
         """The mark cutoff of level li, resolved once per walk."""
         if li not in self.resolved:
-            self.resolved[li] = _resolve_cutoff(self.cfg, self.model, self.levels[li])
+            cutoff = self.cfg.mark_cutoff
+            self.resolved[li] = (auto_truncation(self.model, self.levels[li])
+                                 if cutoff == "auto" else float(cutoff))
         return self.resolved[li]
 
     def enter_level(self, row):
@@ -627,23 +628,23 @@ class _Walk:
         and otherwise over the window of the row's radius r: with
         m = r // WINDOW, the radii [(m - 1) WINDOW, (m + 2) WINDOW).  Both
         kinds are kept per walk, and a missing one comes from one
-        ``territory_batch`` call.  The scan stops at the first mark below
+        ``territory`` call.  The scan stops at the first mark below
         the cutoff and inside the band.  A row that skipped a mark on a
         window's band keeps to that window, capped by its level; every
         other row is capped by its level alone.
         """
         bands, cells, lam = self.bands, self.cells, row.lam
+        territory = self.model.rates.territory
         if lam not in bands:
-            if self.territory is None:
+            if territory is None:
                 bands[lam] = (-math.inf, math.inf)
             else:
-                a, b = self.territory_of(lam, 0.0, math.inf)
+                a, b = territory(lam, 0.0, math.inf)
                 bands[lam] = _band(a, b) if b < math.inf else None
         key = None if bands[lam] is not None else (lam, row.r // WINDOW)
         if key is not None and key not in cells:
             m = key[1]
-            cells[key] = _band(*self.territory_of(lam, max((m - 1) * WINDOW, 0.0),
-                                                  (m + 2) * WINDOW))
+            cells[key] = _band(*territory(lam, max((m - 1) * WINDOW, 0.0), (m + 2) * WINDOW))
         lo, hi = bands[lam] if key is None else cells[key]
         ev_z, n_ev, e = row.ev_z, row.n_ev, row.e
         top = min(hi, row.cutoff)
@@ -657,11 +658,6 @@ class _Walk:
             row.wlo, row.whi = -math.inf, room
         row.e = e
         row.target = row.ev_node[e] if e < n_ev else row.n_nodes - 1
-
-    def territory_of(self, lam, r_lo, r_hi):
-        """Bounds on regime lam's territory over the radii [r_lo, r_hi), as floats."""
-        lo, hi = self.territory(np.array([lam]), np.array([r_lo]), np.array([r_hi]))
-        return float(lo[0]), float(hi[0])
 
     def lockstep(self, live):
         """Step every live row to its next target node in one update per node.

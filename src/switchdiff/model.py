@@ -38,20 +38,20 @@ class RateMatrix:
 
     The diagonal is conservative by convention; ``rate(i, i, x)`` is 0.
 
-    ``territory_batch(lam, r_lo, r_hi) -> (lo, hi)`` is optional.  For
-    arrays of regimes ``lam`` and radius windows ``[r_lo, r_hi]`` over rows
-    it returns arrays with bounds that hold for every x with r_lo[n] <= |x|
-    <= r_hi[n]: row n's territory ``[anchor(i, x), anchor(i, x) +
-    row_sum(i, x))`` for i = lam[n] lies within ``[lo[n], hi[n])``, and
-    where r_lo[n] == r_hi[n] it is that territory.  So only matrices whose
-    anchor and row sum depend on x through |x| can give it, and a window
-    may reach to infinity.  The solver uses it conservatively: it skips a
-    mark without calling ``mark_displacement`` only when the mark lies
-    outside these bounds by a relative margin and the bounds are finite, so
-    they need not match the scalar methods to the last bit.  ``None`` (the
-    default) means no bands: every mark below the cutoff is classified.  A
-    subclass that overrides ``anchor`` or ``row_sum`` without giving its
-    own ``territory_batch`` gets ``None``.
+    ``territory(i, r_lo, r_hi) -> (lo, hi)`` is optional.  For a regime i
+    and a radius window ``[r_lo, r_hi]`` it returns float bounds that hold
+    for every x with r_lo <= |x| <= r_hi: regime i's territory
+    ``[anchor(i, x), anchor(i, x) + row_sum(i, x))`` lies within
+    ``[lo, hi)``, and where r_lo == r_hi it is that territory.  So only
+    matrices whose anchor and row sum depend on x through |x| can give it,
+    and a window may reach to infinity; a bound past the float range is
+    inf (or NaN), never an ``OverflowError``.  The solver uses it
+    conservatively: it skips a mark without calling ``mark_displacement``
+    only when the mark lies outside these bounds by a relative margin and
+    the bounds are finite, so they need not match the scalar methods to the
+    last bit.  ``None`` (the default) means no bands: every mark below the
+    cutoff is classified.  A subclass that overrides ``anchor`` or
+    ``row_sum`` without giving its own ``territory`` gets ``None``.
 
     ``radial = True`` declares that ``rate``, ``rate_block``, ``row_tail``
     and ``beta_tail`` depend on x only through ``radius(x)``; the
@@ -62,14 +62,14 @@ class RateMatrix:
     gets ``False``.
     """
 
-    territory_batch = None
+    territory = None
     radial = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # inherited bands are only valid for the layout they were written for
-        if "territory_batch" not in vars(cls) and {"anchor", "row_sum"} & vars(cls).keys():
-            cls.territory_batch = None
+        if "territory" not in vars(cls) and {"anchor", "row_sum"} & vars(cls).keys():
+            cls.territory = None
         # and an inherited radial claim only for the rates it was made for
         if "radial" not in vars(cls) and \
                 {"rate", "rate_block", "row_tail", "beta_tail"} & vars(cls).keys():
@@ -169,10 +169,10 @@ class DenseRates(RateMatrix):
     def anchor(self, i, x):
         return float(self._cum[min(i - 1, self.size)])
 
-    def territory_batch(self, lam, r_lo, r_hi):
+    def territory(self, i, r_lo, r_hi):
         # no rate depends on x; _cum[i] is _cum[i - 1] + row_sum(i), and
         # regimes beyond size sit at _cum[size]
-        return self._cum.take(lam - 1, mode="clip"), self._cum.take(lam, mode="clip")
+        return float(self._cum[min(i - 1, self.size)]), float(self._cum[min(i, self.size)])
 
     def beta_tail(self, i, x, n, beta):
         if n > self.size:

@@ -84,8 +84,8 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    hit_levels = _level_schedule(cfg) if levels is None else [int(m) for m in levels]
-    slot = {lv: j for j, lv in enumerate(hit_levels)}
+    levels = _level_schedule(cfg, levels)
+    slot = {lv: j for j, lv in enumerate(levels)}
     several = np.ndim(x0) == 2
     starts = list(np.asarray(x0, dtype=float)) if several else [x0]
     m = len(starts)
@@ -96,7 +96,7 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     def terminal(row):
         st = row.status
         # a non-finite blow-up hits every level it did not stop at
-        hit = [st.tau if st.nonfinite else math.inf] * len(hit_levels)
+        hit = [st.tau if st.nonfinite else math.inf] * len(levels)
         for lv, tau in row.escalations:
             hit[slot[lv]] = tau
         return (float(row.t), tuple(row.x.tolist()), row.lam, st.kind,
@@ -119,7 +119,7 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
         "kind": np.array(cols[3], dtype=str).reshape(lead),
         "tau": np.array(cols[4], dtype=float).reshape(lead),
         "nonfinite": np.array(cols[5], dtype=bool).reshape(lead),
-        "hit": np.array(cols[6], dtype=float).reshape(lead + (len(hit_levels),)),
+        "hit": np.array(cols[6], dtype=float).reshape(lead + (len(levels),)),
         "max_regime": np.array(cols[7], dtype=np.int64).reshape(lead),
         "switches": np.array(cols[8], dtype=np.int64).reshape(lead),
     }
@@ -192,9 +192,10 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
     Every tail estimate also gets its Wilson score interval in
     ``intervals``.
     """
-    levels = sorted(int(m) for m in m_list)
+    levels = sorted(m_list)
     if not levels:
         raise ConfigError("m_list must name at least one level")
+    levels = _level_schedule(cfg, levels)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
     aux = substream(cfg.seed, 0, AUX)
@@ -203,14 +204,10 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
         u = aux.standard_normal(d)
         nu = float(np.linalg.norm(u))
         starts.append(x0 + (delta / nu) * u if nu > 0 else x0.copy())
-    run_cfg = replace(cfg, horizon=float(t), stop_level=levels[0],
-                      max_stop_level=levels[-1])
-    horizon = float(t)
-
-    ens = run_ensemble(model, np.array(starts), i0, run_cfg, n, threads=threads,
-                       levels=levels)
+    ens = run_ensemble(model, np.array(starts), i0, replace(cfg, horizon=float(t)), n,
+                       threads=threads, levels=levels)
     explosions = int(ens["nonfinite"].sum())
-    tails = (ens["hit"] <= horizon).mean(axis=1)
+    tails = (ens["hit"] <= float(t)).mean(axis=1)
 
     labels, ests, hws, intervals = [], [], [], {}
     for li, lv in enumerate(levels):
@@ -306,8 +303,8 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
         raise ConfigError("j_trunc must be between 2 and 400")
     if not 1 <= i0 <= J:
         raise ConfigError("i0 must lie within the truncated regime window")
-    if n < 1 or not t >= 0:
-        raise ConfigError("ctmc_oracle needs n >= 1 and t >= 0")
+    if n < 1 or not 0 <= t < math.inf:
+        raise ConfigError("ctmc_oracle needs n >= 1 and a finite t >= 0")
     x0 = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     rates = model.rates
     gen = np.zeros((J, J))
@@ -318,11 +315,10 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
     p_exact = expm(gen * float(t))[i0 - 1]
     leak_exact = max(0.0, 1.0 - float(p_exact.sum()))
 
-    level = J + 2 + int(math.ceil(radius(x0)))
-    run_cfg = replace(cfg, horizon=float(t), stop_level=level, max_stop_level=level)
-
     if t > 0.0:
-        ens = run_ensemble(model, x0, i0, run_cfg, n, threads=threads)
+        level = J + 2 + int(math.ceil(radius(x0)))
+        ens = run_ensemble(model, x0, i0, replace(cfg, horizon=float(t)), n, threads=threads,
+                           levels=[level])
         lam, top, nonfinite = ens["lam_end"], ens["max_regime"], ens["nonfinite"]
     else:
         lam = top = np.full(n, i0)

@@ -137,10 +137,9 @@ def table_query(rates, query):
     """One query's answer, as float hex."""
     name, i, n, r = query
     x = np.array([r])
-    if name == "territory_batch":
-        lam = np.array([i, max(n, 1), 1])
-        return [v.tobytes().hex()
-                for v in rates.territory_batch(lam, np.full(3, r), np.full(3, 2.0 * r))]
+    if name == "territory":
+        return [float(v).hex() for lam in (i, max(n, 1), 1)
+                for v in rates.territory(lam, r, 2.0 * r)]
     args = {"row_tail": (i, x, n), "rate": (i, max(n, 1), x),
             "row_sum": (i, x), "anchor": (i, x)}[name]
     return float(getattr(rates, name)(*args)).hex()
@@ -153,7 +152,7 @@ class TestPowerLawTables:
     @given(gamma=st.one_of(st.sampled_from([3.0, 2.5]), st.floats(2.0, 5.0, exclude_min=True)),
            p=st.floats(1.0, 3.0),
            queries=st.lists(st.tuples(
-               st.sampled_from(["row_tail", "rate", "row_sum", "anchor", "territory_batch"]),
+               st.sampled_from(["row_tail", "rate", "row_sum", "anchor", "territory"]),
                # regimes and columns on both sides of each other and of the
                # initial 4096 rows, so the tables grow in several steps
                st.one_of(st.integers(1, 60), st.integers(1, 1 << 17)),
@@ -287,6 +286,14 @@ class TestGridSpec:
     def test_no_points_rejected(self):
         with pytest.raises(ConfigError):
             GridSpec(np.empty((0, 1)), 2, (0.0,))
+
+    @pytest.mark.parametrize("times", [(1.0, 0.0), (0.0, float("nan")), (0.0, float("inf"))],
+                             ids=["reversed", "nan", "inf"])
+    def test_bad_times_rejected(self, times):
+        # reversed times used to certify with a trapezoid over a reversed
+        # axis, a negative sigma_integral
+        with pytest.raises(ConfigError):
+            GridSpec(np.zeros((1, 1)), 2, times)
 
 
 class TestPolynomialChecker:

@@ -75,8 +75,13 @@ class TestBadInput:
         "command = oracle\nmodel = ctmcN\nn = 0\n",
         "command = oracle\nmodel = ctmc2\nt = -1\n",
         "command = tau-tail\nmodel = ou2\nm_list =\n",
+        "command = simulate\nmodel = ou2\nsim.dt_target = inf\n",
+        "command = simulate\nmodel = ou2\nsim.horizon = inf\n",
+        "command = moments\nmodel = ou2\nt = inf\n",
+        "command = certify\nmodel = ou2\ngrid.times = 1,0\n",
     ], ids=["dt_target", "stream_rate", "mark_cutoff", "record", "i0", "cert.p",
-            "grid.regimes", "grid.times", "j_trunc", "oracle-n", "oracle-t", "m_list"])
+            "grid.regimes", "grid.times", "j_trunc", "oracle-n", "oracle-t", "m_list",
+            "dt_target-inf", "horizon-inf", "t-inf", "grid.times-reversed"])
     def test_config_error_exits_2(self, tmp_path, capsys, body):
         cfg = write_config(tmp_path / "c.cfg", body + "seed = 1\n")
         assert run_cli("--config", cfg, "--out", str(tmp_path / "r"), "--threads", "1") == 2

@@ -11,9 +11,10 @@ from scipy import stats
 from scipy.linalg import expm
 from scipy.special import zeta as scipy_zeta
 
-from switchdiff import (ConfigError, DenseRates, FunctionRates, PowerLawRates,
-                        RegimeModel, SimConfig, auto_truncation, hybrid, make_model,
-                        run_ensemble, sample_stream, simulate, truncate_coefficients)
+from switchdiff import (ConfigError, DenseRates, FunctionRates, PolynomialCertificate,
+                        PowerLawRates, RegimeModel, SimConfig, auto_truncation, ctmc_oracle,
+                        estimate_moment, hybrid, make_model, run_ensemble, sample_stream,
+                        simulate, truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
 from switchdiff.model import radius
 from test_grids import euler_reference, one_grid
@@ -455,6 +456,29 @@ class TestInputValidation:
         with pytest.raises(ConfigError):
             simulate(make_model("ou2"), [1.0], 1, SimConfig(stop_level=8, seed=1),
                      record="node")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"stop_level": 2.5}, {"stop_level": 8, "max_stop_level": 8.5},
+        {"stop_level": math.nan}], ids=["stop_level", "max_stop_level", "nan"])
+    def test_non_integral_levels_rejected(self, kwargs):
+        # they were accepted, and the default schedule then appended one
+        # level without end
+        with pytest.raises(ConfigError):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SimConfig(stop_level=8, dt_target=math.inf),
+        lambda: simulate(make_model("ou2"), [0.0], 1, SimConfig(stop_level=8, horizon=math.inf)),
+        lambda: estimate_moment(make_model("ou2"), PolynomialCertificate(1.0, 1.0, 1.0), [0.0],
+                                1, math.inf, 5, SimConfig(stop_level=8)),
+        lambda: ctmc_oracle(make_model("ctmc2"), 1, math.inf, 2, 5, SimConfig(stop_level=8)),
+    ], ids=["dt_target", "horizon", "moment-t", "oracle-t"])
+    def test_infinite_step_and_horizon_rejected(self, call):
+        # an infinite dt_target gave every span 0 steps and put the whole
+        # path on one node at the horizon; an infinite horizon ended in a
+        # raw ValueError from the Poisson stream
+        with pytest.raises(ConfigError):
+            call()
 
 
 class TestPendingMarkAtStopNode:

@@ -198,9 +198,9 @@ class TestOnePool:
 
 
 def unscreened(rates):
-    """A copy of rates whose class has no territory_batch, so every mark is classified."""
+    """A copy of rates whose class has no territory, so every mark is classified."""
     plain = copy.copy(rates)
-    plain.__class__ = type("Unscreened", (type(rates),), {"territory_batch": None})
+    plain.__class__ = type("Unscreened", (type(rates),), {"territory": None})
     return plain
 
 
@@ -295,7 +295,7 @@ class TestMarkScreen:
     @given(case=screen_cases(), block=st.integers(1, 8))
     def test_records_equal_unscreened_rates(self, case, block):
         screened, plain, x0, i0, cfg, stream = case
-        assert plain.rates.territory_batch is None
+        assert plain.rates.territory is None
         calls, exits = [], []
         for model in (screened, plain):
             with mock.patch.object(hybrid, "BLOCK_ROWS", block), \

@@ -321,7 +321,7 @@ class TestTerritoryBatch:
            u=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
     def test_bounds_match_scalar_and_skipped_marks_never_switch(self, rates, dim, rows, u):
         from switchdiff.hybrid import _band
-        lam = np.array([i for i, *_ in rows])
+        lam = [i for i, *_ in rows]
         r_lo, r_hi, X, measured = [], [], [], []
         with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
             for n, (_, a, b, point) in enumerate(rows):
@@ -332,9 +332,10 @@ class TestTerritoryBatch:
                 measured.append(radius(X[-1]))
                 r_lo.append(measured[-1] if point else min(a, b))
                 r_hi.append(measured[-1] if point else max(a, b))
-            lo, hi = rates.territory_batch(lam, np.array(r_lo), np.array(r_hi))
+        # one regime at a time, with no overflow raised or warned
+        lo, hi = zip(*(rates.territory(i, a, b) for i, a, b in zip(lam, r_lo, r_hi)))
         model = zero_coeff_model(rates, dim)
-        for n, (i, x) in enumerate(zip(lam.tolist(), X)):
+        for n, (i, x) in enumerate(zip(lam, X)):
             if not np.isfinite(measured[n]):
                 continue  # the kernel stops a row there: no window holds it
             blo, bhi = _band(lo[n], hi[n])
@@ -380,13 +381,13 @@ class TestTerritoryBatch:
             def rate(self, i, j, x):
                 return super().rate(i, j, x)
 
-        assert DenseRates(Q3).territory_batch is not None
-        assert PowerLawRates(3.0, 1.0).territory_batch is not None
-        assert Loose(Q3).territory_batch is None
-        assert Shifted(3.0, 1.0).territory_batch is None
+        assert DenseRates(Q3).territory is not None
+        assert PowerLawRates(3.0, 1.0).territory is not None
+        assert Loose(Q3).territory is None
+        assert Shifted(3.0, 1.0).territory is None
         # the territory depends on anchor and row_sum only
-        assert Relabelled(Q3).territory_batch is not None
-        assert FunctionRates(2, lambda x: np.ones((2, 2)), 2.0).territory_batch is None
+        assert Relabelled(Q3).territory is not None
+        assert FunctionRates(2, lambda x: np.ones((2, 2)), 2.0).territory is None
 
 
 def column_run(i, reach):

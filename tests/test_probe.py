@@ -1,6 +1,7 @@
 """Monte Carlo probes against closed-form and frozen-dynamics oracles."""
 
 import hashlib
+import math
 import multiprocessing
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeModel,
                         SimConfig, TruncationLeak, ctmc_oracle, estimate_moment,
                         estimate_tau_tail, feller_probe, make_model,
-                        run_ensemble)
+                        run_ensemble, simulate)
 from switchdiff import _parallel, hybrid
 from switchdiff.probe import _wilson
 from test_hybrid import dense_rates, ou_with_rates
@@ -253,6 +254,27 @@ class TestRunEnsemble:
         assert ens["kind"].tolist() == ["exploded", "exploded"]
         assert ens["hit"].shape == (2, 3)
         assert (ens["hit"] == ens["tau"][:, None]).all()
+
+    def test_levels_are_checked_and_hit_columns_follow_the_walk(self):
+        # a non-integral level used to be truncated, [8, 12.5] walked as
+        # [8, 12], and a NaN one to end in a raw ValueError from int()
+        model = make_model("ou2")
+        cfg = SimConfig(stop_level=2, max_stop_level=8, seed=5, dt_target=0.05)
+        for levels in ([8, 12.5], [4, math.nan], [2, math.inf]):
+            with pytest.raises(ConfigError):
+                run_ensemble(model, [1.0], 1, cfg, 3, levels=levels)
+        for levels in (None, [3, 5.0, 6]):
+            ens = run_ensemble(model, [1.0], 1, cfg, 8, levels=levels)
+            walked = hybrid._Walk(model, cfg, levels, None, None).levels
+            assert walked == ([2, 4, 8] if levels is None else [3, 5, 6])
+            assert ens["hit"].shape == (8, len(walked))
+            for k in range(8):
+                path = simulate(model, [1.0], 1, cfg, traj=k, levels=levels, record="events")
+                want = [math.inf] * len(walked)
+                for lv, tau in path.escalations:
+                    want[walked.index(lv)] = tau
+                assert ens["hit"][k].tolist() == want
+            assert np.isfinite(ens["hit"]).any()
 
 
 class TestEmptyWorkloads:
