@@ -284,8 +284,11 @@ def _cmd_feller(cfg, model, sim, x0, i0, threads, _):
 
 
 def _cmd_oracle(cfg, model, sim, x0, i0, threads, _):
+    times = cfg.get("times", [cfg.get("t", 1.0)])
+    if not times:
+        raise ConfigError("times must name at least one time")
     rows = []
-    for t in cfg.get("times", [cfg.get("t", 1.0)]):
+    for t in times:
         rows.extend(ctmc_oracle(model, i0, t, cfg.get("j_trunc", 8), cfg.get("n", 10000),
                                 sim, x0=x0, threads=threads).rows())
     return {"report": (PROBE_HEADER, rows)}, []

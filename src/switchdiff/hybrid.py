@@ -52,7 +52,8 @@ equals what the per-row ``substream``, ``sample_stream`` and a one-row
 Coupled rows (several starts on one trajectory index) therefore draw once:
 rows that share a trajectory share its stream, each extension band of it,
 and its first grid, whose storage they share too unless paths are
-recorded.  Level cutoffs are resolved once per walk.
+recorded.  A walk is checked whole before its first draw: cutoffs are
+resolved when the walk is built, and the starts before the first block.
 
 Most marks fall outside the current regime's row, and the walk steps past
 them without stopping.  Whenever a row gets its next target, it gets a
@@ -107,9 +108,10 @@ class SimConfig:
     the master stream to that cutoff; a number given for either must be
     finite and >= 0.  max_stop_level caps escalation (equal to stop_level by
     default: no escalation); levels are positive integers no greater than
-    the largest float.  dt_target and the horizon (the model's by default)
-    must be positive and finite.  All randomness derives from (seed,
-    trajectory index): trajectories sharing both are fully coupled.
+    the largest float.  dt_target must be positive and finite, and the
+    horizon (the model's by default) finite and >= 0.  All randomness
+    derives from (seed, trajectory index): trajectories sharing both are
+    fully coupled.
     """
 
     stop_level: int
@@ -394,15 +396,20 @@ class _Walk:
 
     def __init__(self, model, cfg, levels, stream, record):
         horizon = cfg.horizon if cfg.horizon is not None else model.horizon
-        if not 0 < horizon < math.inf:
-            raise ConfigError("horizon must be positive and finite")
-        self.horizon = float(horizon)
-        if stream is not None and stream.horizon < self.horizon:
-            raise ConfigError("stream horizon does not cover the simulation horizon")
+        if not 0 <= horizon < math.inf:
+            raise ConfigError("horizon must be finite and >= 0")
+        if record not in (None, "nodes", "events"):
+            raise ConfigError(f"record must be 'nodes' or 'events', got {record!r}")
+        self.horizon = float(horizon) + 0.0  # numpy's uniform rejects a range up to -0.0
         self.model, self.cfg, self.levels = model, cfg, _level_schedule(cfg, levels)
+        self.cutoffs = [auto_truncation(model, m) if cfg.mark_cutoff == "auto"
+                        else float(cfg.mark_cutoff) for m in self.levels]
+        top = max(self.cutoffs)
+        if stream is not None and not (stream.horizon >= self.horizon and stream.k_max >= top):
+            raise ConfigError(f"stream of horizon {stream.horizon} and ceiling {stream.k_max} "
+                              f"does not cover horizon {self.horizon} and cutoff {top}")
         self.stream, self.record, self.dim = stream, record, model.dim
         self.thresholds = [_below(m) for m in self.levels]
-        self.resolved = {}
         self.extended = {}  # (traj, level index) -> stream, within one block
         self.keyed = KeyedGenerator()
         self.grids = None
@@ -410,28 +417,16 @@ class _Walk:
         # finite; (regime, r // WINDOW) -> its band over that radius window
         self.bands, self.cells = {}, {}
 
-    def level_cutoff(self, li):
-        """The mark cutoff of level li, resolved once per walk."""
-        if li not in self.resolved:
-            cutoff = self.cfg.mark_cutoff
-            self.resolved[li] = (auto_truncation(self.model, self.levels[li])
-                                 if cutoff == "auto" else float(cutoff))
-        return self.resolved[li]
-
     def enter_level(self, row):
         """Set the row's cutoff for its level, extending its stream to cover it.
 
         A trajectory's stream at a level depends only on (seed, traj,
         horizon, level), so rows of one block that share a trajectory share
-        each extension band.
+        each extension band.  A supplied stream covers every cutoff.
         """
-        row.level = self.levels[row.li]
-        row.cutoff = self.level_cutoff(row.li)
+        row.level, row.cutoff = self.levels[row.li], self.cutoffs[row.li]
         row.cutoffs.append((row.level, row.cutoff))
         if row.cutoff > row.stream.k_max:
-            if self.stream is not None:
-                raise ConfigError(f"stream mark ceiling {row.stream.k_max} "
-                                  f"below required cutoff {row.cutoff}")
             key = (row.traj, row.li)
             if key not in self.extended:
                 self.extended[key] = extend_stream(row.stream, row.cutoff, self.cfg.seed,
@@ -439,37 +434,32 @@ class _Walk:
             row.stream = self.extended[key]
 
     def begin(self, starts, i0, trajs):
-        """Rows at time 0 in states ``starts`` and regime i0, with their streams,
-        first levels and, below their first level, first grids.
+        """Rows at time 0 in regime i0 from ``check``'s starts, with their streams,
+        first levels and, below their first level and short of the horizon, first grids.
 
         Keys and streams are derived once per distinct trajectory: rows that
         share one (coupled starts) share its stream and BROWNIAN key, and
         unless paths are recorded they share its first grid as one group.
         One ``draw`` call lays every group's first grid.
         """
-        if i0 < 1:
-            raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
         cfg, keyed = self.cfg, self.keyed
         distinct = list(dict.fromkeys(trajs))
         bkeys = dict(zip(distinct, philox_keys(cfg.seed, distinct, BROWNIAN)))
         if self.stream is not None:
             streams = dict.fromkeys(distinct, self.stream)
         else:
-            rate = (max(self.level_cutoff(0), 0.0) if cfg.stream_rate == "auto"
+            rate = (max(self.cutoffs[0], 0.0) if cfg.stream_rate == "auto"
                     else float(cfg.stream_rate))
             pkeys = philox_keys(cfg.seed, distinct, POISSON) if rate else [None] * len(distinct)
             streams = {traj: _stream(keyed.start(key) if rate else None, rate, self.horizon)
                        for traj, key in zip(distinct, pkeys)}
         rows, groups = [], {}
-        for x0, traj in zip(starts, trajs):
+        for (x, r), traj in zip(starts, trajs):
             row = _Row()
             row.traj = traj
             row.stream = streams[traj]
             row.bkey, row.bdrawn = bkeys[traj], 0
-            x = np.atleast_1d(np.asarray(x0, dtype=float))
-            if x.shape != (self.dim,):
-                raise ConfigError(f"initial state shape {x.shape} does not match dim {self.dim}")
-            row.x, row.r, row.lam, row.t = x, radius(x), int(i0), 0.0
+            row.x, row.r, row.lam, row.t = x, r, i0, 0.0
             row.li = 0
             row.cutoffs = []
             self.enter_level(row)
@@ -479,7 +469,7 @@ class _Walk:
             row.kept, row.switches, row.escalations = [], [], []
             row.status = None
             rows.append(row)
-            if row.r + row.lam < row.level:
+            if row.r + row.lam < row.level and self.horizon > 0:
                 groups.setdefault(id(row) if self.record else traj, []).append(row)
         if groups:
             self.draw(list(groups.values()))
@@ -716,13 +706,25 @@ class _Walk:
                 X, pos, end, lam, wlo, whi = (X[keep], pos[keep], end[keep], lam[keep],
                                               wlo[keep], whi[keep])
 
-    def run(self, starts, i0, trajs):
-        """Yield the ended rows, walking them in blocks of at most BLOCK_ROWS."""
+    def check(self, starts, i0):
+        """Check i0 and every start; return the starts as (state, radius) pairs."""
+        if i0 < 1:
+            raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
+        checked = []
+        for x0 in starts:
+            x = np.atleast_1d(np.asarray(x0, dtype=float))
+            if x.shape != (self.dim,) or not math.isfinite(r := radius(x)):
+                raise ConfigError(f"initial state {x.tolist()} is not a finite {self.dim}-vector")
+            checked.append((x, r))
+        return checked
+
+    def run(self, checked, i0, trajs):
+        """Yield the ended rows of ``check``'s starts, in blocks of at most BLOCK_ROWS."""
         for lo in range(0, len(trajs), BLOCK_ROWS):
             self.grids = _Grids(self.dim, self.record)
             self.extended = {}
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rows = self.begin(starts[lo:lo + BLOCK_ROWS], i0, trajs[lo:lo + BLOCK_ROWS])
+                rows = self.begin(checked[lo:lo + BLOCK_ROWS], int(i0), trajs[lo:lo + BLOCK_ROWS])
                 live = [row for row in rows if self.advance(row)]
                 if live:
                     self.lockstep(live)
@@ -739,7 +741,8 @@ def walk(model, starts, i0, cfg, trajs, *, levels=None, stream=None, record=None
     "events".  Rows are walked in blocks of at most ``BLOCK_ROWS``; a row's
     result does not depend on the rows it shares a block with.
     """
-    return _Walk(model, cfg, levels, stream, record).run(starts, i0, trajs)
+    runner = _Walk(model, cfg, levels, stream, record)
+    return runner.run(runner.check(starts, i0), i0, trajs)
 
 
 def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
@@ -756,14 +759,14 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
 
     The master stream is sampled from (cfg.seed, traj), reused across levels
     and extended by superposition when the auto-selected cutoff outgrows it.
-    A caller-supplied ``stream`` must cover the horizon and is never
-    extended: a level whose cutoff exceeds ``stream.k_max`` raises
-    ConfigError.  Runs that share (stream, seed, traj) and differ only in a
+    A caller-supplied ``stream`` is never extended: when the walk is built,
+    it must cover the horizon and every level's cutoff, or ConfigError is
+    raised.  Runs that share (stream, seed, traj) and differ only in a
     cutoff at or above ``auto_truncation`` at the stop level are
     bit-identical up to and including the stop time.
     """
-    if record not in ("nodes", "events"):
-        raise ConfigError(f"record must be 'nodes' or 'events', got {record!r}")
+    if record is None:
+        raise ConfigError("simulate records its path: record must be 'nodes' or 'events'")
     row, = walk(model, [x0], i0, cfg, [traj], levels=levels, stream=stream,
                 record=record)
     switches = row.switches

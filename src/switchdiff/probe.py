@@ -23,7 +23,7 @@ from ._parallel import map_indices
 from ._rng import AUX, substream
 from .certify import gronwall_bound_poly, tau_tail_bound_poly
 from .errors import ConfigError, TruncationLeak
-from .hybrid import _level_schedule, walk
+from .hybrid import _level_schedule, _Walk
 from .model import radius
 
 # largest simulated mass above j_trunc that ctmc_oracle accepts
@@ -76,7 +76,7 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     x0 may also hold several starts as an (m, dim) array; every array then
     gains a leading start axis, and traj0 is one first trajectory index for
     all starts or a sequence with one per start.  All m * n trajectories are
-    walked by ``hybrid.walk`` in lockstep blocks, over at most one worker
+    walked by one ``hybrid._Walk`` in lockstep blocks, over at most one worker
     pool, which starts only when every worker gets two blocks.  The rows
     are laid out trajectory-major (row r is start r % m at index r // m),
     so the coupled starts of one index fall in one block and share its
@@ -84,10 +84,12 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    levels = _level_schedule(cfg, levels)
+    # built and checked before any worker starts, so bad input fails in this process
+    runner = _Walk(model, cfg, levels, None, None)
+    levels = runner.levels
     slot = {lv: j for j, lv in enumerate(levels)}
     several = np.ndim(x0) == 2
-    starts = list(np.asarray(x0, dtype=float)) if several else [x0]
+    starts = runner.check(list(np.asarray(x0, dtype=float)) if several else [x0], i0)
     m = len(starts)
     first = [int(traj0)] * m if np.ndim(traj0) == 0 else [int(k) for k in traj0]
     if len(first) != m:
@@ -105,9 +107,8 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
 
     def block(lo, hi):
         rows = range(lo, hi)
-        return [terminal(row) for row in walk(
-            model, [starts[r % m] for r in rows], i0, cfg,
-            [first[r % m] + r // m for r in rows], levels=levels)]
+        return [terminal(row) for row in runner.run(
+            [starts[r % m] for r in rows], i0, [first[r % m] + r // m for r in rows])]
 
     recs = map_indices(block, m * n, threads, hybrid.BLOCK_ROWS)
     cols = list(zip(*(rec for s in range(m) for rec in recs[s::m]))) or [()] * 9
@@ -126,12 +127,13 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
 
 
 def _mean_ci(values):
+    """Mean and 95% half-width; a constant sample (one value too) gives its value and 0."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return float("nan"), float("nan")
-    m = float(v.mean())
-    hw = 1.96 * float(v.std(ddof=1)) / math.sqrt(v.size) if v.size > 1 else 0.0
-    return m, hw
+    if (v == v[0]).all():
+        return float(v[0]), 0.0
+    return float(v.mean()), 1.96 * float(v.std(ddof=1)) / math.sqrt(v.size)
 
 
 def _binom_hw(p_hat, n):
@@ -156,29 +158,23 @@ def estimate_moment(model, cert, x0, i0, t, n, cfg, *, threads=1):
 
     The caller is expected to have certified the model (check_condition_poly
     on a covering grid); the report pairs the estimate with the certificate's
-    Gronwall bound.  Non-finite blow-ups are excluded from the mean and
-    counted in diagnostics.
+    Gronwall bound.  t must be finite and >= 0.  Non-finite blow-ups are
+    excluded from the mean and counted in diagnostics.
     """
     p, beta = cert.p, cert.beta
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if t <= 0.0:
-        est, hw, kept = (1.0 + float(x0 @ x0)) ** p + p * float(i0) ** beta, 0.0, n
-        diag = {"explosions": 0, "level_stops": 0}
-    else:
-        ens = run_ensemble(model, x0, i0, replace(cfg, horizon=float(t)), n,
-                           threads=threads)
-        ok = ~ens["nonfinite"]
-        est, hw = _mean_ci([(1.0 + float(xe @ xe)) ** p + p * float(le) ** beta
-                            for xe, le in zip(ens["x_end"][ok], ens["lam_end"][ok])])
-        kept = int(ok.sum())
-        diag = {"explosions": int(n - ok.sum()),
-                "level_stops": int((ens["kind"][ok] == "exploded").sum())}
+    ens = run_ensemble(model, x0, i0, replace(cfg, horizon=float(t)), n, threads=threads)
+    ok = ~ens["nonfinite"]
+    est, hw = _mean_ci([(1.0 + float(xe @ xe)) ** p + p * float(le) ** beta
+                        for xe, le in zip(ens["x_end"][ok], ens["lam_end"][ok])])
     return ProbeReport(
         "moment",
         {"t": t, "p": p, "beta": beta, "x0": list(map(float, x0)), "i0": i0},
         ["moment", "gronwall_bound"],
-        [est, gronwall_bound_poly(cert, x0, i0, 0.0 if t <= 0.0 else t)],
-        [hw, 0.0], kept, diag)
+        [est, gronwall_bound_poly(cert, x0, i0, t)],
+        [hw, 0.0], int(ok.sum()),
+        {"explosions": int(n - ok.sum()),
+         "level_stops": int((ens["kind"][ok] == "exploded").sum())})
 
 
 def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
@@ -190,17 +186,16 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
     per-path monotonicity of stop times in the level.  When a polynomial
     certificate is supplied, the analytic tail bound is reported per level.
     Every tail estimate also gets its Wilson score interval in
-    ``intervals``.
+    ``intervals``.  t must be finite and >= 0, and n_starts at least 1.
     """
-    levels = sorted(m_list)
-    if not levels:
-        raise ConfigError("m_list must name at least one level")
-    levels = _level_schedule(cfg, levels)
+    if n_starts < 1:
+        raise ConfigError("n_starts must be at least 1")
+    levels = _level_schedule(cfg, sorted(m_list))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
     aux = substream(cfg.seed, 0, AUX)
     starts = [x0]
-    for _ in range(max(0, n_starts - 1)):
+    for _ in range(n_starts - 1):
         u = aux.standard_normal(d)
         nu = float(np.linalg.norm(u))
         starts.append(x0 + (delta / nu) * u if nu > 0 else x0.copy())
@@ -240,13 +235,16 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
     the difference is exactly zero: that start reuses the walk of x).  With
     couple=False replicas are independent.  Paths that end before t (level
     ceiling or blow-up) are evaluated at their terminal state and counted in
-    diagnostics.
+    diagnostics.  t must be finite and >= 0; an offset is a number or a
+    vector of x's dimension.  One replica gives half-widths 0, as in ``_mean_ci``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
     deltas = [np.zeros(d)]
     for off in offsets:
         o = np.atleast_1d(np.asarray(off, dtype=float))
+        if o.size not in (1, d):
+            raise ConfigError(f"an offset must have 1 or {d} coordinates, got {o.size}")
         deltas.append(np.full(d, o[0]) if o.size == 1 and d > 1 else o)
     run_cfg = replace(cfg, horizon=float(t))
 
@@ -275,7 +273,8 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
             dm, dhw = _mean_ci(diff)
         else:
             dm = float(diff.mean())
-            dhw = 1.96 * math.sqrt(vals[di].var(ddof=1) / n + vals[0].var(ddof=1) / n)
+            dhw = (1.96 * math.sqrt(vals[di].var(ddof=1) / n + vals[0].var(ddof=1) / n)
+                   if n > 1 else 0.0)
         labels.append(f"diff[delta={tag}]")
         ests.append(abs(dm))
         hws.append(dhw)
@@ -295,17 +294,19 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
     generator keeps full row sums, so its exponential gives the exact
     sub-probability law of paths that never leave {1..j_trunc}; the
     empirical law is restricted the same way, leaving only sampling noise.
-    Raises TruncationLeak when the simulated mass above j_trunc exceeds
-    ORACLE_LEAK_TOL.
+    t must be finite and >= 0 and x0 finite.  Raises TruncationLeak when the
+    simulated mass above j_trunc exceeds ORACLE_LEAK_TOL.
     """
     J = int(j_trunc)
     if not 2 <= J <= 400:
         raise ConfigError("j_trunc must be between 2 and 400")
     if not 1 <= i0 <= J:
         raise ConfigError("i0 must lie within the truncated regime window")
-    if n < 1 or not 0 <= t < math.inf:
-        raise ConfigError("ctmc_oracle needs n >= 1 and a finite t >= 0")
     x0 = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    if not math.isfinite(r0 := radius(x0)):
+        raise ConfigError("x0 must be finite")
+    ens = run_ensemble(model, x0, i0, replace(cfg, horizon=float(t)), n, threads=threads,
+                       levels=[J + 2 + math.ceil(r0)])
     rates = model.rates
     gen = np.zeros((J, J))
     for a in range(1, J + 1):
@@ -315,20 +316,12 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
     p_exact = expm(gen * float(t))[i0 - 1]
     leak_exact = max(0.0, 1.0 - float(p_exact.sum()))
 
-    if t > 0.0:
-        level = J + 2 + int(math.ceil(radius(x0)))
-        ens = run_ensemble(model, x0, i0, replace(cfg, horizon=float(t)), n, threads=threads,
-                           levels=[level])
-        lam, top, nonfinite = ens["lam_end"], ens["max_regime"], ens["nonfinite"]
-    else:
-        lam = top = np.full(n, i0)
-        nonfinite = np.zeros(n, dtype=bool)
-    stayed = top <= J
+    stayed = ens["max_regime"] <= J
     leak_sim = float(1.0 - stayed.mean())
     if leak_sim > ORACLE_LEAK_TOL:
         raise TruncationLeak(f"simulated mass {leak_sim:.3g} above truncation {J} "
                              f"exceeds {ORACLE_LEAK_TOL:g}")
-    counts = np.bincount(lam[stayed], minlength=J + 1)[1:J + 1]
+    counts = np.bincount(ens["lam_end"][stayed], minlength=J + 1)[1:J + 1]
     p_hat = counts / n
     tv = 0.5 * (np.abs(p_hat - p_exact).sum() + abs(leak_sim - leak_exact))
 
@@ -348,5 +341,5 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
         "ctmc_oracle",
         {"t": t, "i0": i0, "j_trunc": J, "x0": list(map(float, x0))},
         labels, ests, hws, n,
-        {"explosions": int(nonfinite.sum()), "stayed": int(stayed.sum())},
+        {"explosions": int(ens["nonfinite"].sum()), "stayed": int(stayed.sum())},
     )

@@ -325,7 +325,7 @@ class TestPolynomialChecker:
         assert rep.violations
         assert "VIOLATED" in rep.summary()
 
-    def test_point_whose_square_overflows_warns_nothing_and_certifies_nothing(self):
+    def test_point_whose_square_overflows_warns_nothing_and_has_finite_margins(self):
         # x . x overflows for this 2-D point: radius falls back to hypot, and
         # the margins there, once NaN and counted as -inf, are taken in
         # scaled form; they are growth + 2 theta_j, for ou2's theta = (1, 0.5)

@@ -79,9 +79,10 @@ class TestBadInput:
         "command = simulate\nmodel = ou2\nsim.horizon = inf\n",
         "command = moments\nmodel = ou2\nt = inf\n",
         "command = certify\nmodel = ou2\ngrid.times = 1,0\n",
+        "command = oracle\nmodel = ctmc2\ntimes =\n",
     ], ids=["dt_target", "stream_rate", "mark_cutoff", "record", "i0", "cert.p",
             "grid.regimes", "grid.times", "j_trunc", "oracle-n", "oracle-t", "m_list",
-            "dt_target-inf", "horizon-inf", "t-inf", "grid.times-reversed"])
+            "dt_target-inf", "horizon-inf", "t-inf", "grid.times-reversed", "oracle-times"])
     def test_config_error_exits_2(self, tmp_path, capsys, body):
         cfg = write_config(tmp_path / "c.cfg", body + "seed = 1\n")
         assert run_cli("--config", cfg, "--out", str(tmp_path / "r"), "--threads", "1") == 2

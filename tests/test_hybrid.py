@@ -2,6 +2,8 @@
 
 import math
 import sys
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +58,15 @@ function_rates = st.integers(2, 3).flatmap(lambda m: st.tuples(*(
 def ou_with_rates(rates):
     return RegimeModel(1, lambda x, i, t: -x / i, lambda x, i, t: i * EYE,
                        rates, 1.0)
+
+
+def rejected_before_any_draw(call):
+    """Assert that call() raises ConfigError before a Philox key is derived;
+    every random draw of a walk needs one."""
+    with mock.patch.object(hybrid, "philox_keys", wraps=hybrid.philox_keys) as keys:
+        with pytest.raises(ConfigError):
+            call()
+    assert keys.call_count == 0
 
 
 def prefix_equal(short, long):
@@ -386,26 +397,25 @@ class TestEscalation:
     def test_block_bound_overflow_rejected(self):
         # a power-law block bound overflows a float for levels above about
         # 1.9e154; as a first level it raised a raw OverflowError, and as an
-        # escalation level it ended paths as non-finite explosions
-        with pytest.raises(ConfigError):
-            simulate(make_model("powerlaw"), [0.5], 1, SimConfig(stop_level=10 ** 200, seed=1))
-        model = make_model("powerlaw", sigma=40.0)
-        for traj in range(3):
-            with pytest.raises(ConfigError):
-                simulate(model, [0.5], 1, SimConfig(stop_level=4, seed=1),
-                         levels=[4, 10 ** 200], traj=traj)
+        # escalation level it ended paths as non-finite explosions.  Every
+        # level's cutoff is resolved when the walk is built, so a path that
+        # never escalates is rejected too, before it draws
+        model, cfg = make_model("powerlaw"), SimConfig(stop_level=4, seed=1)
+        rejected_before_any_draw(lambda: simulate(model, [0.5], 1,
+                                                  replace(cfg, stop_level=10 ** 200)))
+        assert simulate(model, [0.5], 1, cfg, levels=[4, 8]).escalations == []
+        rejected_before_any_draw(lambda: simulate(model, [0.5], 1, cfg, levels=[4, 10 ** 200]))
 
     def test_extension_disabled_raises(self):
         # a supplied stream sized for the first level is never extended, so
-        # the first escalation that needs a larger cutoff is rejected
+        # a schedule with a level that needs a larger cutoff is rejected when
+        # the walk is built, even for a path that never escalates
         model = make_model("powerlaw")
         cfg = SimConfig(stop_level=4, max_stop_level=8, seed=9)
-        rate = auto_truncation(model, 4)
-        with pytest.raises(ConfigError):
-            for traj in range(200):
-                stream = sample_stream(rate, model.horizon, seed=9, traj=traj)
-                simulate(model, [2.5], 1, cfg, traj=traj, record="events",
-                         stream=stream)
+        stream = sample_stream(auto_truncation(model, 4), model.horizon, seed=9)
+        assert simulate(model, [0.5], 1, replace(cfg, max_stop_level=4),
+                        stream=stream).escalations == []
+        rejected_before_any_draw(lambda: simulate(model, [0.5], 1, cfg, stream=stream))
 
     def test_determinism(self):
         model = make_model("powerlaw")
@@ -452,10 +462,52 @@ class TestInputValidation:
             run_ensemble(model, [1.0], 1, cfg, 3, traj0=-2)
 
     def test_unknown_record_rejected(self):
-        # "node" used to be recorded as "events"
+        # "node" used to be recorded as "events", by walk too
+        model, cfg = make_model("ou2"), SimConfig(stop_level=8, seed=1)
         with pytest.raises(ConfigError):
-            simulate(make_model("ou2"), [1.0], 1, SimConfig(stop_level=8, seed=1),
-                     record="node")
+            simulate(model, [1.0], 1, cfg, record="node")
+        rejected_before_any_draw(lambda: list(hybrid.walk(model, [[1.0]], 1, cfg, [0],
+                                                          record="node")))
+        with pytest.raises(ConfigError):
+            simulate(model, [1.0], 1, cfg, record=None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_start_rejected_before_any_block(self, bad):
+        # a NaN start used to end as an explosion at t = 0, after the rows
+        # before it had been walked
+        model, cfg = make_model("ou2"), SimConfig(stop_level=8, seed=1, dt_target=0.5)
+        n = 3 * hybrid.BLOCK_ROWS
+        starts = [[0.5]] * (n - 1) + [[bad]]
+        rejected_before_any_draw(lambda: list(hybrid.walk(model, starts, 1, cfg, range(n))))
+        two = make_model("ou2", dim=2)
+        rejected_before_any_draw(lambda: simulate(two, [1.0, bad], 1, cfg))
+
+    def test_level_schedule_rejections(self):
+        with pytest.raises(ConfigError):
+            SimConfig(stop_level=8, max_stop_level=4)
+        model, cfg = make_model("ou2"), SimConfig(stop_level=4, seed=1)
+        for levels in ([], [4, 4], [8, 4]):
+            rejected_before_any_draw(lambda: simulate(model, [0.5], 1, cfg, levels=levels))
+
+    def test_zero_horizon_ends_every_row_at_its_start(self):
+        # no grid is drawn; a start at or above a level stops there at t = 0
+        model = make_model("powerlaw")
+        cfg = SimConfig(stop_level=4, max_stop_level=8, seed=3, horizon=0.0)
+        with mock.patch.object(hybrid._Walk, "draw") as draw:
+            low = simulate(model, [1.5], 2, cfg)
+            high = simulate(model, [3.5], 1, cfg, record="events")
+            top = simulate(model, [9.0], 1, cfg)
+            # the escalation extends the stream, whose horizon must be +0.0
+            negative = simulate(model, [3.5], 1, replace(cfg, horizon=-0.0), record="events")
+        assert not draw.called
+        assert paths_equal(negative, high) and negative.cutoffs == high.cutoffs
+        assert low.times.tolist() == [0.0] and low.states.tolist() == [[1.5]]
+        assert low.regimes.tolist() == [2] and low.switches == [] and low.escalations == []
+        assert low.status == hybrid.PathStatus("horizon")
+        assert high.escalations == [(4, 0.0)] and high.status == hybrid.PathStatus("horizon")
+        assert high.cutoffs == [(4, auto_truncation(model, 4)), (8, auto_truncation(model, 8))]
+        assert top.escalations == [(4, 0.0), (8, 0.0)]
+        assert top.status == hybrid.PathStatus("exploded", 0.0, 8)
 
     @pytest.mark.parametrize("kwargs", [
         {"stop_level": 2.5}, {"stop_level": 8, "max_stop_level": 8.5},

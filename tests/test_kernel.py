@@ -142,6 +142,28 @@ class TestLockstep:
         assert_records_equal(run_ensemble(model, [1.0, -0.5], 1, cfg, 16),
                              run_ensemble(rows_only, [1.0, -0.5], 1, cfg, 16))
 
+    def test_batch_that_raises_falls_back_to_rows(self):
+        # a batch form that overflows past some radius hands that step to the
+        # per-row forms, and every record equals the model's without batch forms
+        drift, dispersion, drift_b, noise_b = coefficients("ou", 1.0, True)
+        raised, calls = [], []
+
+        def drift_batch(X, lam, t):
+            calls.append(len(X))
+            if np.abs(X).max() > 2.0:
+                raised.append(len(X))
+                raise OverflowError("past radius 2")
+            return drift_b(X, lam, t)
+
+        rates = DenseRates([[0.0, 2.0], [1.0, 0.0]])
+        model = RegimeModel(1, drift, dispersion, rates, 1.0, drift_batch, noise_b)
+        rows_only = RegimeModel(1, drift, dispersion, rates, 1.0)
+        cfg = SimConfig(stop_level=4, max_stop_level=16, seed=11, dt_target=0.05)
+        starts = [[0.25 * k] for k in range(N)]
+        assert walked_rows(model, starts, 1, cfg, None) == walked_rows(rows_only, starts, 1, cfg,
+                                                                        None)
+        assert raised and len(raised) < len(calls)
+
     def test_several_starts_equal_one_call_per_start(self):
         model = make_model("ou2", sigma1=2.0)
         cfg = SimConfig(stop_level=3, max_stop_level=24, seed=4)
@@ -272,9 +294,11 @@ def screen_cases(draw):
 
 
 def walked_rows(model, x0, i0, cfg, stream):
-    """Everything N walked trajectories from x0 give, in comparable form."""
+    """Everything N walked trajectories from x0 (or from the N starts x0) give,
+    in comparable form."""
+    starts = x0 if np.ndim(x0) == 2 else [x0] * N
     return [(w.t, w.x.tobytes(), w.lam, w.status, w.switches, w.escalations, w.cutoffs)
-            for w in hybrid.walk(model, [x0] * N, i0, cfg, list(range(N)), stream=stream)]
+            for w in hybrid.walk(model, starts, i0, cfg, list(range(N)), stream=stream)]
 
 
 def watch_window_exits(exits):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import multiprocessing
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -276,6 +277,20 @@ class TestRunEnsemble:
                 assert ens["hit"][k].tolist() == want
             assert np.isfinite(ens["hit"]).any()
 
+    @pytest.mark.parametrize("x0, i0, horizon", [
+        ([math.nan], 1, 1.0), ([[0.5], [math.inf]], 1, 1.0), ([0.5, 0.5], 1, 1.0),
+        ([0.5], 0, 1.0), ([0.5], 1, -1.0),
+    ], ids=["nan", "second-start-inf", "shape", "i0", "horizon"])
+    def test_bad_input_fails_before_the_pool(self, monkeypatch, x0, i0, horizon):
+        # a non-finite start used to fork a pool and come back through it
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        cfg = SimConfig(stop_level=8, seed=1, horizon=horizon)
+        with mock.patch.object(hybrid, "BLOCK_ROWS", 2), \
+                mock.patch("switchdiff.probe.map_indices") as pool:
+            with pytest.raises(ConfigError):
+                run_ensemble(make_model("ou2"), x0, i0, cfg, 8, threads=2)
+        assert not pool.called
+
 
 class TestEmptyWorkloads:
     def test_rejected(self):
@@ -292,6 +307,72 @@ class TestEmptyWorkloads:
             ctmc_oracle(model, 1, -1.0, 4, 100, cfg)
         with pytest.raises(ConfigError):
             estimate_tau_tail(make_model("ou2"), [0.0], 1, 0.5, [], 0.1, 5, cfg)
+
+
+PROBES = {
+    "moment": lambda t: estimate_moment(make_model("ou2"), PolynomialCertificate(1.0, 1.0, 1.0),
+                                        [0.5], 1, t, 5, CFG),
+    "tau_tail": lambda t: estimate_tau_tail(make_model("ou2"), [0.5], 1, t, [4, 8], 0.1, 5, CFG,
+                                            n_starts=2),
+    "feller": lambda t: feller_probe(make_model("ou2"), lambda x, j: float(x[0] > 0), t, [0.0],
+                                     1, [0.05, 0.5], 5, CFG),
+    "oracle": lambda t: ctmc_oracle(make_model("ctmc2"), 1, t, 2, 5, CFG),
+}
+
+
+class TestProbeInputs:
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan], ids=["negative", "inf", "nan"])
+    @pytest.mark.parametrize("probe", list(PROBES))
+    def test_time_must_be_finite_and_non_negative(self, probe, t):
+        # estimate_moment used to report t = -1 as t = 0
+        with mock.patch.object(hybrid, "philox_keys", wraps=hybrid.philox_keys) as keys:
+            with pytest.raises(ConfigError):
+                PROBES[probe](t)
+        assert keys.call_count == 0
+
+    def test_every_probe_accepts_time_zero(self):
+        # the walk ends every row at its start; estimate_tau_tail and
+        # feller_probe used to reject t = 0
+        moment = PROBES["moment"](0.0)
+        assert moment.estimates == [(1 + 0.25) + 1.0, 1.25 + 1.0]
+        assert moment.half_widths == [0.0, 0.0] and moment.n == 5
+        tail = PROBES["tau_tail"](0.0)
+        assert tail.value("tail_sup[M=4]") == tail.value("tail_sup[M=8]") == 0.0
+        feller = PROBES["feller"](0.0)
+        assert [feller.value(f"ptf[delta={d}]") for d in ("0", "0.05", "0.5")] == [0.0, 1.0, 1.0]
+        assert feller.value("diff[delta=0.05]") == 1.0 and set(feller.half_widths) == {0.0}
+        oracle = PROBES["oracle"](0.0)
+        assert oracle.value("p_hat[1]") == oracle.value("p_exact[1]") == 1.0
+        assert oracle.value("tv") == 0.0
+
+    def test_uncoupled_feller_of_one_replica_has_zero_half_widths(self):
+        # the uncoupled difference took a variance of one value: a NaN
+        # half-width and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = feller_probe(make_model("ou2"), lambda x, j: float(x[0] > 0), 0.5, [0.0], 1,
+                               [0.3], 1, CFG, couple=False)
+        assert rep.half_widths == [0.0] * 4
+
+    def test_non_finite_oracle_start_rejected(self):
+        # at t = 0 it used to report the rates at x0 as the exact law, and
+        # at t > 0 to end in a raw ValueError from math.ceil
+        for t in (0.0, 0.5):
+            with pytest.raises(ConfigError):
+                ctmc_oracle(make_model("ctmc2"), 1, t, 2, 5, CFG, x0=[math.nan])
+
+    def test_no_starts_rejected(self):
+        # n_starts = 0 used to run one start and report n_starts=1
+        with pytest.raises(ConfigError):
+            estimate_tau_tail(make_model("ou2"), [0.5], 1, 0.5, [4], 0.1, 5, CFG, n_starts=0)
+
+    def test_offset_of_another_dimension_rejected(self):
+        # it used to end in numpy's broadcast ValueError
+        with pytest.raises(ConfigError):
+            feller_probe(make_model("ou2", dim=2), lambda x, j: 1.0, 0.5, [0.0, 0.0], 1,
+                         [[0.1, 0.1, 0.1]], 5, CFG)
+        with pytest.raises(ConfigError):
+            feller_probe(make_model("ou2"), lambda x, j: 1.0, 0.5, [0.0], 1, [[0.1, 0.1]], 5, CFG)
 
 
 class TestWorkerCap:
