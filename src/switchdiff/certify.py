@@ -24,8 +24,10 @@ growth-weighted tail.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
@@ -36,6 +38,11 @@ from .model import RateMatrix, radius
 
 SERIES_REL_TOL = 1e-10
 SERIES_MAX_TERMS = 10**6
+# Relative bound on the float error between a per-point series and its
+# reference scaled to it.  Each sums at most SERIES_MAX_TERMS terms of one
+# sign, pairwise within a block and in sequence over at most 30 blocks, so
+# it errs by at most about 50 units of 2^-53; the scaling adds three.
+SCREEN_ROUNDING = 2.0 ** -40
 ZETA_TERMS = 100_000
 # initial extent of the PowerLawRates tables and of the k^beta table
 POWERLAW_TABLE = 4096
@@ -92,8 +99,6 @@ class PowerLawRates(RateMatrix):
     to the index it reads.
     """
 
-    radial = True
-
     def __init__(self, gamma, p):
         if not gamma > 2:
             raise ValueError("gamma must exceed 2")
@@ -126,6 +131,10 @@ class PowerLawRates(RateMatrix):
 
     def _growth(self, i, x):
         return float(i) + radius(x) ** self.p
+
+    def factor(self, i, x):
+        """i + |x|^p: every rate of row i is this growth times a table entry."""
+        return self._growth(i, x)
 
     def rate(self, i, j, x):
         if i == j:
@@ -189,7 +198,7 @@ class PowerLawRates(RateMatrix):
         The summand g(m) = ((m+i)^b - i^b) m^-gamma (m = k - i) is
         nonincreasing for gamma >= max(beta, 1), so the tail lies in
         [I, I + g(a)] with I the integral from a = n - i.  Only the growth
-        factor depends on x; I and g(a) are shared by every radius.
+        factor depends on x; I and g(a) are shared by every point.
         """
         if not 0 < beta < self.gamma - 1:
             raise TailUnresolvable(
@@ -365,10 +374,23 @@ class GridSpec:
     times: Tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.points) == 0 or self.regimes < 1 or not self.times:
+        if not isinstance(self.regimes, numbers.Integral):
+            raise ConfigError(f"grid regimes must be an integer, got {self.regimes!r}")
+        if np.size(self.points) == 0 or self.regimes < 1 or not self.times:
             raise ConfigError("grid needs at least one point, one regime and one time")
+        if not np.isfinite(np.asarray(self.points, dtype=float)).all():
+            raise ConfigError("grid points must be finite")
         if not (np.isfinite(self.times).all() and (np.diff(self.times) >= 0).all()):
             raise ConfigError("grid times must be finite and nondecreasing")
+
+
+def _points(model, grid):
+    """The grid's points as an (n, model.dim) array, or ConfigError."""
+    pts = np.asarray(grid.points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != model.dim:
+        raise ConfigError(f"grid points must be rows of {model.dim} coordinates, "
+                          f"got an array of shape {pts.shape}")
+    return pts
 
 
 def default_grid(dim=1, radius=10.0, n_radii=21, regimes=12,
@@ -403,13 +425,15 @@ def check_local_bounded_beta_sum(model, beta, grid):
     certified within budget are reported, while parameter combinations the
     rate matrix can never certify raise TailUnresolvable.
     """
-    pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
+    pts = _points(model, grid)
     vals = np.full((pts.shape[0], grid.regimes), np.nan)
-    failed = []
-    for a, _, j, sums in _series_nodes(pts, grid.regimes, model.rates, beta, _Tally(), failed):
+    tally, failed = _Tally(), []
+    regimes = [_Regime(model.rates, j, pts, beta, tally, screen=False)
+               for j in range(1, grid.regimes + 1)]
+    for a, _, reg, sums, _ in _series_nodes(pts, regimes, failed):
         if sums is not None:
             down, up, _ = sums
-            vals[a, j - 1] = up - down
+            vals[a, reg.j - 1] = up - down
     finite = vals[np.isfinite(vals)]
     sup = float(finite.max()) if finite.size else float("nan")
     flat = np.where(np.isfinite(vals), vals, -np.inf)
@@ -424,8 +448,10 @@ class CertificateReport:
     Grid certification is evidence on the sampled nodes only, not a proof
     over the whole state space.  ``series``, ``columns`` and
     ``max_half_width`` record the work behind it: the growth-weighted series
-    summed (once per (radius, regime) for radial rates), the rate columns
-    they read, and the widest certified bracket half-width.
+    summed (one reference per regime for rates with a factor, plus the
+    per-point series of the nodes the sweep refined; one per point and
+    regime otherwise), the rate columns they read, and the widest certified
+    bracket half-width.
     """
 
     kind: str
@@ -451,34 +477,88 @@ class CertificateReport:
                 f"{len(self.violations)} violating nodes)")
 
 
-def _series_nodes(pts, regimes, rates, beta, tally, failed):
-    """Yield (a, y, j, (down, up, half)) over grid points and regimes 1..regimes.
+def _factor(rates, j, y):
+    """rates.factor(j, y) where the rates declare one and it is a finite float >= 0, else None."""
+    f = math.nan if rates.factor is None else float(rates.factor(j, y))
+    return f if 0.0 <= f < math.inf else None
 
-    The series are summed regime-major: for each j one ``_series_batch``
-    pass sums the series of every distinct radius (every point, for rates
-    that are not radial), so each block's k^b - j^b, and on power-law rates
-    each tail integral, serves them all.  The sums are then yielded
-    point-major, as the margins are visited.  A (y, j) whose series cannot
+
+def _scaled(ref, c):
+    """Upper ends (down, up + half, 0.0) of a per-point series, from the reference's
+    (down, up, half) and c = the point's factor over the reference's, 0 <= c <= 1.
+
+    In real arithmetic the point's series is c times the reference's, so its
+    upward value is at most v = c (up + half).  The point's own bracket holds
+    that value, its partial sum is at most that value, and the bracket is at
+    most 2 SERIES_REL_TOL (1 + partial sum) wide: its up + half is at most
+    v + 2 SERIES_REL_TOL (1 + v).  SCREEN_ROUNDING covers the float error of
+    both sums and of the scaling.
+    """
+    down, up, half = ref
+    down, v = c * down, c * (up + half)
+    return (down + SCREEN_ROUNDING * abs(down),
+            v + 2.0 * SERIES_REL_TOL * (1.0 + abs(v)) + SCREEN_ROUNDING * abs(v), 0.0)
+
+
+class _Regime:
+    """Regime j's growth-weighted series over the grid points.
+
+    Points of equal factor share one per-point series, and a point without
+    a finite factor is its own key.  With screen, the series at the first
+    point of largest factor is summed as the reference; if it certifies,
+    ``bounds`` maps every point of finite factor to the upper ends
+    ``_scaled`` makes of it, and their per-point series wait for
+    ``outcome``.  Every other point's series is summed here, all in one
+    ``_series_batch``.
+    """
+
+    def __init__(self, rates, j, pts, beta, tally, screen):
+        self.rates, self.j, self.pts, self.beta, self.tally = rates, j, pts, beta, tally
+        factors = [_factor(rates, j, y) for y in pts]
+        self.keys = [(a,) if f is None else f for a, f in enumerate(factors)]
+        self.sums, self.bounds = {}, {}
+        top = max((f for f in factors if f is not None), default=0.0)
+        if screen and top > 0.0:
+            ref = self.outcome(factors.index(top))
+            if not isinstance(ref, TailUnresolvable):
+                self.bounds = {a: _scaled(ref, f / top)
+                               for a, f in enumerate(factors) if f is not None}
+        rest = {}
+        for a, key in enumerate(self.keys):
+            if a not in self.bounds and key not in self.sums:
+                rest.setdefault(key, pts[a])
+        if rest:
+            self.sums.update(zip(rest, _series_batch(rates, j, list(rest.values()), beta, tally)))
+
+    def outcome(self, a):
+        """Point a's per-point (down, up, half) or TailUnresolvable, summed on first ask."""
+        key = self.keys[a]
+        if key not in self.sums:
+            self.sums[key], = _series_batch(self.rates, self.j, [self.pts[a]], self.beta,
+                                            self.tally)
+        return self.sums[key]
+
+
+def _series_nodes(pts, regimes, failed):
+    """Yield (a, y, regime, sums, exact) over the grid points and ``_Regime`` s, point-major.
+
+    sums is the node's per-point (down, up, half) where exact, else the
+    upper ends its screened regime gives it.  A (y, j) whose series cannot
     be certified within budget is appended to ``failed`` as (a, j) and
     yields None; the first definitive failure met in that order propagates.
     """
-    keys = [radius(y) if rates.radial else a for a, y in enumerate(pts)]
-    first = {}
-    for key, y in zip(keys, pts):
-        first.setdefault(key, y)
-    xs, sums = list(first.values()), {}
-    for j in range(1, regimes + 1):
-        for key, value in zip(first, _series_batch(rates, j, xs, beta, tally)):
-            sums[key, j] = value
     for a, y in enumerate(pts):
-        for j in range(1, regimes + 1):
-            value = sums[keys[a], j]
+        for reg in regimes:
+            if a in reg.bounds:
+                yield a, y, reg, reg.bounds[a], False
+                continue
+            value = reg.outcome(a)
             if isinstance(value, TailUnresolvable):
                 if value.definitive:
                     raise value
-                failed.append((a, j))
+                failed.append((a, reg.j))
                 value = None
-            yield a, y, j, value
+            yield a, y, reg, value, True
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -486,23 +566,32 @@ def _sweep(kind, model, grid, beta, series, margin):
     """One pass over the grid nodes (y, j, t) into a CertificateReport.
 
     series(down, up, half) combines a node's downward sum and upward bracket
-    into the value margin reads.  |sigma(y, j, t)|_HS^2 is evaluated once
-    per node, so its per-time supremum also covers (y, j) whose series
-    failed.  margin(y, j, t, value, hs2) is the right side minus the left
-    side, and a margin that overflow made NaN counts as -inf.
+    into the value margin reads, and margin(y, j, t, value, hs2) is the
+    right side minus the left side; both decrease in down and in up + half,
+    and a margin that overflow made NaN counts as -inf.  |sigma(y, j, t)|_HS^2
+    is evaluated once per node, so its per-time supremum also covers (y, j)
+    whose series failed.
+
+    Each regime's series is summed once, at its point of largest factor,
+    and scaled to upper ends at every point (``_Regime``), so a node's
+    margin on them is a lower bound on its per-point margin.  The nodes are
+    then visited in the order of these bounds, node order breaking ties,
+    and each visited node's margin is taken on its per-point series while
+    the node can still be the minimum or one of the five reported
+    violations.  So margin, worst and violations are those of a sweep that
+    sums every point's series.
     """
-    pts = np.atleast_2d(np.asarray(grid.points, dtype=float))
+    pts = _points(model, grid)
     times = grid.times
     sup = [0.0] * len(times)
-    tally = _Tally()
-    margin_min = np.inf
-    worst = (pts[0], 1, times[0])
-    violations = []
-    failed = []
-    for _, y, j, sums in _series_nodes(pts, grid.regimes, model.rates, beta, tally, failed):
+    tally, failed = _Tally(), []
+    regimes = [_Regime(model.rates, j, pts, beta, tally, screen=True)
+               for j in range(1, grid.regimes + 1)]
+    screened = []  # (margin or a lower bound on it, node index, exact, a, regime, t, hs2)
+    for a, y, reg, sums, exact in _series_nodes(pts, regimes, failed):
         hs2 = []
         for ti, t in enumerate(times):
-            s = np.asarray(model.dispersion(y, j, t), dtype=float)
+            s = np.asarray(model.dispersion(y, reg.j, t), dtype=float)
             hs2.append(float((s * s).sum()))
             # max() keeps the running value over a NaN; np.maximum would not
             sup[ti] = max(sup[ti], hs2[-1])
@@ -510,17 +599,28 @@ def _sweep(kind, model, grid, beta, series, margin):
             continue
         value = series(*sums)
         for t, h in zip(times, hs2):
-            m = max(-np.inf, margin(y, j, t, value, h))  # max() turns NaN into -inf
-            if m < margin_min:
-                margin_min = m
-                worst = (y, j, t)
-            if m < 0:
-                violations.append((float(m), y, j, float(t)))
-    violations.sort(key=lambda v: v[0])
+            m = max(-np.inf, margin(y, reg.j, t, value, h))  # max() turns NaN into -inf
+            screened.append((m, len(screened), exact, a, reg, t, h))
+    least = []  # the five least (margin, node index, y, j, t) visited, in that order
+    for m, k, exact, a, reg, t, h in sorted(screened):
+        if least and m > least[0][0] and not (m < 0 and (len(least) < 5 or m <= least[-1][0])):
+            break
+        if not exact:
+            sums = reg.outcome(a)
+            if isinstance(sums, TailUnresolvable):
+                raise sums  # a smaller factor failed where the reference certified
+            m = max(-np.inf, margin(pts[a], reg.j, t, series(*sums), h))
+        bisect.insort(least, (m, k, pts[a], reg.j, t))
+        del least[5:]
+    margin_min, worst = np.inf, (pts[0], 1, times[0])
+    if least and least[0][0] < np.inf:
+        margin_min, _, y, j, t = least[0]
+        worst = (y, j, t)
+    violations = [(float(m), y, j, float(t)) for m, _, y, j, t in least if m < 0]
     nodes = (len(pts) * grid.regimes - len(failed)) * len(times)
     sigma_integral = float(np.trapezoid(sup, times))
     certified = (margin_min >= 0 and not failed and np.isfinite(sigma_integral))
-    return CertificateReport(kind, certified, float(margin_min), worst, violations[:5],
+    return CertificateReport(kind, certified, float(margin_min), worst, violations,
                              not failed, sigma_integral, nodes, tally.series,
                              tally.columns, tally.max_half_width)
 

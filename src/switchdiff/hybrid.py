@@ -52,8 +52,9 @@ equals what the per-row ``substream``, ``sample_stream`` and a one-row
 Coupled rows (several starts on one trajectory index) therefore draw once:
 rows that share a trajectory share its stream, each extension band of it,
 and its first grid, whose storage they share too unless paths are
-recorded.  A walk is checked whole before its first draw: cutoffs are
-resolved when the walk is built, and the starts before the first block.
+recorded.  A walk is checked whole before its first draw: cutoffs, and
+the expected sizes of each path's first stream and grid, when the walk is
+built, and the starts before the first block.
 
 Most marks fall outside the current regime's row, and the walk steps past
 them without stopping.  Whenever a row gets its next target, it gets a
@@ -90,6 +91,13 @@ from .model import mark_displacement, radius
 BLOCK_ROWS = 256
 # Most nodes one ``_Grids.lay`` pass lays, unless one grid has more; bounds its temporaries.
 GRID_NODES = 2 ** 14
+# Most stream events and grid nodes one path may expect: the first level's
+# cutoff (or a numeric stream_rate) times the horizon, and horizon /
+# dt_target.  At 16 B an event and 24 B a 1-D node, a path's first stream
+# and grid then stay within 16 and 24 MB.  Expected counts are fixed by the
+# configuration, so no result depends on a count drawn at random.
+MAX_STREAM_EVENTS = 2 ** 20
+MAX_GRID_NODES = 2 ** 20
 # Width of the radius cells a band's window is made of: the window of a
 # radius spans its own cell and the one on either side, so it reaches at
 # least WINDOW beyond the radius.  Wider windows give wider bands, which
@@ -109,7 +117,10 @@ class SimConfig:
     finite and >= 0.  max_stop_level caps escalation (equal to stop_level by
     default: no escalation); levels are positive integers no greater than
     the largest float.  dt_target must be positive and finite, and the
-    horizon (the model's by default) finite and >= 0.  All randomness
+    horizon (the model's by default) finite and >= 0.  A walk rejects a
+    first level whose cutoff, or a numeric stream_rate, expects more than
+    MAX_STREAM_EVENTS events over the horizon, and a horizon / dt_target
+    above MAX_GRID_NODES.  All randomness
     derives from (seed, trajectory index): trajectories sharing both are
     fully coupled.
     """
@@ -404,6 +415,19 @@ class _Walk:
         self.model, self.cfg, self.levels = model, cfg, _level_schedule(cfg, levels)
         self.cutoffs = [auto_truncation(model, m) if cfg.mark_cutoff == "auto"
                         else float(cfg.mark_cutoff) for m in self.levels]
+        expected = [(f"level {self.levels[0]}", self.cutoffs[0])]
+        if cfg.stream_rate != "auto":
+            expected.append((f"stream_rate {cfg.stream_rate!r}", float(cfg.stream_rate)))
+        for key, rate in expected:
+            if rate * self.horizon > MAX_STREAM_EVENTS:
+                raise ConfigError(f"{key} expects {rate * self.horizon:.3g} stream events per path "
+                                  f"over horizon {self.horizon:g}, more than "
+                                  f"MAX_STREAM_EVENTS = {MAX_STREAM_EVENTS}")
+        nodes = self.horizon / cfg.dt_target
+        if nodes > MAX_GRID_NODES:
+            raise ConfigError(f"dt_target {cfg.dt_target!r} expects {nodes:.3g} grid nodes per "
+                              f"path over horizon {self.horizon:g}, more than "
+                              f"MAX_GRID_NODES = {MAX_GRID_NODES}")
         top = max(self.cutoffs)
         if stream is not None and not (stream.horizon >= self.horizon and stream.k_max >= top):
             raise ConfigError(f"stream of horizon {stream.horizon} and ceiling {stream.k_max} "

@@ -53,27 +53,31 @@ class RateMatrix:
     cutoff is classified.  A subclass that overrides ``anchor`` or
     ``row_sum`` without giving its own ``territory`` gets ``None``.
 
-    ``radial = True`` declares that ``rate``, ``rate_block``, ``row_tail``
-    and ``beta_tail`` depend on x only through ``radius(x)``; the
-    certificate checkers then sum each growth-weighted series once per
-    (radius, regime), in one pass per regime over the distinct radii, and
-    share it between grid points of equal radius.  A subclass that
-    overrides any of those four methods without setting ``radial`` itself
-    gets ``False``.
+    ``factor(i, x)`` is optional.  A factor declares that every rate of row
+    i is proportional to it: ``rate``, ``rate_block``, ``row_tail`` and
+    ``beta_tail`` depend on x only through ``factor(i, x)``, a float >= 0,
+    and ``rate(i, k, x) = factor(i, x) * rate(i, k, x0) / factor(i, x0)``
+    in real arithmetic for all x and x0.  The certificate checkers then sum
+    each growth-weighted series once per regime, at its grid point of
+    largest factor, and scale it to screen the other points; per-point
+    series are summed only where the report can name the node, and shared
+    between points of equal factor.  ``None`` (the default) means one series
+    per point.  A subclass that overrides any of those four methods without
+    giving its own ``factor`` gets ``None``.
     """
 
     territory = None
-    radial = False
+    factor = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # inherited bands are only valid for the layout they were written for
         if "territory" not in vars(cls) and {"anchor", "row_sum"} & vars(cls).keys():
             cls.territory = None
-        # and an inherited radial claim only for the rates it was made for
-        if "radial" not in vars(cls) and \
+        # and an inherited factor only for the rates it was declared for
+        if "factor" not in vars(cls) and \
                 {"rate", "rate_block", "row_tail", "beta_tail"} & vars(cls).keys():
-            cls.radial = False
+            cls.factor = None
 
     def rate(self, i, j, x):
         raise NotImplementedError
@@ -122,8 +126,6 @@ class DenseRates(RateMatrix):
     entries must be nonnegative.
     """
 
-    radial = True
-
     def __init__(self, q):
         q = np.array(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -139,6 +141,9 @@ class DenseRates(RateMatrix):
         rev = np.cumsum(off[:, ::-1], axis=1)[:, ::-1]
         self._suffix = rev
         self._cum = np.concatenate([[0.0], np.cumsum(self._row_sums)])
+
+    def factor(self, i, x):
+        return 1.0
 
     def rate(self, i, j, x):
         if i == j or i > self.size or j > self.size:

@@ -1,5 +1,6 @@
 """Certificate checkers, series brackets and the power-law rate family."""
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -296,6 +297,25 @@ class TestGridSpec:
             GridSpec(np.zeros((1, 1)), 2, times)
 
 
+    @pytest.mark.parametrize("points,regimes", [
+        (np.array([[0.0], [1.0]]), 2.5),
+        (np.array([[0.0], [1.0]]), "2"),
+        (np.array([[0.0], [np.nan]]), 2),
+        (np.array([[np.inf], [1.0]]), 2),
+        (np.array([0.0, 1.0]), 2),
+        (np.array([[0.0, 1.0]]), 2),
+    ], ids=["fractional-regimes", "string-regimes", "nan-point", "inf-point",
+            "flat-points", "two-vector"])
+    @pytest.mark.parametrize("check", ["poly", "exp", "beta-sum"])
+    def test_grid_checked_against_the_model(self, points, regimes, check):
+        # a fractional regime count raised a raw TypeError in the sweep; a NaN
+        # point reported certified=False, margin=inf, nodes=0; a flat array
+        # of two 1-D points was evaluated as one 2-vector
+        model = make_model("powerlaw")
+        with pytest.raises(ConfigError):
+            dict(TestRadialSharing.CHECKS)[check](model, GridSpec(points, regimes, (0.0,)))
+
+
 class TestPolynomialChecker:
     def test_two_regime_ou_certified(self):
         rates = DenseRates([[0.0, 1.0], [2.0, 0.0]])
@@ -394,8 +414,9 @@ def series_keys(spy, key):
 
 class TestSweep:
     def test_one_dispersion_call_per_node(self):
-        # the sweep evaluates sigma once per node and, for radial rates, the
-        # series once per (radius, j): 9 points on 5 radii
+        # the sweep evaluates sigma once per node and, for rates with a
+        # factor, one reference series per j, at the largest radius, plus the
+        # per-point series of the nodes it refines: 9 points on 5 radii
         base = make_model("powerlaw")
         calls = []
 
@@ -411,14 +432,15 @@ class TestSweep:
         assert rep.tails_certified
         assert len(calls) == rep.nodes == 9 * 4 * 3
         starts = series_keys(spy, radius)
-        assert len(starts) == len(set(starts)) == rep.series == 5 * 4
+        assert len(starts) == len(set(starts)) == rep.series == 4 + 2
+        assert starts[:4] == [(j, 4.0) for j in range(1, 5)]
         calls.clear()
         rep = check_condition_exp(m, ExponentialCertificate(0.5, 1.0, 1.0, 1.0), grid)
         assert len(calls) == 9 * 4 * 3
-        assert rep.series == 5 * 4
+        assert rep.series == 4 + 2
 
     def test_one_series_per_node_for_non_radial_rates(self):
-        # these rates tell y from -y, so nothing is shared
+        # these rates tell y from -y and declare no factor, so nothing is shared
         def q(y):
             return np.full((4, 4), 1.0 + max(float(y[0]), 0.0))
 
@@ -564,15 +586,16 @@ def report_fields(rep, skip=("series", "columns")):
 
 
 class NonRadialPowerLaw(PowerLawRates):
-    radial = False
+    factor = None
 
 
 class RadialEndlessRow2(EndlessRow2):
-    radial = True
+    def factor(self, i, x):
+        return 1.0
 
 
 class TestRadialSharing:
-    """Sharing series between points of one radius changes no reported field."""
+    """Screening points by a factor changes no reported field."""
 
     CHECKS = [
         ("poly", lambda m, g: check_condition_poly(m, PolynomialCertificate(1.0, 0.8, 3.0), g)),
@@ -599,14 +622,16 @@ class TestRadialSharing:
         if name != "beta-sum":
             assert len(shared.violations) == 5
             assert radius(shared.worst[0]) > 0
-            # 1 + 2 * dim * 3 points on 4 radii
-            assert (shared.series, plain.series) == (4 * 6, (1 + 6 * dim) * 6)
+            # 1 + 2 * dim * 3 points on 4 radii: one reference per regime,
+            # plus the per-point series the report needs
+            assert (shared.series, plain.series) == \
+                (6 + {"poly": 0, "exp": 1}[name], (1 + 6 * dim) * 6)
             assert shared.columns < plain.columns
 
     @pytest.mark.parametrize("name,check", CHECKS, ids=[c[0] for c in CHECKS])
     def test_budget_failures_equal_unshared(self, name, check):
-        # row 2's series fails on every point; a shared failure is still
-        # listed once per point
+        # row 2's series fails on every point, its reference first; a shared
+        # failure is still listed once per point
         m = model_of(lambda x, i, t: -x, lambda x, i, t: np.eye(1), EndlessRow2())
         grid = GridSpec(np.linspace(-2.0, 2.0, 5)[:, None], regimes=3, times=(0.0, 1.0))
         with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", 1000):
@@ -618,7 +643,7 @@ class TestRadialSharing:
             assert shared.failed_nodes == [(a, 2) for a in range(5)]
         else:
             assert shared.nodes == 5 * 2 * 2
-            assert (shared.series, plain.series) == (3 * 3, 5 * 3)
+            assert (shared.series, plain.series) == (3, 5 * 3)
 
 
 def exact(outcome):
@@ -633,14 +658,14 @@ def tally_of(tally):
 
 
 def lone_nodes(pts, regimes, rates, beta, tally):
-    """Each (key, j) summed alone on its first point-major visit, as before batching.
+    """Each (j, key) summed alone on its first point-major visit, as before batching.
 
     Returns the outcomes in the sweep's node order and the failed (a, j).
     """
     memo, out, failed = {}, [], []
     for a, y in enumerate(pts):
-        key = radius(y) if rates.radial else a
         for j in range(1, regimes + 1):
+            key = a if rates.factor is None else rates.factor(j, y)
             if (key, j) not in memo:
                 memo[key, j], = certify._series_batch(rates, j, [y], beta, tally)
             value = memo[key, j]
@@ -702,8 +727,9 @@ class TestBatchedSeries:
 
             swept, failed, alone = certify._Tally(), [], certify._Tally()
             try:
-                nodes = [s for *_, s in certify._series_nodes(pts, regimes, rates, beta,
-                                                             swept, failed)]
+                regs = [certify._Regime(rates, j, pts, beta, swept, screen=False)
+                        for j in range(1, regimes + 1)]
+                nodes = [s for _, _, _, s, _ in certify._series_nodes(pts, regs, failed)]
             except TailUnresolvable as exc:
                 with pytest.raises(TailUnresolvable) as info:
                     lone_nodes(pts, regimes, rates, beta, alone)
@@ -737,6 +763,116 @@ class TestBatchedSeries:
         assert rep.series == 21 * 4
         queried = {(c.args[0], c.args[2]) for c in tails.call_args_list}
         assert quad.call_count == len(queried) < tails.call_count
+
+
+screened_power_laws = st.builds(
+    PowerLawRates, st.one_of(st.sampled_from([2.5, 3.0]), st.floats(2.0, 5.0, exclude_min=True)),
+    st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+screened_rates = st.one_of(
+    screened_power_laws,
+    screened_power_laws,
+    matrices.map(DenseRates),
+    st.integers(1, 4).map(lambda n: DenseRates(np.zeros((n, n)))),
+)
+
+
+@st.composite
+def screened_points(draw, dim):
+    """Points on a few radii, 0 among them, each on an axis, some mirrored."""
+    radii = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 2.0, 6.5]), st.floats(0.0, 10.0)),
+                          min_size=1, max_size=5))
+    pts = []
+    for r in radii:
+        y = np.zeros(dim)
+        y[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([r, -r]))
+        pts += [y, -y] if draw(st.booleans()) else [y]
+    return np.array(pts)
+
+
+def checker_outcome(check, model, grid):
+    """A report's fields less the work counts, or its error as (type, definitive, message)."""
+    try:
+        return report_fields(check(model, grid), skip=("series", "columns", "max_half_width"))
+    except TailUnresolvable as exc:
+        return exact(exc)
+
+
+class TestScreen:
+    """A reference series per regime, scaled by the factor, bounds every per-point series."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rates=screened_rates, dim=st.sampled_from([1, 2]), data=st.data(),
+           beta=st.one_of(st.sampled_from([0.5, 1.0, 1.3]), st.floats(0.1, 2.5)),
+           budget=st.sampled_from([600, 5_000, 60_000, 10**6]),
+           rel_tol=st.sampled_from([1e-10, 1e-7, 1e-5]))
+    def test_scaled_ends_bound_per_point_series(self, rates, dim, data, beta, budget, rel_tol):
+        # a looser tolerance certifies more rows within a budget
+        pts = data.draw(screened_points(dim))
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", budget), \
+                mock.patch("switchdiff.certify.SERIES_REL_TOL", rel_tol):
+            for j in range(1, data.draw(st.integers(1, 6)) + 1):
+                reg = certify._Regime(rates, j, pts, beta, certify._Tally(), screen=True)
+                event("screened" if reg.bounds else "per point")
+                for a, (down_hi, up_hi, zero) in reg.bounds.items():
+                    # a point of smaller factor certifies where the reference does
+                    down, up, half = lone_series(rates, j, pts[a], beta)
+                    assert zero == 0.0
+                    assert down <= down_hi and up + half <= up_hi, (j, pts[a])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rates=screened_rates, dim=st.sampled_from([1, 2]), data=st.data(),
+           beta=st.one_of(st.sampled_from([0.5, 1.0, 1.3]), st.floats(0.1, 2.5)),
+           budget=st.sampled_from([600, 5_000, 60_000, 10**6]),
+           rel_tol=st.sampled_from([1e-10, 1e-7, 1e-5]),
+           slope=st.one_of(st.sampled_from([0.0, 2.0, -1.0]), st.floats(-3.0, 3.0)),
+           noise=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+           growth=st.one_of(st.sampled_from([0.0, 0.5, 3.0]), st.floats(0.0, 10.0)))
+    def test_reports_equal_per_point_sweep(self, rates, dim, data, beta, budget, rel_tol,
+                                           slope, noise, growth):
+        grid = GridSpec(data.draw(screened_points(dim)), data.draw(st.integers(1, 5)),
+                        (0.0, 0.5, 1.0))
+        per_point = copy.copy(rates)
+        per_point.factor = None
+        checks = [
+            lambda m, g: check_condition_poly(m, PolynomialCertificate(1.0, beta, growth), g),
+            lambda m, g: check_condition_exp(
+                m, ExponentialCertificate(0.5, growth + 0.1, beta, 1.0), g),
+            lambda m, g: check_local_bounded_beta_sum(m, beta, g),
+        ]
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", budget), \
+                mock.patch("switchdiff.certify.SERIES_REL_TOL", rel_tol):
+            for check in checks:
+                got, want = (checker_outcome(check, model_of(
+                    lambda x, i, t: slope * x, lambda x, i, t: noise * np.eye(dim), r, dim), grid)
+                    for r in (rates, per_point))
+                assert got == want
+
+    def test_reference_at_largest_factor_keeps_the_failure_set(self):
+        # within 600 columns regime 1's series certifies at radius 0 but not
+        # at radius 2, so only a reference at radius 2 fails where a point
+        # does; regime 2's fails everywhere
+        rates, per_point = PowerLawRates(3.0, 1.0), PowerLawRates(3.0, 1.0)
+        per_point.factor = None
+        grid = GridSpec(np.array([[0.0], [2.0], [-2.0]]), 2, (0.0, 1.0))
+        cert = PolynomialCertificate(1.0, 0.5, 3.0)
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", 600), \
+                mock.patch("switchdiff.certify.SERIES_REL_TOL", 1e-7):
+            assert lone_series(rates, 1, grid.points[0], 0.5)
+            with pytest.raises(TailUnresolvable):
+                lone_series(rates, 1, grid.points[1], 0.5)
+            rep, want = (check_condition_poly(zero_model(r), cert, grid)
+                         for r in (rates, per_point))
+        assert not rep.tails_certified and rep.nodes == 1 * 2
+        assert report_fields(rep) == report_fields(want)
+
+    def test_margin_ties_go_to_node_order(self):
+        # every margin is 0, but the screened bounds below them are not
+        # equal: the worst node is still the first in node order
+        m = zero_model(DenseRates(np.zeros((2, 2))))
+        grid = GridSpec(np.array([[2.0], [0.0], [-1.0]]), 2, (0.0, 1.0))
+        rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 0.0), grid)
+        assert rep.certified and rep.margin == 0.0
+        assert rep.worst[0].tolist() == [2.0] and rep.worst[1:] == (1, 0.0)
 
 
 def fingerprint(rep):
@@ -774,7 +910,9 @@ def golden_report(name, check):
         return check_local_bounded_beta_sum(m, beta, grid)
 
 
-# recorded before the series were summed regime-major
+# recorded before the series were summed regime-major; the series and
+# columns of the factored cases since, one reference per regime plus the
+# per-point series the report needs
 CHECKER_GOLDENS = {
     ("dim1", "poly"): (
         "-2.284557659113675",
@@ -784,7 +922,7 @@ CHECKER_GOLDENS = {
          ("-2.284557659113675", "[0.0]", 1, "1.0"),
          ("-1.7355676329021938", "[0.0]", 2, "0.0"),
          ("-1.7355676329021938", "[0.0]", 2, "0.5")],
-        False, 93, 40, 9220194, "4.165821723169094e-09"),
+        False, 93, 28, 6866970, "4.165821723169094e-09"),
     ("dim1", "exp"): (
         "-2.319033568679698",
         ("[0.0]", 1, "0.0"),
@@ -793,7 +931,7 @@ CHECKER_GOLDENS = {
          ("-2.319033568679698", "[0.0]", 1, "1.0"),
          ("-2.303876104903107", "[0.0]", 4, "0.0"),
          ("-2.303876104903107", "[0.0]", 4, "0.5")],
-        False, 93, 40, 9220194, "4.165821723169094e-09"),
+        False, 93, 28, 6866970, "4.165821723169094e-09"),
     ("dim1", "beta-sum"): (
         "161.81337306254517",
         ("[20.0]", 8),
@@ -811,7 +949,7 @@ CHECKER_GOLDENS = {
          ("-1.2786851829396966", "[6.5, 0.0]", 1, "1.0"),
          ("-1.2786851829396966", "[-6.5, 0.0]", 1, "0.0"),
          ("-1.2786851829396966", "[-6.5, 0.0]", 1, "0.5")],
-        True, 234, 24, 372796, "1.1687575902383333e-09"),
+        True, 234, 6, 95247, "1.1687575902383333e-09"),
     ("dim2", "exp"): (
         "-1.9091710534723902",
         ("[4.333333333333333, 0.0]", 1, "0.0"),
@@ -820,7 +958,7 @@ CHECKER_GOLDENS = {
          ("-1.9091710534723902", "[4.333333333333333, 0.0]", 1, "1.0"),
          ("-1.9091710534723902", "[-4.333333333333333, 0.0]", 1, "0.0"),
          ("-1.9091710534723902", "[-4.333333333333333, 0.0]", 1, "0.5")],
-        True, 234, 24, 372796, "1.1687575902383333e-09"),
+        True, 234, 7, 111119, "1.1687575902383333e-09"),
     ("dim2", "beta-sum"): (
         "33.23308793358234",
         ("[6.5, 0.0]", 6),

@@ -80,9 +80,12 @@ class TestBadInput:
         "command = moments\nmodel = ou2\nt = inf\n",
         "command = certify\nmodel = ou2\ngrid.times = 1,0\n",
         "command = oracle\nmodel = ctmc2\ntimes =\n",
+        "command = ensemble\nmodel = powerlaw\nn = 5\nsim.stop_level = 1024\n",
+        "command = simulate\nmodel = ou2\nsim.dt_target = 1e-9\n",
     ], ids=["dt_target", "stream_rate", "mark_cutoff", "record", "i0", "cert.p",
             "grid.regimes", "grid.times", "j_trunc", "oracle-n", "oracle-t", "m_list",
-            "dt_target-inf", "horizon-inf", "t-inf", "grid.times-reversed", "oracle-times"])
+            "dt_target-inf", "horizon-inf", "t-inf", "grid.times-reversed", "oracle-times",
+            "stop_level-1024", "dt_target-1e-9"])
     def test_config_error_exits_2(self, tmp_path, capsys, body):
         cfg = write_config(tmp_path / "c.cfg", body + "seed = 1\n")
         assert run_cli("--config", cfg, "--out", str(tmp_path / "r"), "--threads", "1") == 2
@@ -163,7 +166,7 @@ CERTIFY_POWERLAW = ("command = certify\nmodel = powerlaw\nseed = 0\n"
 class TestCertifyOutput:
     # _report.csv bytes of these runs as a sweep that sums every point's
     # series column by column writes them; reading rates from the m^-gamma
-    # table and sharing series by radius must not move a bit
+    # table and screening points by the rate factor must not move a bit
     GOLDEN = {
         "poly": ("cert.kind = poly\ncert.p = 1.0\ncert.beta = 1.0\ncert.growth = 3.0\n",
                  "b9ad107a62f6ebe1d45514c9c6aafb76f3eadd6af9aeb005c60ffc853224bd82"),
@@ -175,19 +178,22 @@ class TestCertifyOutput:
     # half-width of sweeps that built every block's k^beta as
     # np.arange(lo, hi, dtype=float) ** beta; at 1.6 every series runs out
     # of columns: the run exits 0 and reports tails_certified = False
+    # The series and columns since follow the factor screen: one reference
+    # per regime plus the per-point series the report needs; at 1.6 every
+    # reference fails, so every point is summed.
     GOLDEN_BETA = {
         ("poly", 0.5): ("f1dda04162c6cd0099ff4cd93519b8d5dc815bd51d097b0d5816a90daba97aee",
-                        4380702, 6.282193877807006e-10),
+                        5, 1111558, 6.282193877807006e-10),
         ("exp", 0.5): ("6bbe0f60e3f1a19dd1cc368804a5701a8d9b39be24eff51c7b5ddafa0712c0d8",
-                       4380702, 6.282193877807006e-10),
+                       6, 1307655, 6.282193877807006e-10),
         ("poly", 1.3): ("54cd2cdb714dc3e0185c0847e6f79637490340b4c1c3baf01b192cf09155c8db",
-                        8116254, 2.163684564198201e-09),
+                        5, 2029062, 2.163684564198201e-09),
         ("exp", 1.3): ("72301359866563016ee316e026dc24d9b808d7eb751d58241ae0140aaa22de2e",
-                       8116254, 2.163684564198201e-09),
+                       6, 2421767, 2.163684564198201e-09),
         ("poly", 1.6): ("c8adeb7ff23a73e6dde100abb949cff2ac880e7695dbeff928a75a8538e72d34",
-                        20961280, 0.0),
+                        20, 20961280, 0.0),
         ("exp", 1.6): ("bc746fd6e7e146f5bdbffaa7d903f044ea8359ba4c297479dac1d86ace39a0b6",
-                       20961280, 0.0),
+                       20, 20961280, 0.0),
     }
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN))
@@ -200,14 +206,14 @@ class TestCertifyOutput:
 
     @pytest.mark.parametrize("kind,beta", sorted(GOLDEN_BETA))
     def test_report_bytes_unchanged_at_inexact_beta(self, tmp_path, kind, beta):
-        digest, columns, half = self.GOLDEN_BETA[kind, beta]
+        digest, series, columns, half = self.GOLDEN_BETA[kind, beta]
         cert = self.GOLDEN[kind][0].replace("cert.beta = 1.0", f"cert.beta = {beta}")
         cfg = write_config(tmp_path / "c.cfg", CERTIFY_POWERLAW + cert)
         assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
         data = (tmp_path / "c_report.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
         meta = (tmp_path / "c_meta.txt").read_text().splitlines()
-        assert meta[-3:] == ["series = 20", f"columns = {columns}",
+        assert meta[-3:] == [f"series = {series}", f"columns = {columns}",
                              f"max_half_width = {half!r}"]
 
     def test_series_work_goes_to_meta_only(self, tmp_path):
@@ -215,9 +221,10 @@ class TestCertifyOutput:
         assert run_cli("--config", cfg, "--out", str(tmp_path / "c")) == 0
         rep = check_condition_poly(make_model("powerlaw"), PolynomialCertificate(1.0, 1.0, 3.0),
                                    default_grid(1, n_radii=5, regimes=4))
-        # one series per (radius, regime), each bracket within the series tolerance
-        assert rep.series == 5 * 4
-        assert rep.columns > 5 * 4 * 512
+        # one reference per regime plus the one per-point series at the worst
+        # node, each bracket within the series tolerance
+        assert rep.series == 4 + 1
+        assert rep.columns > 5 * 512
         assert 0.0 < rep.max_half_width < 1e-8
         meta = (tmp_path / "c_meta.txt").read_text().splitlines()
         assert meta[-3:] == [f"series = {rep.series}", f"columns = {rep.columns}",

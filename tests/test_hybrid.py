@@ -1,6 +1,8 @@
 """Interlacing solver: coupling, localization, escalation, explosion."""
 
 import math
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -435,6 +437,45 @@ class TestInputValidation:
         # they used to fail only when a stream was sampled, with a raw ValueError
         with pytest.raises(ConfigError):
             SimConfig(stop_level=8, **{key: value})
+
+    # stop_level 1024 with the CLI's 64x ceiling: about 3.8e6 events per path at
+    # the first level on powerlaw and 1.6e10 at the top; 1e9 grid nodes per
+    # path; 1e9 stream events per path
+    OVERSIZED = [("powerlaw", {"stop_level": 1024, "max_stop_level": 64 * 1024}, "level 1024"),
+                 ("ou2", {"stop_level": 8, "dt_target": 1e-9}, "dt_target"),
+                 ("ou2", {"stop_level": 8, "stream_rate": 1e9}, "stream_rate")]
+
+    @pytest.mark.parametrize("name,kwargs,key", OVERSIZED, ids=[c[2] for c in OVERSIZED])
+    def test_oversized_walk_rejected_before_any_draw(self, name, kwargs, key):
+        model, cfg = make_model(name), SimConfig(seed=1, **kwargs)
+        rejected_before_any_draw(lambda: run_ensemble(model, [0.5], 1, cfg, 4))
+        with pytest.raises(ConfigError, match=key):
+            simulate(model, [0.5], 1, cfg)
+
+    def test_oversized_walks_rejected_within_a_second_under_a_memory_limit(self):
+        # in a child limited to 1 GiB of address space, so that nothing the
+        # size of the stream or grid can be allocated first
+        child = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from switchdiff import ConfigError, SimConfig, make_model, simulate\n"
+            f"for name, kwargs, _ in {self.OVERSIZED!r}:\n"
+            "    start = time.perf_counter()\n"
+            "    try:\n"
+            "        simulate(make_model(name), [0.5], 1, SimConfig(seed=1, **kwargs))\n"
+            "    except ConfigError as exc:\n"
+            "        print(time.perf_counter() - start, exc)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(self.OVERSIZED)
+        for line, (_, _, key) in zip(lines, self.OVERSIZED):
+            seconds, message = line.split(" ", 1)
+            assert float(seconds) < 1.0 and message.startswith(key), line
 
     def test_negative_seed_rejected(self):
         # it used to be accepted and to fail with a raw ValueError at the

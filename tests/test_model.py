@@ -461,6 +461,8 @@ class TestRateBlock:
             == [rates.rate_block(1, 1 + d, 2 + d, x)[0] for d in ds]
 
     def test_radial_claim_is_dropped_by_overrides(self):
+        # a declared factor is dropped by a subclass that overrides a rate
+        # method without declaring its own
         class Scaled(PowerLawRates):
             def rate(self, i, j, x):
                 return 2.0 * super().rate(i, j, x)
@@ -470,16 +472,18 @@ class TestRateBlock:
                 return super().row_tail(i, x, n)
 
         class Declared(Scaled):
-            radial = True
+            def factor(self, i, x):
+                return 2.0 * self._growth(i, x)
 
         class Relaid(PowerLawRates):
             def anchor(self, i, x):
                 return super().anchor(i, x) + 1.0
 
-        assert PowerLawRates(3.0, 1.0).radial and DenseRates(Q3).radial
-        assert not FunctionRates(2, lambda x: np.ones((2, 2)), 2.0).radial
-        assert not Scaled(3.0, 1.0).radial
-        assert not Cut(Q3).radial
-        assert Declared(3.0, 1.0).radial
+        x = np.array([-2.0])
+        assert PowerLawRates(3.0, 1.0).factor(3, x) == 5.0 and DenseRates(Q3).factor(3, x) == 1.0
+        assert FunctionRates(2, lambda x: np.ones((2, 2)), 2.0).factor is None
+        assert Scaled(3.0, 1.0).factor is None
+        assert Cut(Q3).factor is None
+        assert Declared(3.0, 1.0).factor(3, x) == 10.0
         # the series never read the mark layout
-        assert Relaid(3.0, 1.0).radial
+        assert Relaid(3.0, 1.0).factor(3, x) == 5.0
