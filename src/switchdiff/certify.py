@@ -8,7 +8,8 @@ beta > 0 and an integrable growth rate C(t) with
       <= C(t) [1 + j^b / (1+|y|^2)^p]
 
 for all (y, j); it yields the moment bound
-exp(int_0^t C) * [(1+|x|^2)^p + p i^b] for the stopped trajectory functional.
+exp(p int_0^t C) * [(1+|x|^2)^p + p i^b] for the stopped trajectory
+functional F, since the generator then gives L F <= p C F.
 The exponential form replaces the polynomial weight with
 (1+|y|^2)^a * exp{.} weights, splitting downward (k <= j) and upward (k > j)
 switching terms.
@@ -716,14 +717,16 @@ def _simpson(fn, a, b):
 
 
 def gronwall_bound_poly(cert, x0, i0, t):
-    """Moment bound exp(int_0^t C(s) ds) * [(1+|x0|^2)^p + p * i0^beta].
+    """Moment bound exp(p * int_0^t C(s) ds) * [(1+|x0|^2)^p + p * i0^beta].
 
-    The growth integral is composite Simpson over 1,000 intervals.
+    The checked inequality gives L F <= p C F for the functional F, hence
+    the factor p in the exponent.  The growth integral is composite Simpson
+    over 1,000 intervals.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     integral = _simpson(cert.growth, 0.0, float(t))
     f0 = (1.0 + float(x0 @ x0)) ** cert.p + cert.p * float(i0) ** cert.beta
-    return math.exp(integral) * f0
+    return math.exp(cert.p * integral) * f0
 
 
 def exit_level_infimum(cert, level):

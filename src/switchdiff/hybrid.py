@@ -15,7 +15,8 @@ cutoff outgrows it, classifies the node's remaining marks and walks on over
 a grid drawn from that node, so every lower-level path is a prefix of the
 higher-level one.  Reaching the level ceiling or a non-finite state is an
 operational explosion, since true blow-up is unobservable in finite
-precision.
+precision.  A step or a mark classification that overflows leaves a
+non-finite state, which ends its row at the node the step reached.
 
 Between events the walk is the Euler-Maruyama recursion of the current
 regime on a breakpoint-aligned grid: its start time, the stream events
@@ -32,12 +33,12 @@ randomness state-dependently and break cross-cutoff coupling.
 ``walk`` is the one kernel.  It steps a block of trajectories in lockstep:
 each row keeps its own substreams, grid, stop level, cutoff and node, and
 one vectorised Euler update moves every row that sits between events by
-one node of its own grid.  Only rows on an event node, near their level or
-at the end of their grid drop to per-row code, which classifies marks,
-raises levels, draws grids and ends rows exactly as a single walk would, so
-a row's result does not depend on its block.  The update uses a model's
-batch coefficients when it has them and the per-row ``drift`` and
-``dispersion`` otherwise.  ``simulate`` is a batch of one.
+one node of its own grid.  Only rows on an event node, near their level,
+at the end of their grid or with a non-finite state drop to per-row code,
+which classifies marks, raises levels, draws grids and ends rows exactly as
+a single walk would, so a row's result does not depend on its block.  The
+update uses a model's batch coefficients when it has them and the per-row
+``drift`` and ``dispersion`` otherwise.  ``simulate`` is a batch of one.
 
 A block starts in one pass (``_Walk.begin``).  ``philox_keys`` derives the
 Philox keys of the POISSON and BROWNIAN substreams of every distinct
@@ -279,31 +280,28 @@ def _band(lo, hi):
 
 
 def _step_terms(model, X, lam, t, dt, dW):
-    """The drift and noise terms of one Euler step of every row.
+    """The drift and noise terms ``(b * dt, sigma @ dW)`` of one Euler step of every row.
 
-    dt is a column of steps.  Returns ``(b * dt, sigma @ dW, failed)``.  A
-    model's batch forms give both terms at once; models without them, and a
-    batch that overflows, take the per-row expression of ``drift`` and
-    ``dispersion``, where an overflow marks only its own row as failed
-    (``failed`` is None when no row failed).
+    dt is a column of steps.  A model's batch forms give both terms at once;
+    models without them, and a batch that overflows, take the per-row
+    expression of ``drift`` and ``dispersion``.  Where a row's coefficients
+    overflow, both of its terms are NaN: a step that overflows leaves a
+    non-finite state, which ends its row at the node the step reached.
     """
     if model.drift_batch is not None:
         try:
-            return model.drift_batch(X, lam, t) * dt, model.noise_batch(X, lam, t, dW), None
+            return model.drift_batch(X, lam, t) * dt, model.noise_batch(X, lam, t, dW)
         except (OverflowError, FloatingPointError):
             pass
     drift, dispersion = model.drift, model.dispersion
     bdt, noise = np.empty_like(X), np.empty_like(X)
-    failed = None
     for i, (x, li, ti, hi, wi) in enumerate(zip(X, lam.tolist(), t, dt[:, 0], dW)):
         try:
             bdt[i] = drift(x, li, ti) * hi
             noise[i] = dispersion(x, li, ti) @ wi
         except (OverflowError, FloatingPointError):
-            if failed is None:
-                failed = np.zeros(len(X), dtype=bool)
-            failed[i] = True
-    return bdt, noise, failed
+            bdt[i] = noise[i] = np.nan
+    return bdt, noise
 
 
 def _events(stream, t, horizon):
@@ -505,8 +503,11 @@ class _Walk:
         In the order of one walk: the level check (raising the level in
         place, or ending the row at the last level or a non-finite radius),
         the node's remaining marks, a grid draw when the level was raised,
-        and the end of the grid.  Returns True once ``aim`` has sent the row
-        on to its next target, False once it has ended.
+        and the end of the grid.  Every row ends here, and a non-finite one
+        at the level check: a step or classification that overflows leaves
+        a non-finite state, which ends its row at the node the step reached.
+        Returns True once ``aim`` has sent the row on to its next target,
+        False once it has ended.
         """
         try:
             while True:
@@ -537,14 +538,15 @@ class _Walk:
                 else:
                     return self.end(row, PathStatus("horizon"))
         except (OverflowError, FloatingPointError):
-            # an overflow in in-grid classification ends the path at a
-            # non-finite next node; one at a stop node, where the level was
-            # just raised, ends it at the stop time
+            # an overflow in in-grid classification leaves a non-finite state
+            # at the next node; one at a stop node, where the level was just
+            # raised, leaves it at the stop time.  The level check ends it.
             if not row.stale:
                 row.k = min(row.k + 1, row.n_nodes - 1)
                 row.t = self.grids.table[row.off + row.k, 0]
             row.x = np.full(self.dim, np.nan)
-            return self.end(row, PathStatus("exploded", float(row.t), None))
+            row.r = math.nan
+            return self.advance(row)
 
     def draw(self, groups):
         """Draw one grid per group of rows and put every row of a group on it.
@@ -678,12 +680,12 @@ class _Walk:
 
         Each iteration moves all live rows one node along their own grids.
         Rows that reach their target, leave their window (which keeps them
-        clear of their level) or fail drop to ``advance``, which either
-        sends them on through ``aim``, past the marks that cannot switch
-        them, or ends them.  A stop re-reads the marks from its node on, the
-        ones the band skipped included.
+        clear of their level) or turn non-finite drop to ``advance``, which
+        either sends them on through ``aim``, past the marks that cannot
+        switch them, or ends them.  A stop re-reads the marks from its node
+        on, the ones the band skipped included.
         """
-        g, d = self.grids, self.dim
+        g = self.grids
         X = np.array([row.x for row in live])
         pos = np.array([row.off + row.k for row in live])
         end = np.array([row.off + row.target for row in live])
@@ -692,16 +694,13 @@ class _Walk:
         whi = np.array([row.whi for row in live])
         while live:
             node = g.table.take(pos, axis=0)
-            bdt, noise, failed = _step_terms(self.model, X, lam, node[:, 0], node[:, 1:2],
-                                             node[:, 2:])
+            bdt, noise = _step_terms(self.model, X, lam, node[:, 0], node[:, 1:2], node[:, 2:])
             X = X + bdt + noise
             pos = pos + 1
             if g.states is not None:
                 g.states[pos] = X
             r = _radii(X)
             go = (wlo <= r) & (r < whi) & (pos != end)
-            if failed is not None:
-                go &= ~failed
             if np.count_nonzero(go) == len(live):
                 continue
             ended = []
@@ -709,11 +708,6 @@ class _Walk:
                 row = live[i]
                 p = int(pos[i])
                 row.k, row.t = p - row.off, g.table[p, 0]
-                if failed is not None and failed[i]:
-                    row.x = np.full(d, np.nan)
-                    self.end(row, PathStatus("exploded", float(row.t), None))
-                    ended.append(i)
-                    continue
                 row.x = X[i].copy()
                 row.r = radius(row.x)
                 # the first mark not yet classified is the first at or after this node

@@ -28,6 +28,10 @@ from .model import radius
 
 # largest simulated mass above j_trunc that ctmc_oracle accepts
 ORACLE_LEAK_TOL = 1e-3
+# the fields of run_ensemble's terminal record, in record order, with their dtypes
+_RECORD = (("t_end", float), ("x_end", float), ("lam_end", np.int64), ("kind", str),
+           ("tau", float), ("nonfinite", bool), ("hit", float), ("max_regime", np.int64),
+           ("switches", np.int64))
 
 
 @dataclass
@@ -101,6 +105,7 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
         hit = [st.tau if st.nonfinite else math.inf] * len(levels)
         for lv, tau in row.escalations:
             hit[slot[lv]] = tau
+        # in the order of _RECORD
         return (float(row.t), tuple(row.x.tolist()), row.lam, st.kind,
                 math.nan if st.tau is None else st.tau, st.nonfinite, tuple(hit),
                 max([int(i0)] + [s.dst for s in row.switches]), len(row.switches))
@@ -111,19 +116,12 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
             [starts[r % m] for r in rows], i0, [first[r % m] + r // m for r in rows])]
 
     recs = map_indices(block, m * n, threads, hybrid.BLOCK_ROWS)
-    cols = list(zip(*(rec for s in range(m) for rec in recs[s::m]))) or [()] * 9
+    # no starts give no records, and an empty column under every field
+    cols = list(zip(*(rec for s in range(m) for rec in recs[s::m]))) or [()] * len(_RECORD)
     lead = (m, n) if several else (n,)
-    return {
-        "t_end": np.array(cols[0], dtype=float).reshape(lead),
-        "x_end": np.array(cols[1], dtype=float).reshape(lead + (model.dim,)),
-        "lam_end": np.array(cols[2], dtype=np.int64).reshape(lead),
-        "kind": np.array(cols[3], dtype=str).reshape(lead),
-        "tau": np.array(cols[4], dtype=float).reshape(lead),
-        "nonfinite": np.array(cols[5], dtype=bool).reshape(lead),
-        "hit": np.array(cols[6], dtype=float).reshape(lead + (len(levels),)),
-        "max_regime": np.array(cols[7], dtype=np.int64).reshape(lead),
-        "switches": np.array(cols[8], dtype=np.int64).reshape(lead),
-    }
+    trail = {"x_end": (model.dim,), "hit": (len(levels),)}
+    return {name: np.array(col, dtype=dtype).reshape(lead + trail.get(name, ()))
+            for (name, dtype), col in zip(_RECORD, cols)}
 
 
 def _mean_ci(values):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (ConfigError, DenseRates, ExponentialCertificate, FunctionRates,
-                        PolynomialCertificate, RateMatrix, RegimeModel, TailUnresolvable,
-                        check_condition_exp, check_condition_poly,
-                        check_local_bounded_beta_sum, default_grid,
+                        PolynomialCertificate, RateMatrix, RegimeModel, SimConfig,
+                        TailUnresolvable, check_condition_exp, check_condition_poly,
+                        check_local_bounded_beta_sum, default_grid, estimate_moment,
                         gronwall_bound_poly, make_model, mark_displacement,
                         tau_tail_bound_poly, zeta_partial)
 from switchdiff import certify
@@ -535,6 +535,23 @@ class TestGronwallBound:
         v = gronwall_bound_poly(cert, [0.0], 1, 1.0)
         assert v == pytest.approx(np.exp(1.0) * 2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_bound_holds_above_p_one(self, p):
+        # dX = X/2 dt from 10, no noise, no switching: F = (1+|x|^2)^p + p
+        # has L F = p (1+|x|^2)^(p-1) |x|^2 <= p C F at growth C = 1, which
+        # certifies, so F(X_1) = (1 + 100 e)^p + p needs the factor p in the
+        # exponent: exp(int C) F(x0) is 27,735 at p = 2, against 74,437
+        model = model_of(lambda x, i, t: 0.5 * x, lambda x, i, t: np.zeros((1, 1)),
+                         DenseRates([[0.0]]))
+        cert = PolynomialCertificate(p=p, beta=1.0, growth=1.0)
+        assert check_condition_poly(model, cert, default_grid(regimes=1)).certified
+        bound = gronwall_bound_poly(cert, [10.0], 1, 1.0)
+        assert (1.0 + 100.0 * math.e) ** p + p <= bound
+        rep = estimate_moment(model, cert, [10.0], 1, 1.0, 4,
+                              SimConfig(stop_level=64, dt_target=1e-3))
+        assert rep.value("gronwall_bound") == bound
+        assert rep.value("moment") <= bound
+
 
 class TestTauTailBound:
     def test_already_outside(self):
@@ -752,15 +769,18 @@ class TestBatchedSeries:
             lone_series(rates, 1, np.array([0.5]), 2.0)
 
     def test_tail_integral_shared_between_radii(self):
-        # one quad per (j, n) queried: the radii differ only in the growth factor
+        # one quad per (j, n) queried: the radii differ only in the growth
+        # factor.  Without a factor every point sums its own series, and at
+        # gamma = 3 they all certify.
         import scipy.integrate
-        m = make_model("powerlaw", gamma=3.25)
+        m = dataclasses.replace(make_model("powerlaw"), rates=NonRadialPowerLaw(3.0, 1.0))
         certify._tail_integral.cache_clear()
         with mock.patch.object(m.rates, "beta_tail", wraps=m.rates.beta_tail) as tails, \
                 mock.patch("scipy.integrate.quad", wraps=scipy.integrate.quad) as quad:
             rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0),
                                        default_grid(radius=10.0, n_radii=21, regimes=4))
-        assert rep.series == 21 * 4
+        assert rep.series == 41 * 4
+        assert rep.nodes > 0 and rep.tails_certified
         queried = {(c.args[0], c.args[2]) for c in tails.call_args_list}
         assert quad.call_count == len(queried) < tails.call_count
 

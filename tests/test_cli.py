@@ -9,7 +9,7 @@ import pytest
 from switchdiff import (PolynomialCertificate, SimConfig, _parallel, auto_truncation,
                         check_condition_poly, ctmc_oracle, default_grid, feller_probe, hybrid,
                         make_model, simulate)
-from switchdiff.cli import PROBE_HEADER, TEST_FUNCTIONS, _write_csv, main
+from switchdiff.cli import PROBE_HEADER, TEST_FUNCTIONS, _write_csv, main, parse_config
 
 
 def write_config(path, text):
@@ -58,6 +58,42 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.cfg",
                            "command = simulate\nmodel = ou2\nseed = 1\nseed = 2\n")
         assert run_cli("--config", cfg) == 2
+
+    # body None: the config file does not exist; "": no --config at all
+    @pytest.mark.parametrize("body, code, message", [
+        (None, 2, "cannot read config: "),
+        ("command = simulate\nmodel = ou2\nseed\n", 2, "config line 3: expected key=value"),
+        ("command = simulate\nseed = 1\n", 2, "config must name a model"),
+        ("command = simulate\nmodel = ctmcN\nmodel.n_regimes = 1\nseed = 1\n", 3,
+         "model construction failed: "),
+        ("command = certify\nmodel = ou2\ncert.kind = bogus\nseed = 1\n", 2,
+         "cert.kind must be poly or exp, got 'bogus'"),
+        ("command = moments\nmodel = ou2\ncert.kind = exp\nseed = 1\n", 2,
+         "moments requires cert.kind=poly"),
+        ("command = feller\nmodel = ou2\nf = bogus\nseed = 1\n", 2,
+         "unknown test function 'bogus'"),
+        ("", 2, "--config is required"),
+    ], ids=["unreadable", "no-equals", "no-model", "model-error", "cert.kind", "moments-exp",
+            "feller-f", "no-config"])
+    def test_rejected_run_exits_with_one_line(self, tmp_path, capsys, body, code, message):
+        args = ["--out", str(tmp_path / "r"), "--threads", "1"]
+        if body is None:
+            args += ["--config", str(tmp_path / "missing.cfg")]
+        elif body:
+            args += ["--config", write_config(tmp_path / "c.cfg", body)]
+        assert run_cli(*args) == code
+        err = capsys.readouterr().err.splitlines()
+        said = [line for line in err if line.startswith("switchdiff: ")]
+        assert len(said) == 1 and message in said[0]
+        # only argparse's usage lines may come with it
+        assert len(err) == 1 or body == ""
+        assert not list(tmp_path.glob("r_*"))
+
+    def test_bool_keys_read_true_and_false(self, tmp_path):
+        for value, want in (("true", True), ("Yes", True), ("1", True), ("false", False),
+                            ("no", False)):
+            cfg = write_config(tmp_path / "c.cfg", f"couple = {value}\n")
+            assert parse_config(cfg) == {"couple": want}
 
 
 class TestBadInput:

@@ -16,9 +16,9 @@ from scipy.linalg import expm
 from scipy.special import zeta as scipy_zeta
 
 from switchdiff import (ConfigError, DenseRates, FunctionRates, PolynomialCertificate,
-                        PowerLawRates, RegimeModel, SimConfig, auto_truncation, ctmc_oracle,
-                        estimate_moment, hybrid, make_model, run_ensemble, sample_stream,
-                        simulate, truncate_coefficients)
+                        PowerLawRates, RateMatrix, RegimeModel, SimConfig, auto_truncation,
+                        ctmc_oracle, estimate_moment, hybrid, make_model, run_ensemble,
+                        sample_stream, simulate, truncate_coefficients)
 from switchdiff._rng import BROWNIAN, substream
 from switchdiff.model import radius
 from test_grids import euler_reference, one_grid
@@ -94,6 +94,15 @@ class TestAutoTruncation:
         M = 2
         expected = sum(2.0 * scipy_zeta(3.0) * (k + M) for k in range(1, M + 2))
         assert auto_truncation(m, M) == pytest.approx(expected, rel=1e-9)
+
+    def test_missing_or_nan_bound_rejected(self):
+        # rates that declare no ball block bound, and a declared NaN bound
+        z, zm = (lambda x, i, t: np.zeros(1)), (lambda x, i, t: np.zeros((1, 1)))
+        for rates, message in ((RateMatrix(), "declares no ball block bound"),
+                               (FunctionRates(2, lambda x: np.ones((2, 2)), math.nan),
+                                "invalid ball block bound nan")):
+            with pytest.raises(ConfigError, match=message):
+                auto_truncation(RegimeModel(1, z, zm, rates, 1.0), 4)
 
 
 class TestCutoffStability:

@@ -164,6 +164,41 @@ class TestLockstep:
                                                                         None)
         assert raised and len(raised) < len(calls)
 
+    def test_row_whose_drift_raises_ends_at_the_node_its_step_reached(self):
+        # a per-row drift that overflows past radius 5 leaves that step's state
+        # NaN: the row ends there, non-finite, and its block companions walk on
+        def drift(x, i, t):
+            if abs(float(x[0])) > 5.0:
+                raise OverflowError("past radius 5")
+            return x
+
+        def noise(x, i, t):
+            return 0.1 * EYE
+
+        rates = DenseRates([[0.0]])
+        model = RegimeModel(1, drift, noise, rates, 1.0)
+        free = RegimeModel(1, lambda x, i, t: x, noise, rates, 1.0)
+        cfg = SimConfig(stop_level=100, seed=5, dt_target=0.01)
+        starts = np.array([[0.5], [4.0], [-1.0]])
+        ens = run_ensemble(model, starts, 1, cfg, 2)
+        levels = hybrid._level_schedule(cfg)
+        for k in range(2):
+            # the step from the first node past radius 5 fails, so the row
+            # ends at the node after it, on the grid a raise-free drift walks
+            grid = simulate(free, starts[1], 1, cfg, traj=k)
+            past = int(np.flatnonzero(np.abs(grid.states[:, 0]) > 5.0)[0])
+            assert past + 1 < len(grid.times)
+            assert ens["kind"][1, k] == "exploded" and ens["nonfinite"][1, k]
+            assert ens["tau"][1, k] == ens["t_end"][1, k] == grid.times[past + 1]
+            assert np.isnan(ens["x_end"][1, k]).all()
+            assert (ens["hit"][1, k] == grid.times[past + 1]).all()
+            for s in (0, 2):
+                want = terminal(simulate(model, starts[s], 1, cfg, traj=k, record="events"),
+                                levels)
+                assert want["kind"] == "horizon"
+                for key, value in want.items():
+                    assert np.array_equal(ens[key][s, k], value, equal_nan=key != "kind"), key
+
     def test_several_starts_equal_one_call_per_start(self):
         model = make_model("ou2", sigma1=2.0)
         cfg = SimConfig(stop_level=3, max_stop_level=24, seed=4)

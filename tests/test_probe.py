@@ -43,6 +43,16 @@ class TestEstimateMoment:
         assert rep.value("moment") == (1 + 9.0) + 2.0
         assert rep.half_width("moment") == 0.0
 
+    def test_every_path_blowing_up_leaves_no_moment(self):
+        # x' = x^2 from 2 overflows near t = 1/2, far below a level of 10^300:
+        # every path is a non-finite explosion, and the mean of none is NaN
+        cert = PolynomialCertificate(p=1.0, beta=1.0, growth=1.0)
+        rep = estimate_moment(make_model("blowup"), cert, [2.0], 1, 1.0, 20,
+                              SimConfig(stop_level=10 ** 300))
+        assert math.isnan(rep.value("moment")) and math.isnan(rep.half_width("moment"))
+        assert rep.n == 0
+        assert rep.diagnostics == {"explosions": 20, "level_stops": 0}
+
     def test_ou_two_regime_below_bound(self):
         model = make_model("ou2")
         cert = PolynomialCertificate(p=1.0, beta=1.0, growth=6.0)
@@ -256,6 +266,18 @@ class TestRunEnsemble:
         assert ens["hit"].shape == (2, 3)
         assert (ens["hit"] == ens["tau"][:, None]).all()
 
+    def test_zero_starts_give_empty_arrays_under_every_key(self):
+        # the fields, dtypes and trailing shapes of one start, with no rows
+        model = make_model("ou2", dim=2)
+        cfg = SimConfig(stop_level=4, max_stop_level=8, seed=2)
+        one = run_ensemble(model, np.zeros((1, 2)), 1, cfg, 3)
+        none = run_ensemble(model, np.zeros((0, 2)), 1, cfg, 3)
+        assert list(none) == list(one)
+        for key, arr in one.items():
+            assert none[key].shape == (0,) + arr.shape[1:], key
+            assert none[key].dtype.kind == arr.dtype.kind, key
+        assert none["x_end"].shape == (0, 3, 2) and none["hit"].shape == (0, 3, 2)
+
     def test_levels_are_checked_and_hit_columns_follow_the_walk(self):
         # a non-integral level used to be truncated, [8, 12.5] walked as
         # [8, 12], and a NaN one to end in a raw ValueError from int()
@@ -360,6 +382,14 @@ class TestProbeInputs:
         for t in (0.0, 0.5):
             with pytest.raises(ConfigError):
                 ctmc_oracle(make_model("ctmc2"), 1, t, 2, 5, CFG, x0=[math.nan])
+
+    def test_traj0_needs_one_entry_per_start(self):
+        with pytest.raises(ConfigError, match="traj0 needs one entry per start"):
+            run_ensemble(make_model("ou2"), np.array([[0.0], [1.0]]), 1, CFG, 3, traj0=[0])
+
+    def test_oracle_start_beyond_truncation_rejected(self):
+        with pytest.raises(ConfigError, match="truncated regime window"):
+            ctmc_oracle(make_model("ctmcN"), 5, 0.5, 4, 5, CFG)
 
     def test_no_starts_rejected(self):
         # n_starts = 0 used to run one start and report n_starts=1
