@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import numbers
+import types
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
@@ -562,16 +564,51 @@ def _series_nodes(pts, regimes, failed):
             yield a, y, reg, value, True
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sweep(kind, model, grid, beta, series, margin):
-    """One pass over the grid nodes (y, j, t) into a CertificateReport.
+class _Rows(types.SimpleNamespace):
+    """The sweep's certified nodes as arrays: one row per node and time, node-major.
 
-    series(down, up, half) combines a node's downward sum and upward bracket
-    into the value margin reads, and margin(y, j, t, value, hs2) is the
-    right side minus the left side; both decrease in down and in up + half,
-    and a margin that overflow made NaN counts as -inf.  |sigma(y, j, t)|_HS^2
-    is evaluated once per node, so its per-time supremum also covers (y, j)
-    whose series failed.
+    Row k holds the time index ti, jb = j^beta, hs2 = |sigma(y, j, t)|_HS^2,
+    the kind's per-point weights pw, finite = whether y . y is finite, and
+    yb, s, den of ``_share_terms`` with yb = u . b(y, j, t).
+    """
+
+    def at(self, k):
+        """Row k alone."""
+        return _Rows(**{name: v[k:k + 1] for name, v in vars(self).items()})
+
+    def share(self, extra):
+        """(2 y.b + extra) / (1 + |y|^2) of each row, in the scaled form."""
+        return (2.0 * self.yb / self.s + extra / self.s / self.s) / self.den
+
+
+def _share_terms(y, y2):
+    """(u, s, den) with (2 y.b + extra) / (1 + |y|^2) = (2 (u.b) / s + extra / s / s) / den.
+
+    For y2 = y @ y finite they are (y, 1.0, 1 + y2): dividing by 1.0 is
+    exact.  Where y2 overflows they are (y/s, s, 1 + 1/s/s) with
+    s = radius(y), finite through hypot.
+    """
+    if math.isfinite(y2):
+        return y, 1.0, 1.0 + y2
+    s = radius(y)
+    return y / s, s, 1.0 + 1.0 / s / s
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep(kind, model, grid, beta, weights, margin):
+    """One array pass over the grid nodes (y, j, t) into a CertificateReport.
+
+    weights(y, y2) gives a point's scalar weights once per point, for
+    y2 = y @ y, and margin(rows, down, up, half) the right side minus the
+    left side of every row of a ``_Rows``, from each node's downward sum and
+    upward bracket; it decreases in down and in up + half, and a margin
+    that overflow made NaN counts as -inf.  |sigma(y, j, t)|_HS^2 is
+    evaluated once per node and time, so its per-time supremum also covers
+    (y, j) whose series failed.  The drift comes from one ``drift_batch``
+    call per time where the model has batch forms, else from one ``drift``
+    call per node and time.  Both are stacked in row-major order, so y.b and
+    the sum of sigma's squares equal the per-node ``y @ b`` and
+    ``(s * s).sum()`` bit for bit where the model returns C-ordered arrays.
 
     Each regime's series is summed once, at its point of largest factor,
     and scaled to upper ends at every point (``_Regime``), so a node's
@@ -584,45 +621,65 @@ def _sweep(kind, model, grid, beta, series, margin):
     """
     pts = _points(model, grid)
     times = grid.times
-    sup = [0.0] * len(times)
     tally, failed = _Tally(), []
     regimes = [_Regime(model.rates, j, pts, beta, tally, screen=True)
                for j in range(1, grid.regimes + 1)]
-    screened = []  # (margin or a lower bound on it, node index, exact, a, regime, t, hs2)
-    for a, y, reg, sums, exact in _series_nodes(pts, regimes, failed):
-        hs2 = []
-        for ti, t in enumerate(times):
-            s = np.asarray(model.dispersion(y, reg.j, t), dtype=float)
-            hs2.append(float((s * s).sum()))
-            # max() keeps the running value over a NaN; np.maximum would not
-            sup[ti] = max(sup[ti], hs2[-1])
-        if sums is None:
-            continue
-        value = series(*sums)
-        for t, h in zip(times, hs2):
-            m = max(-np.inf, margin(y, reg.j, t, value, h))  # max() turns NaN into -inf
-            screened.append((m, len(screened), exact, a, reg, t, h))
-    least = []  # the five least (margin, node index, y, j, t) visited, in that order
-    for m, k, exact, a, reg, t, h in sorted(screened):
+    nodes = list(_series_nodes(pts, regimes, failed))
+    sigma = np.array([model.dispersion(y, reg.j, t) for _, y, reg, _, _ in nodes for t in times],
+                     dtype=float)
+    hs2 = (sigma * sigma).reshape(len(sigma), -1).sum(axis=1).reshape(len(nodes), len(times))
+    # fmax from 0.0 passes over a NaN, as max() does; np.maximum would not
+    sup = np.fmax.reduce(hs2, axis=0, initial=0.0)
+
+    certified_series = [sums is not None for _, _, _, sums, _ in nodes]
+    live = list(itertools.compress(nodes, certified_series))
+    n, per = len(live), len(times)
+    js = [reg.j for _, _, reg, _, _ in live]
+    points = np.array([a for a, _, _, _, _ in live], dtype=int)
+    at = np.repeat(points, per)  # each row's point
+    if model.drift_batch is None:
+        b = np.array([model.drift(y, reg.j, t) for _, y, reg, _, _ in live for t in times],
+                     dtype=float)
+    else:
+        b = np.stack([model.drift_batch(pts[points], np.array(js, dtype=int), np.full(n, t))
+                      for t in times], axis=1, dtype=float)
+    y2 = [float(y @ y) for y in pts]
+    u, s, den = (np.array(v) for v in zip(*map(_share_terms, pts, y2)))
+    rows = _Rows(ti=np.tile(np.arange(per), n), jb=np.repeat([float(j) ** beta for j in js], per),
+                 hs2=hs2[certified_series].ravel(),
+                 pw=np.array([weights(*q) for q in zip(pts, y2)])[at],
+                 finite=np.isfinite(y2)[at],
+                 yb=np.vecdot(u[at], np.reshape(b, (n * per, model.dim))), s=s[at], den=den[at])
+    sums = np.repeat(np.reshape([node[3] for node in live], (n, 3)), per, axis=0)
+
+    def margins(rows, sums):
+        m = margin(rows, *sums.T)
+        return np.where(np.isnan(m), -np.inf, m)
+
+    bounds = margins(rows, sums)
+    least = []  # the five least (margin, row, y, j, t) visited, in that order
+    for k in np.argsort(bounds, kind="stable").tolist():
+        m = float(bounds[k])
         if least and m > least[0][0] and not (m < 0 and (len(least) < 5 or m <= least[-1][0])):
             break
+        a, y, reg, _, exact = live[k // per]
         if not exact:
-            sums = reg.outcome(a)
-            if isinstance(sums, TailUnresolvable):
-                raise sums  # a smaller factor failed where the reference certified
-            m = max(-np.inf, margin(pts[a], reg.j, t, series(*sums), h))
-        bisect.insort(least, (m, k, pts[a], reg.j, t))
+            point = reg.outcome(a)
+            if isinstance(point, TailUnresolvable):
+                raise point  # a smaller factor failed where the reference certified
+            m = float(margins(rows.at(k), np.array([point]))[0])
+        bisect.insort(least, (m, k, y, reg.j, times[k % per]))
         del least[5:]
     margin_min, worst = np.inf, (pts[0], 1, times[0])
     if least and least[0][0] < np.inf:
         margin_min, _, y, j, t = least[0]
         worst = (y, j, t)
     violations = [(float(m), y, j, float(t)) for m, _, y, j, t in least if m < 0]
-    nodes = (len(pts) * grid.regimes - len(failed)) * len(times)
+    count = (len(pts) * grid.regimes - len(failed)) * len(times)
     sigma_integral = float(np.trapezoid(sup, times))
     certified = (margin_min >= 0 and not failed and np.isfinite(sigma_integral))
     return CertificateReport(kind, certified, float(margin_min), worst, violations,
-                             not failed, sigma_integral, nodes, tally.series,
+                             not failed, sigma_integral, count, tally.series,
                              tally.columns, tally.max_half_width)
 
 
@@ -639,68 +696,61 @@ def _lift(y, y2, q):
         return math.inf
 
 
-def _drift_share(y, y2, b, extra):
-    """(2 y.b + extra) / (1 + |y|^2) for y2 = y @ y; where y2 overflows, in the
-    scaled form (2 (u.b)/s + extra/s^2) / (1 + 1/s^2) with s = radius(y), u = y/s."""
-    if math.isfinite(y2):
-        return (2.0 * float(y @ b) + extra) / (1.0 + y2)
-    s = radius(y)
-    return (2.0 * float(y / s @ b) / s + extra / s / s) / (1.0 + 1.0 / s / s)
-
-
 def check_condition_poly(model, cert, grid):
     """Check the polynomial certificate inequality on every grid node.
 
-    The series value enters through its certified upper bracket end, so a
-    nonnegative reported margin is sound for the sampled nodes.
+    The margins of all nodes come from one array expression, with the
+    weight (1 + |y|^2)^p formed once per point.  The series value enters
+    through its certified upper bracket end, so a nonnegative reported
+    margin is sound for the sampled nodes.
     """
     p, beta = cert.p, cert.beta
+    growth = np.array([cert.growth_at(t) for t in grid.times])
 
-    def series(down, up, half):
-        return down + up + half  # sound upper end
+    def weights(y, y2):
+        return (_lift(y, y2, p),)
 
-    def margin(y, j, t, series_hi, hs2):
-        y2 = float(y @ y)
-        w = _lift(y, y2, p)
-        rhs = cert.growth_at(t) * (1.0 + float(j) ** beta / w)
-        b = np.asarray(model.drift(y, j, t), dtype=float)
-        return rhs - (series_hi / w + _drift_share(y, y2, b, (2.0 * p - 1.0) * hs2))
+    def margin(rows, down, up, half):
+        w, = rows.pw.T
+        rhs = growth[rows.ti] * (1.0 + rows.jb / w)
+        return rhs - ((down + up + half) / w + rows.share((2.0 * p - 1.0) * rows.hs2))
 
-    return _sweep("polynomial", model, grid, beta, series, margin)
+    return _sweep("polynomial", model, grid, beta, weights, margin)
 
 
 def check_condition_exp(model, cert, grid):
     """Check the exponential certificate inequality on every grid node.
 
     Downward (k <= j) and upward (k > j) switching sums carry different
-    exponential weights; the downward sum is finite and exact, the upward
-    sum uses its certified upper bracket end.  Rows with no upward rates
-    contribute an empty (zero) upward sum.
+    exponential weights, formed once per point; the margins of all nodes
+    come from one array expression.  The downward sum is finite and exact,
+    the upward sum uses its certified upper bracket end.  Rows with no
+    upward rates contribute an empty (zero) upward sum.
     """
     alpha, c, beta, horizon = cert.alpha, cert.c, cert.beta, cert.horizon
     discount = math.exp(-alpha * c * horizon)
 
-    def series(down, up, half):
-        return down, up + half
-
-    def margin(y, j, t, series, hs2):
-        down, up_hi = series
-        y2 = float(y @ y)
+    def weights(y, y2):
+        # v = (1 + |y|^2)^alpha, the upward and downward weights (inf past
+        # exp's range) and, for the scaled form, (1 + |y|^2)^(alpha - 1)
         v = _lift(y, y2, alpha)
-        w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
-        rhs = c * (1.0 + (float(j) ** beta / w_up if np.isfinite(w_up) else 0.0))
-        b = np.asarray(model.drift(y, j, t), dtype=float)
-        if math.isfinite(y2):
-            term1 = _drift_share(y, y2, b, (1.0 + 2.0 * alpha * v) * hs2)
-        else:
-            # 2 alpha v |sigma|^2 / (1 + |y|^2) = 2 alpha |sigma|^2 (1 + |y|^2) ** (alpha - 1)
-            term1 = _drift_share(y, y2, b, hs2) + 2.0 * alpha * hs2 * _lift(y, y2, alpha - 1.0)
-        w_down = v * math.exp(v) if v < 700.0 else np.inf
-        t2 = down / w_down if np.isfinite(w_down) else 0.0
-        t3 = up_hi / w_up if np.isfinite(w_up) else 0.0
+        w_up = v * math.exp(discount * v) if discount * v < 700.0 else math.inf
+        w_down = v * math.exp(v) if v < 700.0 else math.inf
+        return v, w_up, w_down, _lift(y, y2, alpha - 1.0)
+
+    def margin(rows, down, up, half):
+        v, w_up, w_down, lift = rows.pw.T
+        up_finite = np.isfinite(w_up)
+        rhs = c * (1.0 + np.where(up_finite, rows.jb / w_up, 0.0))
+        # where y . y overflows, 2 alpha v |sigma|^2 / (1 + |y|^2) is taken
+        # as 2 alpha |sigma|^2 (1 + |y|^2) ** (alpha - 1)
+        term1 = np.where(rows.finite, rows.share((1.0 + 2.0 * alpha * v) * rows.hs2),
+                         rows.share(rows.hs2) + 2.0 * alpha * rows.hs2 * lift)
+        t2 = np.where(np.isfinite(w_down), down / w_down, 0.0)
+        t3 = np.where(up_finite, (up + half) / w_up, 0.0)
         return rhs - (term1 + t2 + t3)
 
-    return _sweep("exponential", model, grid, beta, series, margin)
+    return _sweep("exponential", model, grid, beta, weights, margin)
 
 
 def _simpson(fn, a, b):

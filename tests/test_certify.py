@@ -1,7 +1,9 @@
 """Certificate checkers, series brackets and the power-law rate family."""
 
+import bisect
 import copy
 import dataclasses
+import functools
 import hashlib
 import math
 import warnings
@@ -414,30 +416,50 @@ def series_keys(spy, key):
 
 class TestSweep:
     def test_one_dispersion_call_per_node(self):
-        # the sweep evaluates sigma once per node and, for rates with a
-        # factor, one reference series per j, at the largest radius, plus the
-        # per-point series of the nodes it refines: 9 points on 5 radii
+        # the sweep evaluates sigma once per node and time, and the drift once
+        # per node and time, or in one drift_batch call per time where the
+        # model has batch forms; for rates with a factor it sums one
+        # reference series per j, at the largest radius, plus the per-point
+        # series of the nodes it refines: 9 points on 5 radii
         base = make_model("powerlaw")
-        calls = []
+        calls, drifts, batches = [], [], []
 
         def dispersion(x, i, t):
             calls.append((i, t))
             return base.dispersion(x, i, t)
 
-        m = model_of(base.drift, dispersion, base.rates)
+        def drift(x, i, t):
+            drifts.append((i, t))
+            return base.drift(x, i, t)
+
+        def drift_batch(X, lam, t):
+            batches.append((len(X), t[0]))
+            return base.drift_batch(X, lam, t)
+
+        per_node = model_of(drift, dispersion, base.rates)
+        batched = dataclasses.replace(per_node, drift_batch=drift_batch,
+                                      noise_batch=base.noise_batch)
         grid = default_grid(radius=4.0, n_radii=5, regimes=4)
-        with mock.patch("switchdiff.certify._series_batch",
-                        wraps=certify._series_batch) as spy:
-            rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
-        assert rep.tails_certified
-        assert len(calls) == rep.nodes == 9 * 4 * 3
-        starts = series_keys(spy, radius)
-        assert len(starts) == len(set(starts)) == rep.series == 4 + 2
-        assert starts[:4] == [(j, 4.0) for j in range(1, 5)]
-        calls.clear()
-        rep = check_condition_exp(m, ExponentialCertificate(0.5, 1.0, 1.0, 1.0), grid)
-        assert len(calls) == 9 * 4 * 3
-        assert rep.series == 4 + 2
+        for m in (per_node, batched):
+            for log in (calls, drifts, batches):
+                log.clear()
+            with mock.patch("switchdiff.certify._series_batch",
+                            wraps=certify._series_batch) as spy:
+                rep = check_condition_poly(m, PolynomialCertificate(1.0, 1.0, 3.0), grid)
+            assert rep.tails_certified
+            assert len(calls) == rep.nodes == 9 * 4 * 3
+            assert sorted(drifts) == ([] if m is batched else sorted(calls))
+            assert batches == ([(9 * 4, t) for t in grid.times] if m is batched else [])
+            starts = series_keys(spy, radius)
+            assert len(starts) == len(set(starts)) == rep.series == 4 + 2
+            assert starts[:4] == [(j, 4.0) for j in range(1, 5)]
+            for log in (calls, drifts, batches):
+                log.clear()
+            rep = check_condition_exp(m, ExponentialCertificate(0.5, 1.0, 1.0, 1.0), grid)
+            assert len(calls) == 9 * 4 * 3
+            assert len(drifts) == (0 if m is batched else 9 * 4 * 3)
+            assert len(batches) == (3 if m is batched else 0)
+            assert rep.series == 4 + 2
 
     def test_one_series_per_node_for_non_radial_rates(self):
         # these rates tell y from -y and declare no factor, so nothing is shared
@@ -468,6 +490,209 @@ class TestSweep:
         assert not rep.certified
         assert rep.nodes == 5 * 1 * 2
         assert rep.sigma_integral == 9.0
+
+
+def reference_drift_share(y, y2, b, extra):
+    """(2 y.b + extra) / (1 + |y|^2) for one node, scaled where y2 = y @ y overflows."""
+    if math.isfinite(y2):
+        return (2.0 * float(y @ b) + extra) / (1.0 + y2)
+    s = radius(y)
+    return (2.0 * float(y / s @ b) / s + extra / s / s) / (1.0 + 1.0 / s / s)
+
+
+def reference_closures(model, cert):
+    """The per-node (series, margin) pair of the node-by-node sweep, kept as a reference."""
+    if isinstance(cert, PolynomialCertificate):
+        p, beta = cert.p, cert.beta
+
+        def series(down, up, half):
+            return down + up + half
+
+        def margin(y, j, t, series_hi, hs2):
+            y2 = float(y @ y)
+            w = certify._lift(y, y2, p)
+            rhs = cert.growth_at(t) * (1.0 + float(j) ** beta / w)
+            b = np.asarray(model.drift(y, j, t), dtype=float)
+            return rhs - (series_hi / w + reference_drift_share(y, y2, b, (2.0 * p - 1.0) * hs2))
+
+        return series, margin
+    alpha, c, beta, horizon = cert.alpha, cert.c, cert.beta, cert.horizon
+    discount = math.exp(-alpha * c * horizon)
+
+    def series(down, up, half):
+        return down, up + half
+
+    def margin(y, j, t, series, hs2):
+        down, up_hi = series
+        y2 = float(y @ y)
+        v = certify._lift(y, y2, alpha)
+        w_up = v * math.exp(discount * v) if discount * v < 700.0 else np.inf
+        rhs = c * (1.0 + (float(j) ** beta / w_up if np.isfinite(w_up) else 0.0))
+        b = np.asarray(model.drift(y, j, t), dtype=float)
+        if math.isfinite(y2):
+            term1 = reference_drift_share(y, y2, b, (1.0 + 2.0 * alpha * v) * hs2)
+        else:
+            term1 = (reference_drift_share(y, y2, b, hs2)
+                     + 2.0 * alpha * hs2 * certify._lift(y, y2, alpha - 1.0))
+        w_down = v * math.exp(v) if v < 700.0 else np.inf
+        t2 = down / w_down if np.isfinite(w_down) else 0.0
+        t3 = up_hi / w_up if np.isfinite(w_up) else 0.0
+        return rhs - (term1 + t2 + t3)
+
+    return series, margin
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_sweep(kind, model, grid, cert):
+    """The node-by-node sweep: its report and every (margin, time index) it took, in order."""
+    series, margin = reference_closures(model, cert)
+    pts, times = certify._points(model, grid), grid.times
+    sup = [0.0] * len(times)
+    tally, failed = certify._Tally(), []
+    regimes = [certify._Regime(model.rates, j, pts, cert.beta, tally, screen=True)
+               for j in range(1, grid.regimes + 1)]
+    screened = []
+    for a, y, reg, sums, exact in certify._series_nodes(pts, regimes, failed):
+        hs2 = []
+        for ti, t in enumerate(times):
+            s = np.asarray(model.dispersion(y, reg.j, t), dtype=float)
+            hs2.append(float((s * s).sum()))
+            sup[ti] = max(sup[ti], hs2[-1])
+        if sums is None:
+            continue
+        value = series(*sums)
+        for t, h in zip(times, hs2):
+            m = max(-np.inf, margin(y, reg.j, t, value, h))
+            screened.append((m, len(screened), exact, a, reg, t, h))
+    taken = [(m, k % len(times)) for m, k, *_ in screened]
+    least = []
+    for m, k, exact, a, reg, t, h in sorted(screened):
+        if least and m > least[0][0] and not (m < 0 and (len(least) < 5 or m <= least[-1][0])):
+            break
+        if not exact:
+            sums = reg.outcome(a)
+            if isinstance(sums, TailUnresolvable):
+                raise sums
+            m = max(-np.inf, margin(pts[a], reg.j, t, series(*sums), h))
+            taken.append((m, k % len(times)))
+        bisect.insort(least, (m, k, pts[a], reg.j, t))
+        del least[5:]
+    margin_min, worst = np.inf, (pts[0], 1, times[0])
+    if least and least[0][0] < np.inf:
+        margin_min, _, y, j, t = least[0]
+        worst = (y, j, t)
+    violations = [(float(m), y, j, float(t)) for m, _, y, j, t in least if m < 0]
+    nodes = (len(pts) * grid.regimes - len(failed)) * len(times)
+    sigma_integral = float(np.trapezoid(sup, times))
+    certified = (margin_min >= 0 and not failed and np.isfinite(sigma_integral))
+    rep = certify.CertificateReport(kind, certified, float(margin_min), worst, violations,
+                                    not failed, sigma_integral, nodes, tally.series,
+                                    tally.columns, tally.max_half_width)
+    return rep, taken
+
+
+def array_sweep(check, model, cert, grid):
+    """A checker's report and every (margin, time index) its sweep took, in
+    order: all rows on the screened ends, then each refined node in visit order."""
+    taken, sweep = [], certify._sweep
+
+    def spy(kind, model, grid, beta, weights, margin):
+        def recorded(rows, *sums):
+            m = margin(rows, *sums)
+            taken.extend(zip(np.where(np.isnan(m), -np.inf, m).tolist(), rows.ti.tolist()))
+            return m
+
+        return sweep(kind, model, grid, beta, weights, recorded)
+
+    with mock.patch.object(certify, "_sweep", spy):
+        return check(model, cert, grid), taken
+
+
+def outcome_of(run):
+    """run()'s report fields, sigma_integral and margins taken as exact values, or its error."""
+    try:
+        rep, taken = run()
+    except TailUnresolvable as exc:
+        return exact(exc)
+    return (report_fields(rep, skip=()), rep.sigma_integral.hex(),
+            [(float(m).hex(), ti) for m, ti in taken])
+
+
+@st.composite
+def sweep_cases(draw):
+    """(model, cert, grid, budget): general off-axis points in 1-3 dimensions, some
+    mirrored, some past the float range; per-regime linear drift, with or without
+    batch forms, and a full-matrix sigma, NaN at one drawn (point, regime)."""
+    dim = draw(st.integers(1, 3))
+    coords = st.one_of(st.sampled_from([0.0, 0.5, -2.0]), st.floats(-10.0, 10.0))
+    pts = [np.array(draw(st.lists(coords, min_size=dim, max_size=dim)))
+           for _ in range(draw(st.integers(1, 4)))]
+    pts += [-y for y in pts if draw(st.booleans())]
+    rates = draw(st.one_of(screened_power_laws, matrices.map(DenseRates)))
+    if isinstance(rates, DenseRates):
+        # |y|^2 overflows at 1e155 per coordinate, (1 + |y|^2)^p at 1e150 for p > 1
+        pts += [np.full(dim, v) for v in (1e155, -1e150) if draw(st.booleans())]
+        if draw(st.booleans()):
+            rates.factor = None
+    regimes = draw(st.integers(1, 4))
+    vec = st.lists(st.floats(-3.0, 3.0), min_size=3 * dim, max_size=3 * dim)
+    coef = np.reshape(draw(vec), (3, dim))
+    shift = np.reshape(draw(vec), (3, dim)) if draw(st.booleans()) else np.zeros((3, dim))
+    sig = np.reshape(draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * dim * dim,
+                                   max_size=3 * dim * dim)), (3, dim, dim))
+    timed = draw(st.booleans())  # steady coefficients tie each node's margins over time
+    nan_at = (draw(st.integers(0, len(pts) - 1)), draw(st.integers(1, regimes))) \
+        if draw(st.booleans()) else None
+    nan_y = pts[nan_at[0]] if nan_at else None
+
+    def drift(x, i, t):
+        k = min(i, 3) - 1
+        return coef[k] * x * (1.0 + t if timed else 1.0) + shift[k]
+
+    def dispersion(x, i, t):
+        if nan_at and i == nan_at[1] and np.array_equal(x, nan_y):
+            return np.full((dim, dim), np.nan)
+        return sig[min(i, 3) - 1] * (1.0 + t if timed else 1.0)
+
+    def drift_batch(X, lam, t):
+        k = np.minimum(lam, 3) - 1
+        return coef[k] * X * ((1.0 + t) if timed else np.ones(len(t)))[:, None] + shift[k]
+
+    def noise_batch(X, lam, t, dW):
+        return np.array([dispersion(x, i, s) @ w for x, i, s, w in zip(X, lam, t, dW)])
+
+    model = RegimeModel(dim, drift, dispersion, rates, 1.0)
+    if draw(st.booleans()):
+        model = dataclasses.replace(model, drift_batch=drift_batch, noise_batch=noise_batch)
+    beta = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.1, 2.5)))
+    if draw(st.booleans()):
+        growth = draw(st.floats(0.0, 10.0))
+        if draw(st.booleans()):
+            growth = functools.partial(lambda g, t: g * (1.0 + t), growth)
+        cert = PolynomialCertificate(draw(st.floats(1.0, 3.0)), beta, growth)
+    else:
+        cert = ExponentialCertificate(draw(st.floats(0.05, 1.0)), draw(st.floats(0.1, 10.0)),
+                                      beta, 1.0)
+    grid = GridSpec(np.array(pts), regimes, (0.0, 0.5, 1.0))
+    return model, cert, grid, draw(st.sampled_from([600, 5_000, 60_000]))
+
+
+class TestArraySweep:
+    """The array pass takes every margin and report field of the node-by-node sweep."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweep_cases())
+    def test_margins_and_reports_equal_node_by_node(self, case):
+        model, cert, grid, budget = case
+        poly = isinstance(cert, PolynomialCertificate)
+        check = check_condition_poly if poly else check_condition_exp
+        kind = "polynomial" if poly else "exponential"
+        with mock.patch("switchdiff.certify.SERIES_MAX_TERMS", budget):
+            got = outcome_of(lambda: array_sweep(check, model, cert, grid))
+            want = outcome_of(lambda: reference_sweep(kind, model, grid, cert))
+        event(("batch" if model.drift_batch else "per node") + ", "
+              + (kind if isinstance(got, tuple) else "raised"))
+        assert got == want
 
 
 class TestExponentialChecker:
@@ -551,6 +776,35 @@ class TestGronwallBound:
                               SimConfig(stop_level=64, dt_target=1e-3))
         assert rep.value("gronwall_bound") == bound
         assert rep.value("moment") <= bound
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["ou2", "powerlaw"]), data=st.data(), p=st.floats(1.0, 3.0),
+           beta=st.floats(0.3, 1.2), growth=st.floats(0.5, 15.0), seed=st.integers(0, 2 ** 16))
+    def test_certified_growth_bounds_the_moment(self, name, data, p, beta, growth, seed):
+        # wherever the checker certifies a growth on a grid covering the stop
+        # level (radius and regimes), the stopped moment stays below the
+        # Gronwall bound exp(p int C) F(x0), to 3 half-widths at small n
+        level = 4
+        drift_rate, noise = st.floats(0.2, 2.0), st.floats(0.1, 1.5)
+        if name == "ou2":
+            params = dict(theta1=data.draw(drift_rate), theta2=data.draw(drift_rate),
+                          sigma1=data.draw(noise), sigma2=data.draw(noise),
+                          q12=data.draw(st.floats(0.1, 3.0)), q21=data.draw(st.floats(0.1, 3.0)))
+        else:
+            params = dict(gamma=data.draw(st.floats(2.5, 4.0)), p=data.draw(st.floats(1.0, 2.0)),
+                          theta=data.draw(drift_rate), sigma=data.draw(noise))
+        model = make_model(name, **params)
+        cert = PolynomialCertificate(p, beta, growth)
+        grid = default_grid(radius=float(level), n_radii=2 * level + 1, regimes=level)
+        certified = check_condition_poly(model, cert, grid).certified
+        event("certified" if certified else "not certified")
+        if not certified:
+            return
+        x0, i0 = data.draw(st.floats(-1.5, 1.5)), data.draw(st.integers(1, 2))
+        rep = estimate_moment(model, cert, [x0], i0, 0.5, 40,
+                              SimConfig(stop_level=level, dt_target=0.05, seed=seed))
+        assert rep.value("moment") <= rep.value("gronwall_bound") + 3 * rep.half_width("moment")
 
 
 class TestTauTailBound:
