@@ -96,10 +96,11 @@ class PowerLawRates(RateMatrix):
     its terms fall below SERIES_REL_TOL within SERIES_MAX_TERMS columns:
     with gamma = 3 that fails from about b = 1.5 on.
 
-    Its tables keep one extent, grown by appending: the table of m^-gamma
-    that ``rate`` and ``rate_block`` read, and the prefix sums over it that
-    give row sums, tail bounds and anchors in O(1).  Each query grows them
-    to the index it reads.
+    Its tables grow by appending.  The table of m^-gamma that ``rate`` and
+    ``rate_block`` read and its prefix sums, which give row sums and tail
+    bounds in O(1), keep one extent, grown by each query to the index it
+    reads; the regime-indexed sums that give anchors keep their own, grown
+    by ``anchor`` and ``territory`` to the regime they read.
     """
 
     def __init__(self, gamma, p):
@@ -119,18 +120,24 @@ class PowerLawRates(RateMatrix):
         self._powers(POWERLAW_TABLE)
 
     def _powers(self, size):
-        """The table inv[m-1] = m^-gamma and its prefix sums, grown to at least size rows."""
+        """The table inv[m-1] = m^-gamma and its prefix sums _H, grown to at least size rows."""
         # every rate, ``rate``'s included, reads this table, since numpy's
         # SIMD power and the scalar pow may differ in the last place
         have = self._inv.size
         self._inv = _grow_powers(self._inv, -self.gamma, size)
         if self._inv.size > have:
             self._H = _cumsum_on(self._H, self._inv[have:])
-            s = self.zeta + self._H[have:-1]
-            ms = np.arange(have + 1, self._inv.size + 1, dtype=float)
-            self._A_weighted = _cumsum_on(self._A_weighted, ms * s)
-            self._A_plain = _cumsum_on(self._A_plain, s)
         return self._inv
+
+    def _sums(self, rows):
+        """_A_weighted and _A_plain grown to at least rows rows, at least doubling."""
+        have = self._A_plain.size - 1
+        size = max(2 * have, rows)
+        self._powers(size)  # so _H covers every index the sums' readers take
+        s = self.zeta + self._H[have:size]
+        ms = np.arange(have + 1, size + 1, dtype=float)
+        self._A_weighted = _cumsum_on(self._A_weighted, ms * s)
+        self._A_plain = _cumsum_on(self._A_plain, s)
 
     def _growth(self, i, x):
         return float(i) + radius(x) ** self.p
@@ -181,14 +188,16 @@ class PowerLawRates(RateMatrix):
         return 2.0 * self._zeta_hi * (count * (count + 1) / 2.0 + count * float(m) ** self.p)
 
     def anchor(self, i, x):
-        self._powers(i - 1)
+        if i > self._A_plain.size:
+            self._sums(i - 1)
         gp = radius(x) ** self.p
         return float(self._A_weighted[i - 1]) + gp * float(self._A_plain[i - 1])
 
     def territory(self, i, r_lo, r_hi):
         # the anchor and the row sum both grow with the radius; numpy takes
         # a power past the float range to inf
-        self._powers(i - 1)
+        if i > self._A_plain.size:
+            self._sums(i - 1)
         weighted, plain = self._A_weighted[i - 1], self._A_plain[i - 1]
         with np.errstate(over="ignore", invalid="ignore"):
             glo, ghi = np.array([r_lo, r_hi]) ** self.p

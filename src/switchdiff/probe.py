@@ -79,12 +79,14 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
 
     x0 may also hold several starts as an (m, dim) array; every array then
     gains a leading start axis, and traj0 is one first trajectory index for
-    all starts or a sequence with one per start.  All m * n trajectories are
-    walked by one ``hybrid._Walk`` in lockstep blocks, over at most one worker
-    pool, which starts only when every worker gets two blocks.  The rows
-    are laid out trajectory-major (row r is start r % m at index r // m),
-    so the coupled starts of one index fall in one block and share its
-    draws; the records are put back in start order.
+    all starts or a sequence with one per start.  Starts with equal state
+    bytes and first index would walk alike bit for bit, so each of the u
+    distinct (start, index) pairs is walked once, after every start is
+    checked, and its records go to every start that repeats it.  The u * n
+    trajectories are walked by one ``hybrid._Walk`` in lockstep blocks, over
+    at most one worker pool, which starts only when every worker gets two
+    blocks.  Rows are trajectory-major (row r is pair r % u at index r // u),
+    so the coupled starts of one index fall in one block and share its draws.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
@@ -98,6 +100,12 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     first = [int(traj0)] * m if np.ndim(traj0) == 0 else [int(k) for k in traj0]
     if len(first) != m:
         raise ConfigError("traj0 needs one entry per start")
+    # (state bytes, first index) -> (column, start, first index), in first-seen order
+    pairs = {}
+    pair_of = [pairs.setdefault((start[0].tobytes(), k), (len(pairs), start, k))[0]
+               for start, k in zip(starts, first)]
+    walked = list(pairs.values())
+    u = len(walked)
 
     def terminal(row):
         st = row.status
@@ -113,11 +121,11 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     def block(lo, hi):
         rows = range(lo, hi)
         return [terminal(row) for row in runner.run(
-            [starts[r % m] for r in rows], i0, [first[r % m] + r // m for r in rows])]
+            [walked[r % u][1] for r in rows], i0, [walked[r % u][2] + r // u for r in rows])]
 
-    recs = map_indices(block, m * n, threads, hybrid.BLOCK_ROWS)
+    recs = map_indices(block, u * n, threads, hybrid.BLOCK_ROWS)
     # no starts give no records, and an empty column under every field
-    cols = list(zip(*(rec for s in range(m) for rec in recs[s::m]))) or [()] * len(_RECORD)
+    cols = list(zip(*(rec for c in pair_of for rec in recs[c::u]))) or [()] * len(_RECORD)
     lead = (m, n) if several else (n,)
     trail = {"x_end": (model.dim,), "hit": (len(levels),)}
     return {name: np.array(col, dtype=dtype).reshape(lead + trail.get(name, ()))
@@ -181,8 +189,10 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
 
     Starts are x0 plus points at distance delta (seeded, deterministic); all
     starts share trajectory substreams, so the per-M supremum inherits the
-    per-path monotonicity of stop times in the level.  When a polynomial
-    certificate is supplied, the analytic tail bound is reported per level.
+    per-path monotonicity of stop times in the level; repeated starts (in
+    one dimension the ball is x0 +- delta) are walked once.  When a
+    polynomial certificate is supplied, the analytic tail bound is reported
+    per level, taken once per distinct start.
     Every tail estimate also gets its Wilson score interval in
     ``intervals``.  t must be finite and >= 0, and n_starts at least 1.
     """
@@ -199,6 +209,7 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
         starts.append(x0 + (delta / nu) * u if nu > 0 else x0.copy())
     ens = run_ensemble(model, np.array(starts), i0, replace(cfg, horizon=float(t)), n,
                        threads=threads, levels=levels)
+    distinct = {y.tobytes(): y for y in starts}.values()
     explosions = int(ens["nonfinite"].sum())
     tails = (ens["hit"] <= float(t)).mean(axis=1)
 
@@ -213,7 +224,7 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
             intervals[label] = _wilson(float(tails[si, li]), n)
         if cert is not None:
             labels.append(f"bound[M={lv}]")
-            ests.append(max(tau_tail_bound_poly(cert, y, i0, t, lv) for y in starts))
+            ests.append(max(tau_tail_bound_poly(cert, y, i0, t, lv) for y in distinct))
             hws.append(0.0)
     return ProbeReport(
         "tau_tail",
@@ -246,18 +257,12 @@ def feller_probe(model, f, t, x, i, offsets, n, cfg, *, couple=True, threads=1):
         deltas.append(np.full(d, o[0]) if o.size == 1 and d > 1 else o)
     run_cfg = replace(cfg, horizon=float(t))
 
-    # a start walked on the same trajectories as an earlier one (a coupled
-    # offset of 0) repeats that walk bit for bit, so it reuses its column
-    starts = [x + dv for dv in deltas]
     first = [0 if couple else di * n for di in range(len(deltas))]
-    keys = [(s.tobytes(), k) for s, k in zip(starts, first)]
-    walked = list(dict.fromkeys(keys))
-    col = [walked.index(key) for key in keys]
-    ens = run_ensemble(model, np.array([starts[keys.index(key)] for key in walked]), i,
-                       run_cfg, n, threads=threads, traj0=[k for _, k in walked])
+    ens = run_ensemble(model, np.array([x + dv for dv in deltas]), i, run_cfg, n,
+                       threads=threads, traj0=first)
     vals = np.array([[float(f(xe, int(le))) for xe, le in zip(xs, ls)]
-                     for xs, ls in zip(ens["x_end"], ens["lam_end"])])[col]
-    truncated = (ens["kind"] != "horizon").sum(axis=1)[col]
+                     for xs, ls in zip(ens["x_end"], ens["lam_end"])])
+    truncated = (ens["kind"] != "horizon").sum(axis=1)
 
     labels, ests, hws = [], [], []
     for di, dv in enumerate(deltas):

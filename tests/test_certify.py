@@ -149,7 +149,11 @@ def table_query(rates, query):
 
 
 class TestPowerLawTables:
-    """Every table grows by appending, and holds the bytes of one pass over its extent."""
+    """Every table grows by appending, and holds the bytes of one pass over its extent.
+
+    _H shares _inv's extent; the regime-indexed sums _A_weighted and _A_plain
+    have their own, grown only by ``anchor`` and ``territory``.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.one_of(st.sampled_from([3.0, 2.5]), st.floats(2.0, 5.0, exclude_min=True)),
@@ -166,10 +170,17 @@ class TestPowerLawTables:
         for query in queries:
             want = table_query(PowerLawRates(gamma, p), query)
             assert table_query(shared, query) == want, query
-        size = len(shared._inv)
-        assert len(shared._H) == len(shared._A_weighted) == len(shared._A_plain) == size + 1
+        size, rows = len(shared._inv), len(shared._A_plain) - 1
+        assert len(shared._H) == size + 1
+        assert len(shared._A_weighted) == len(shared._A_plain)
+        # the largest regime the sums' readers asked for; none leaves them empty
+        asked = max([i for name, i, _, _ in queries if name == "anchor"]
+                    + [max(i, n) for name, i, n, _ in queries if name == "territory"], default=1)
+        assert asked - 1 <= rows and (rows == 0) == (asked == 1)
+        H, _, _ = one_pass_tables(shared.gamma, shared.zeta, size)
+        _, weighted, plain = one_pass_tables(shared.gamma, shared.zeta, rows)
         for got, want in zip((shared._H, shared._A_weighted, shared._A_plain),
-                             one_pass_tables(shared.gamma, shared.zeta, size)):
+                             (H, weighted, plain)):
             assert got.tobytes() == want.tobytes()
 
 

@@ -4,11 +4,12 @@ import hashlib
 import math
 import multiprocessing
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeModel,
@@ -16,6 +17,7 @@ from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeMo
                         estimate_tau_tail, feller_probe, make_model,
                         run_ensemble, simulate)
 from switchdiff import _parallel, hybrid
+from switchdiff.certify import tau_tail_bound_poly
 from switchdiff.probe import _wilson
 from test_hybrid import dense_rates, ou_with_rates
 
@@ -106,6 +108,35 @@ class TestEstimateTauTail:
             hw = rep.half_width(f"tail_sup[M={m}]")
             assert rep.value(f"tail_sup[M={m}]") <= (rep.value(f"bound[M={m}]")
                                                      + 3 * hw + 1e-12)
+
+
+    def walked(self, dim, n):
+        """A 5-start tau-tail on ou2 with its walked rows and tau_tail_bound_poly calls."""
+        seen, begin = [], hybrid._Walk.begin
+
+        def counting(walk, starts, i0, trajs):
+            seen.append(len(trajs))
+            return begin(walk, starts, i0, trajs)
+
+        cert = PolynomialCertificate(p=1.0, beta=1.0, growth=6.0)
+        with mock.patch.object(hybrid._Walk, "begin", counting), \
+                mock.patch("switchdiff.probe.tau_tail_bound_poly",
+                           wraps=tau_tail_bound_poly) as bound:
+            rep = estimate_tau_tail(make_model("ou2", dim=dim), [1.0] * dim, 1, 1.0, [4, 8, 16],
+                                    0.1, n, CFG, cert=cert, n_starts=5)
+        return rep, sum(seen), bound.call_count
+
+    # sha256 of repr(rows()) when every start, a repeated one too, is walked
+    GOLDEN_ROWS = {1: "4103e067597423c8", 2: "472c35ea1b2d23c5"}
+
+    @pytest.mark.parametrize("dim, distinct", [(1, 3), (2, 5)])
+    def test_repeated_starts_are_walked_once(self, dim, distinct):
+        # in one dimension the ball's starts are x0 and x0 +- delta: 3 of 5 distinct
+        rep, rows, bounds = self.walked(dim, 40)
+        assert rows == distinct * 40
+        assert bounds == 3 * distinct
+        digest = hashlib.sha256(repr(rep.rows()).encode()).hexdigest()[:16]
+        assert digest == self.GOLDEN_ROWS[dim]
 
 
 class TestFellerProbe:
@@ -255,6 +286,58 @@ class TestRunEnsemble:
         for key, arr in serial.items():
             assert np.array_equal(arr, forked[key],
                                   equal_nan=arr.dtype.kind == "f"), key
+
+    @settings(max_examples=25, deadline=None)
+    @given(rates=dense_rates, seed=st.integers(0, 2 ** 16), n=st.integers(1, 3),
+           horizon=st.sampled_from([0.0, 0.5]),
+           pairs=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                                    st.sampled_from([0, 2])), min_size=1, max_size=6))
+    # the ball of a 1-D tau-tail: x0, and x0 +- delta drawn twice each
+    @example(rates=DenseRates([[0.0, 1.0], [2.0, 0.0]]), seed=505, n=2, horizon=0.5,
+             pairs=[(1.0, 0), (1.1, 0), (0.9, 0), (0.9, 0), (1.1, 0)])
+    def test_repeated_starts_walked_once_with_their_own_records(self, rates, seed, n,
+                                                                horizon, pairs):
+        # -0.0 and 0.0 are distinct starts: at horizon 0 each keeps its own sign
+        model = ou_with_rates(rates)
+        cfg = SimConfig(stop_level=4, max_stop_level=16, seed=seed, horizon=horizon,
+                        dt_target=0.05)
+        x0 = np.array([[v] for v, _ in pairs])
+        traj0 = [k for _, k in pairs]
+        seen, begin = [], hybrid._Walk.begin
+
+        def spy(walk, starts, i0, trajs):
+            seen.extend((x.tobytes(), k) for (x, _), k in zip(starts, trajs))
+            return begin(walk, starts, i0, trajs)
+
+        with mock.patch.object(hybrid._Walk, "begin", spy):
+            ens = run_ensemble(model, x0, 1, cfg, n, traj0=traj0)
+        distinct = dict.fromkeys((x.tobytes(), k) for x, k in zip(x0, traj0))
+        assert Counter(seen) == Counter((x, k + j) for x, k in distinct for j in range(n))
+        lone = [run_ensemble(model, x, 1, cfg, n, traj0=k) for x, k in zip(x0, traj0)]
+        for key, arr in ens.items():
+            want = np.stack([rec[key] for rec in lone])
+            if arr.dtype.kind == "U":
+                assert arr.tolist() == want.tolist(), key
+            else:
+                assert (arr.dtype, arr.shape, arr.tobytes()) == (want.dtype, want.shape,
+                                                                want.tobytes()), key
+
+    def test_repeated_starts_give_forked_records_equal_serial(self, monkeypatch):
+        # 4 starts hold 2 distinct pairs; in blocks of 2 rows, their 2 * 8 rows fork 2 workers
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        model = ou_with_rates(DenseRates([[0.0, 1.0], [2.0, 0.0]]))
+        cfg = SimConfig(stop_level=4, max_stop_level=16, seed=11)
+        x0, traj0 = [[1.0], [0.5], [1.0], [0.5]], [0, 8, 0, 8]
+        serial = run_ensemble(model, x0, 1, cfg, 8, traj0=traj0)
+        with mock.patch.object(hybrid, "BLOCK_ROWS", 2), \
+                mock.patch.object(multiprocessing, "get_context",
+                                  wraps=multiprocessing.get_context) as context:
+            forked = run_ensemble(model, x0, 1, cfg, 8, threads=2, traj0=traj0)
+        assert context.call_args_list == [mock.call("fork")]
+        assert serial.keys() == forked.keys()
+        for key, arr in serial.items():
+            assert np.array_equal(arr, forked[key], equal_nan=arr.dtype.kind == "f"), key
+        assert np.array_equal(serial["x_end"][0], serial["x_end"][2])
 
     def test_nonfinite_blowup_hits_every_level(self):
         model = RegimeModel(1, lambda x, i, t: x * x, lambda x, i, t: np.zeros((1, 1)),
