@@ -29,14 +29,13 @@ import bisect
 import functools
 import itertools
 import math
-import numbers
 import types
 from dataclasses import dataclass
 from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, TailUnresolvable
+from .errors import ConfigError, TailUnresolvable, checked_int
 from .model import RateMatrix, radius
 
 SERIES_REL_TOL = 1e-10
@@ -124,8 +123,8 @@ class PowerLawRates(RateMatrix):
         # every rate, ``rate``'s included, reads this table, since numpy's
         # SIMD power and the scalar pow may differ in the last place
         have = self._inv.size
-        self._inv = _grow_powers(self._inv, -self.gamma, size)
-        if self._inv.size > have:
+        if size > have:
+            self._inv = _grow_powers(self._inv, -self.gamma, size)
             self._H = _cumsum_on(self._H, self._inv[have:])
         return self._inv
 
@@ -379,17 +378,16 @@ class ExponentialCertificate:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Finite evaluation grid: state points, regime cutoff, finite nondecreasing time nodes."""
+    """Finite grid: state points, regime cutoff (integer rule, >= 1), nondecreasing finite times."""
 
     points: np.ndarray
     regimes: int
     times: Tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.regimes, numbers.Integral):
-            raise ConfigError(f"grid regimes must be an integer, got {self.regimes!r}")
-        if np.size(self.points) == 0 or self.regimes < 1 or not self.times:
-            raise ConfigError("grid needs at least one point, one regime and one time")
+        object.__setattr__(self, "regimes", checked_int(self.regimes, "grid regimes", 1))
+        if np.size(self.points) == 0 or not self.times:
+            raise ConfigError("grid needs at least one point and one time")
         if not np.isfinite(np.asarray(self.points, dtype=float)).all():
             raise ConfigError("grid points must be finite")
         if not (np.isfinite(self.times).all() and (np.diff(self.times) >= 0).all()):
@@ -407,8 +405,8 @@ def _points(model, grid):
 
 def default_grid(dim=1, radius=10.0, n_radii=21, regimes=12,
                  times=(0.0, 0.5, 1.0)):
-    """Axis-aligned grid through the origin out to the given radius."""
-    radii = np.linspace(0.0, radius, n_radii)
+    """Axis-aligned grid through the origin out to radius, at n_radii radii (integer rule, >= 1)."""
+    radii = np.linspace(0.0, radius, checked_int(n_radii, "n_radii", 1))
     pts = [np.zeros(dim)]
     for r in radii[1:]:
         for axis in range(dim):
@@ -416,7 +414,7 @@ def default_grid(dim=1, radius=10.0, n_radii=21, regimes=12,
                 p = np.zeros(dim)
                 p[axis] = sgn * r
                 pts.append(p)
-    return GridSpec(np.array(pts), int(regimes), tuple(float(t) for t in times))
+    return GridSpec(np.array(pts), regimes, tuple(float(t) for t in times))
 
 
 @dataclass

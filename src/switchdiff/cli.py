@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .certify import (ExponentialCertificate, PolynomialCertificate,
                       check_condition_exp, check_condition_poly, default_grid)
-from .errors import ConfigError, SwitchDiffError, TailUnresolvable
+from .errors import ConfigError, SwitchDiffError, TailUnresolvable, checked_int
 from .hybrid import SimConfig, simulate
 from .models import list_models, make_model, model_params
 from .probe import (ctmc_oracle, estimate_moment, estimate_tau_tail,
@@ -312,7 +312,7 @@ def run(config_path, seed=None, out=None, threads=None, dump_stream=False):
     if command not in COMMANDS:
         raise _Exit(2, f"command must be one of {tuple(COMMANDS)}, got {command!r}")
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = checked_int(seed, "seed", 0)
     if "seed" not in cfg:
         raise _Exit(2, "seed is mandatory (config key 'seed' or --seed)")
     if out is not None:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import numbers
 
 
 class SwitchDiffError(Exception):
@@ -7,6 +9,15 @@ class SwitchDiffError(Exception):
 
 class ConfigError(SwitchDiffError, ValueError):
     """A configuration or input is inconsistent or cannot be satisfied."""
+
+
+def checked_int(value, name, floor):
+    """The integer rule: value as an int if integral (2.0 too) and >= floor, else ConfigError."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if integral and value >= floor:
+        return int(value)
+    raise ConfigError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
 class TailUnresolvable(SwitchDiffError):

@@ -76,6 +76,7 @@ that regime in that cell.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -84,7 +85,7 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from ._rng import BROWNIAN, POISSON, KeyedGenerator, philox_keys
-from .errors import ConfigError
+from .errors import ConfigError, checked_int
 from .jumps import JumpStream, _stream, extend_stream
 from .model import mark_displacement, radius
 
@@ -116,14 +117,16 @@ class SimConfig:
     provably loses no switch below the stop level; stream_rate "auto" sizes
     the master stream to that cutoff; a number given for either must be
     finite and >= 0.  max_stop_level caps escalation (equal to stop_level by
-    default: no escalation); levels are positive integers no greater than
-    the largest float.  dt_target must be positive and finite, and the
-    horizon (the model's by default) finite and >= 0.  A walk rejects a
-    first level whose cutoff, or a numeric stream_rate, expects more than
-    MAX_STREAM_EVENTS events over the horizon, and a horizon / dt_target
-    above MAX_GRID_NODES.  All randomness
-    derives from (seed, trajectory index): trajectories sharing both are
-    fully coupled.
+    default: no escalation); levels are >= 1 and no greater than the largest
+    float.  dt_target must be positive and finite, and the horizon (the
+    model's by default) finite and >= 0.  A walk rejects a first level whose
+    cutoff, or a numeric stream_rate, expects more than MAX_STREAM_EVENTS
+    events over the horizon, and a horizon / dt_target above MAX_GRID_NODES.
+    All randomness derives from (seed >= 0, trajectory index): trajectories
+    sharing both are fully coupled.  Every count and index a run takes,
+    levels and seed included, follows one integer rule (``checked_int``): an
+    integer or an integral float (2.0, say) is the int it equals.  Any other
+    value, or a value outside these bounds, is a ConfigError.
     """
 
     stop_level: int
@@ -135,14 +138,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed", 0))
         _level_schedule(self)
-        if not 0 < self.dt_target < math.inf:
+        if not (isinstance(self.dt_target, numbers.Real) and 0 < self.dt_target < math.inf):
             raise ConfigError("dt_target must be positive and finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
         for name in ("mark_cutoff", "stream_rate"):
             value = getattr(self, name)
-            if value != "auto" and not 0 <= float(value) < np.inf:
+            if value != "auto" and not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
                 raise ConfigError(f"{name} must be 'auto' or a finite number >= 0")
 
 
@@ -216,33 +218,24 @@ def auto_truncation(model, stop_level):
     return k
 
 
-def _stop_level(m, name):
-    """m as an int, if it is a positive integer no greater than the largest float."""
-    if m > sys.float_info.max:
-        raise ConfigError("stop levels must not exceed the largest float")
-    if not (float(m).is_integer() and m >= 1):
-        raise ConfigError(f"{name} must be a positive integer")
-    return int(m)
-
-
 def _level_schedule(cfg, levels=None):
     """The checked stop levels of a walk, strictly increasing: ``levels``, or
     by default cfg.stop_level doubling up to cfg.max_stop_level."""
     if levels is not None:
-        levels = [_stop_level(m, "every stop level") for m in levels]
+        levels = [checked_int(m, "every stop level", 1) for m in levels]
         if not levels:
             raise ConfigError("levels must name at least one level")
         if not all(b > a for a, b in zip(levels, levels[1:])):
             raise ConfigError("levels must be strictly increasing")
-        return levels
-    levels = [_stop_level(cfg.stop_level, "stop_level")]
-    ceiling = levels[0]
-    if cfg.max_stop_level is not None:
-        ceiling = _stop_level(cfg.max_stop_level, "max_stop_level")
+    else:
+        levels, top = [checked_int(cfg.stop_level, "stop_level", 1)], cfg.max_stop_level
+        ceiling = levels[0] if top is None else checked_int(top, "max_stop_level", 1)
         if ceiling < levels[0]:
             raise ConfigError("max_stop_level must be >= stop_level")
-    while levels[-1] < ceiling:
-        levels.append(min(2 * levels[-1], ceiling))
+        while levels[-1] < ceiling:
+            levels.append(min(2 * levels[-1], ceiling))
+    if levels[-1] > sys.float_info.max:
+        raise ConfigError("stop levels must not exceed the largest float")
     return levels
 
 
@@ -405,7 +398,7 @@ class _Walk:
 
     def __init__(self, model, cfg, levels, stream, record):
         horizon = cfg.horizon if cfg.horizon is not None else model.horizon
-        if not 0 <= horizon < math.inf:
+        if not (isinstance(horizon, numbers.Real) and 0 <= horizon < math.inf):
             raise ConfigError("horizon must be finite and >= 0")
         if record not in (None, "nodes", "events"):
             raise ConfigError(f"record must be 'nodes' or 'events', got {record!r}")
@@ -470,8 +463,7 @@ class _Walk:
         if self.stream is not None:
             streams = dict.fromkeys(distinct, self.stream)
         else:
-            rate = (max(self.cutoffs[0], 0.0) if cfg.stream_rate == "auto"
-                    else float(cfg.stream_rate))
+            rate = self.cutoffs[0] if cfg.stream_rate == "auto" else float(cfg.stream_rate)
             pkeys = philox_keys(cfg.seed, distinct, POISSON) if rate else [None] * len(distinct)
             streams = {traj: _stream(keyed.start(key) if rate else None, rate, self.horizon)
                        for traj, key in zip(distinct, pkeys)}
@@ -725,24 +717,23 @@ class _Walk:
                                               wlo[keep], whi[keep])
 
     def check(self, starts, i0):
-        """Check i0 and every start; return the starts as (state, radius) pairs."""
-        if i0 < 1:
-            raise ConfigError(f"start regime i0 must be >= 1, got {i0}")
+        """Check i0 and every start; return i0 as an int and the starts as (state, radius) pairs."""
+        i0 = checked_int(i0, "start regime i0", 1)
         checked = []
         for x0 in starts:
             x = np.atleast_1d(np.asarray(x0, dtype=float))
             if x.shape != (self.dim,) or not math.isfinite(r := radius(x)):
                 raise ConfigError(f"initial state {x.tolist()} is not a finite {self.dim}-vector")
             checked.append((x, r))
-        return checked
+        return i0, checked
 
-    def run(self, checked, i0, trajs):
+    def run(self, i0, checked, trajs):
         """Yield the ended rows of ``check``'s starts, in blocks of at most BLOCK_ROWS."""
         for lo in range(0, len(trajs), BLOCK_ROWS):
             self.grids = _Grids(self.dim, self.record)
             self.extended = {}
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                rows = self.begin(checked[lo:lo + BLOCK_ROWS], int(i0), trajs[lo:lo + BLOCK_ROWS])
+                rows = self.begin(checked[lo:lo + BLOCK_ROWS], i0, trajs[lo:lo + BLOCK_ROWS])
                 live = [row for row in rows if self.advance(row)]
                 if live:
                     self.lockstep(live)
@@ -760,7 +751,7 @@ def walk(model, starts, i0, cfg, trajs, *, levels=None, stream=None, record=None
     result does not depend on the rows it shares a block with.
     """
     runner = _Walk(model, cfg, levels, stream, record)
-    return runner.run(runner.check(starts, i0), i0, trajs)
+    return runner.run(*runner.check(starts, i0), trajs)
 
 
 def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
@@ -781,15 +772,17 @@ def simulate(model, x0, i0, cfg, *, traj=0, record="nodes", levels=None,
     it must cover the horizon and every level's cutoff, or ConfigError is
     raised.  Runs that share (stream, seed, traj) and differ only in a
     cutoff at or above ``auto_truncation`` at the stop level are
-    bit-identical up to and including the stop time.
+    bit-identical up to and including the stop time.  i0 and traj (>= 0)
+    follow SimConfig's integer rule.
     """
     if record is None:
         raise ConfigError("simulate records its path: record must be 'nodes' or 'events'")
-    row, = walk(model, [x0], i0, cfg, [traj], levels=levels, stream=stream,
-                record=record)
+    runner = _Walk(model, cfg, levels, stream, record)
+    i0, starts = runner.check([x0], i0)
+    row, = runner.run(i0, starts, [checked_int(traj, "traj", 0)])
     switches = row.switches
     # each node carries the regime after the switches at its time
-    dst = np.array([int(i0)] + [s.dst for s in switches], dtype=np.int64)
+    dst = np.array([i0] + [s.dst for s in switches], dtype=np.int64)
     regimes = dst[np.searchsorted([s.time for s in switches], row.times, side="right")]
     return HybridPath(row.times, row.states, regimes, switches, row.status,
                       row.escalations, row.stream, row.cutoffs)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import TailUnresolvable
+from .errors import TailUnresolvable, checked_int
 
 DEFAULT_MAX_TERMS = 10**6
 
@@ -180,8 +180,6 @@ class DenseRates(RateMatrix):
         return float(self._cum[min(i - 1, self.size)]), float(self._cum[min(i, self.size)])
 
     def beta_tail(self, i, x, n, beta):
-        if n > self.size:
-            return (0.0, 0.0)
         ks = np.arange(max(n, 1), self.size + 1)
         w = self.rate_block(i, max(n, 1), self.size + 1, x)
         v = float(((ks.astype(float) ** beta - float(i) ** beta) * w).sum())
@@ -252,8 +250,7 @@ class RegimeModel:
     noise_batch: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", checked_int(self.dim, "dim", 1))
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if (self.drift_batch is None) != (self.noise_batch is None):

@@ -13,6 +13,7 @@ import inspect
 import numpy as np
 
 from .certify import PowerLawRates
+from .errors import checked_int
 from .model import DenseRates, RegimeModel
 
 
@@ -64,9 +65,7 @@ def build_ctmc2(q12=1.0, q21=2.0, horizon=1.0):
 
 def build_ctmcn(n_regimes=5, scale=1.0, horizon=2.0):
     """Pure switching on n regimes with rates scale/|i-j|; diffusion frozen."""
-    n = int(n_regimes)
-    if n < 2:
-        raise ValueError("n_regimes must be at least 2")
+    n = checked_int(n_regimes, "n_regimes", 2)
     q = np.zeros((n, n))
     for a in range(n):
         for b in range(n):

@@ -22,7 +22,7 @@ from . import hybrid
 from ._parallel import map_indices
 from ._rng import AUX, substream
 from .certify import gronwall_bound_poly, tau_tail_bound_poly
-from .errors import ConfigError, TruncationLeak
+from .errors import ConfigError, TruncationLeak, checked_int
 from .hybrid import _level_schedule, _Walk
 from .model import radius
 
@@ -72,10 +72,11 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     ``t_end``, ``x_end`` (n, dim), ``lam_end``, ``kind`` (the status kind),
     ``tau`` (NaN when the status has none), ``nonfinite``, ``hit`` (n,
     len(levels): the stop time of each level, inf when not reached; a
-    non-finite blow-up hits every level it did not stop at),
-    ``max_regime`` and ``switches`` (switch count).  ``levels`` is the
-    level schedule; by default the config's escalation schedule.  Every
-    record equals the one ``simulate`` gives for the same trajectory.
+    non-finite blow-up hits every level it did not stop at), ``max_regime``
+    and ``switches`` (switch count).  ``levels`` is the level schedule; by
+    default the config's escalation schedule.  Every record equals the one
+    ``simulate`` gives for the same trajectory.  n (>= 1), i0 and each traj0
+    (>= 0) follow SimConfig's integer rule.
 
     x0 may also hold several starts as an (m, dim) array; every array then
     gains a leading start axis, and traj0 is one first trajectory index for
@@ -88,16 +89,15 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
     blocks.  Rows are trajectory-major (row r is pair r % u at index r // u),
     so the coupled starts of one index fall in one block and share its draws.
     """
-    if n < 1:
-        raise ConfigError("n must be at least 1")
     # built and checked before any worker starts, so bad input fails in this process
+    n = checked_int(n, "n", 1)
     runner = _Walk(model, cfg, levels, None, None)
     levels = runner.levels
     slot = {lv: j for j, lv in enumerate(levels)}
     several = np.ndim(x0) == 2
-    starts = runner.check(list(np.asarray(x0, dtype=float)) if several else [x0], i0)
+    i0, starts = runner.check(list(np.asarray(x0, dtype=float)) if several else [x0], i0)
     m = len(starts)
-    first = [int(traj0)] * m if np.ndim(traj0) == 0 else [int(k) for k in traj0]
+    first = [checked_int(k, "traj0", 0) for k in ([traj0] * m if np.ndim(traj0) == 0 else traj0)]
     if len(first) != m:
         raise ConfigError("traj0 needs one entry per start")
     # (state bytes, first index) -> (column, start, first index), in first-seen order
@@ -116,12 +116,12 @@ def run_ensemble(model, x0, i0, cfg, n, *, threads=1, traj0=0, levels=None):
         # in the order of _RECORD
         return (float(row.t), tuple(row.x.tolist()), row.lam, st.kind,
                 math.nan if st.tau is None else st.tau, st.nonfinite, tuple(hit),
-                max([int(i0)] + [s.dst for s in row.switches]), len(row.switches))
+                max([i0] + [s.dst for s in row.switches]), len(row.switches))
 
     def block(lo, hi):
         rows = range(lo, hi)
         return [terminal(row) for row in runner.run(
-            [walked[r % u][1] for r in rows], i0, [walked[r % u][2] + r // u for r in rows])]
+            i0, [walked[r % u][1] for r in rows], [walked[r % u][2] + r // u for r in rows])]
 
     recs = map_indices(block, u * n, threads, hybrid.BLOCK_ROWS)
     # no starts give no records, and an empty column under every field
@@ -194,10 +194,9 @@ def estimate_tau_tail(model, x0, i0, t, m_list, delta, n, cfg, *, cert=None,
     polynomial certificate is supplied, the analytic tail bound is reported
     per level, taken once per distinct start.
     Every tail estimate also gets its Wilson score interval in
-    ``intervals``.  t must be finite and >= 0, and n_starts at least 1.
+    ``intervals``.  t must be finite and >= 0, and n_starts >= 1 (integer rule).
     """
-    if n_starts < 1:
-        raise ConfigError("n_starts must be at least 1")
+    n_starts = checked_int(n_starts, "n_starts", 1)
     levels = _level_schedule(cfg, sorted(m_list))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
@@ -297,13 +296,14 @@ def ctmc_oracle(model, i0, t, j_trunc, n, cfg, *, x0=None, threads=1):
     generator keeps full row sums, so its exponential gives the exact
     sub-probability law of paths that never leave {1..j_trunc}; the
     empirical law is restricted the same way, leaving only sampling noise.
-    t must be finite and >= 0 and x0 finite.  Raises TruncationLeak when the
-    simulated mass above j_trunc exceeds ORACLE_LEAK_TOL.
+    t must be finite and >= 0, x0 finite, j_trunc from 2 to 400 and i0 from 1
+    to j_trunc (integer rule).  Raises TruncationLeak when the simulated mass
+    above j_trunc exceeds ORACLE_LEAK_TOL.
     """
-    J = int(j_trunc)
-    if not 2 <= J <= 400:
+    J, i0 = checked_int(j_trunc, "j_trunc", 2), checked_int(i0, "i0", 1)
+    if J > 400:
         raise ConfigError("j_trunc must be between 2 and 400")
-    if not 1 <= i0 <= J:
+    if i0 > J:
         raise ConfigError("i0 must lie within the truncated regime window")
     x0 = np.zeros(model.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     if not math.isfinite(r0 := radius(x0)):

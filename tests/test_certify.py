@@ -155,6 +155,20 @@ class TestPowerLawTables:
     have their own, grown only by ``anchor`` and ``territory``.
     """
 
+    def test_reads_within_the_table_grow_nothing(self):
+        # every read used to call _grow_powers, which then returned the table as it was
+        rates, x = PowerLawRates(3.0, 1.0), np.array([0.5])
+        size = len(rates._inv)
+        with mock.patch.object(certify, "_grow_powers", wraps=certify._grow_powers) as grow:
+            rates.rate(1, size + 1, x)
+            rates.rate_block(3, 1, size, x)
+            rates.row_sum(size, x)
+            rates.row_tail(2, x, size + 2)
+            rates.row_tail(size + 1, x, 2)
+            assert grow.call_count == 0
+            rates.rate(1, size + 2, x)
+            assert grow.call_count == 1 and len(rates._inv) == 2 * size
+
     @settings(max_examples=60, deadline=None)
     @given(gamma=st.one_of(st.sampled_from([3.0, 2.5]), st.floats(2.0, 5.0, exclude_min=True)),
            p=st.floats(1.0, 3.0),
@@ -185,6 +199,18 @@ class TestPowerLawTables:
 
 
 class TestBetaSeries:
+    @pytest.mark.parametrize("i", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [4, 5, 9])
+    def test_dense_tail_is_the_sum_over_its_columns(self, i, n):
+        # past the matrix (n > 4) there is no column, and the bracket is +0.0
+        q = np.arange(16, dtype=float).reshape(4, 4)
+        lo, hi = DenseRates(q).beta_tail(i, np.zeros(1), n, 1.5)
+        want = sum((k ** 1.5 - i ** 1.5) * q[i - 1, k - 1] for k in range(n, 5)
+                   if i != k and i <= 4)
+        assert lo == hi == pytest.approx(want, rel=1e-12)
+        if n > 4:
+            assert (math.copysign(1.0, lo), math.copysign(1.0, hi)) == (1.0, 1.0)
+
     def test_pi_squared_over_six(self):
         # row 1 at x=0, beta=1, gamma=3: the series telescopes to zeta(2)
         rates = PowerLawRates(gamma=3.0, p=1.0)

@@ -6,10 +6,10 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from switchdiff import (PolynomialCertificate, SimConfig, _parallel, auto_truncation,
+from switchdiff import (ConfigError, PolynomialCertificate, SimConfig, _parallel, auto_truncation,
                         check_condition_poly, ctmc_oracle, default_grid, feller_probe, hybrid,
                         make_model, simulate)
-from switchdiff.cli import PROBE_HEADER, TEST_FUNCTIONS, _write_csv, main, parse_config
+from switchdiff.cli import PROBE_HEADER, TEST_FUNCTIONS, _write_csv, main, parse_config, run
 
 
 def write_config(path, text):
@@ -137,6 +137,13 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("switchdiff: ConfigError: ")
+        assert not list(tmp_path.glob("r_*"))
+
+    def test_fractional_seed_override_rejected(self, tmp_path):
+        # run(seed=1.5) used to run as seed 1
+        cfg = write_config(tmp_path / "c.cfg", "command = ensemble\nmodel = ou2\nn = 5\nseed = 1\n")
+        with pytest.raises(ConfigError):
+            run(cfg, seed=1.5, out=str(tmp_path / "r"), threads=1)
         assert not list(tmp_path.glob("r_*"))
 
     def test_uncertifiable_beta_exits_2(self, tmp_path, capsys):

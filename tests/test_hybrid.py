@@ -441,9 +441,10 @@ class TestInputValidation:
         assert issubclass(ConfigError, ValueError)
 
     @pytest.mark.parametrize("key", ["mark_cutoff", "stream_rate"])
-    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), "foo", None, "1.0"])
     def test_bad_cutoff_and_stream_rate_rejected(self, key, value):
-        # they used to fail only when a stream was sampled, with a raw ValueError
+        # they used to fail only when a stream was sampled, with a raw ValueError;
+        # a string or None raised a raw ValueError or TypeError, or was parsed
         with pytest.raises(ConfigError):
             SimConfig(stop_level=8, **{key: value})
 
@@ -574,11 +575,16 @@ class TestInputValidation:
         lambda: estimate_moment(make_model("ou2"), PolynomialCertificate(1.0, 1.0, 1.0), [0.0],
                                 1, math.inf, 5, SimConfig(stop_level=8)),
         lambda: ctmc_oracle(make_model("ctmc2"), 1, math.inf, 2, 5, SimConfig(stop_level=8)),
-    ], ids=["dt_target", "horizon", "moment-t", "oracle-t"])
+        lambda: SimConfig(stop_level=8, dt_target="0.1"),
+        lambda: SimConfig(stop_level=8, dt_target=None),
+        lambda: simulate(make_model("ou2"), [0.0], 1, SimConfig(stop_level=8, horizon="1")),
+    ], ids=["dt_target", "horizon", "moment-t", "oracle-t", "dt_target-string",
+            "dt_target-none", "horizon-string"])
     def test_infinite_step_and_horizon_rejected(self, call):
         # an infinite dt_target gave every span 0 steps and put the whole
         # path on one node at the horizon; an infinite horizon ended in a
-        # raw ValueError from the Poisson stream
+        # raw ValueError from the Poisson stream; a string or None step or
+        # horizon, in a raw TypeError
         with pytest.raises(ConfigError):
             call()
 

@@ -17,9 +17,9 @@ from switchdiff import (ConfigError, DenseRates, PolynomialCertificate, RegimeMo
                         estimate_tau_tail, feller_probe, make_model,
                         run_ensemble, simulate)
 from switchdiff import _parallel, hybrid
-from switchdiff.certify import tau_tail_bound_poly
+from switchdiff.certify import default_grid, tau_tail_bound_poly
 from switchdiff.probe import _wilson
-from test_hybrid import dense_rates, ou_with_rates
+from test_hybrid import dense_rates, ou_with_rates, paths_equal, rejected_before_any_draw
 
 
 def frozen_model(horizon=1.0):
@@ -486,6 +486,66 @@ class TestProbeInputs:
                          [[0.1, 0.1, 0.1]], 5, CFG)
         with pytest.raises(ConfigError):
             feller_probe(make_model("ou2"), lambda x, j: 1.0, 0.5, [0.0], 1, [[0.1, 0.1]], 5, CFG)
+
+
+# one case per place an integer enters; each value used to be truncated
+# (or to raise TypeError) instead of being rejected
+OU2 = make_model("ou2")
+NOT_INTEGERS = {
+    "seed": lambda: SimConfig(stop_level=8, seed=1.5),
+    "stop_level": lambda: SimConfig(stop_level="8"),
+    "levels": lambda: simulate(OU2, [0.5], 1, CFG, levels=[4, "8"]),
+    "simulate-i0": lambda: simulate(OU2, [0.5], 1.5, CFG),
+    "simulate-traj": lambda: simulate(OU2, [0.5], 1, CFG, traj=2.5),
+    "ensemble-i0": lambda: run_ensemble(OU2, [0.5], 1.5, CFG, 8, threads=2),
+    "ensemble-n": lambda: run_ensemble(OU2, [0.5], 1, CFG, 8.5, threads=2),
+    "ensemble-n-string": lambda: run_ensemble(OU2, [0.5], 1, CFG, "8", threads=2),
+    "ensemble-traj0": lambda: run_ensemble(OU2, [0.5], 1, CFG, 8, threads=2, traj0=2.7),
+    "ensemble-traj0-list": lambda: run_ensemble(OU2, np.array([[0.5], [1.5]]), 1, CFG, 8,
+                                                threads=2, traj0=[0, 2.7]),
+    "tau_tail-n_starts": lambda: estimate_tau_tail(OU2, [0.5], 1, 0.5, [4], 0.1, 8, CFG,
+                                                   n_starts=2.5, threads=2),
+    "oracle-j_trunc": lambda: ctmc_oracle(make_model("ctmc2"), 1, 0.5, 5.5, 8, CFG),
+    "oracle-i0": lambda: ctmc_oracle(make_model("ctmc2"), 1.5, 0.5, 2, 8, CFG),
+    "grid-regimes": lambda: default_grid(regimes=3.7),
+    "grid-n_radii": lambda: default_grid(n_radii=21.5),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("call", list(NOT_INTEGERS.values()), ids=list(NOT_INTEGERS))
+    def test_non_integers_rejected_before_any_draw_or_pool(self, monkeypatch, call):
+        # every valid call here would fork: threads=2, 2 CPUs, blocks of 2 rows
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        with mock.patch.object(hybrid, "BLOCK_ROWS", 2), \
+                mock.patch("switchdiff.probe.map_indices") as pool:
+            rejected_before_any_draw(call)
+        assert not pool.called
+
+    def test_integral_floats_give_the_bytes_of_ints(self):
+        cfg = SimConfig(stop_level=8, max_stop_level=32, seed=7, dt_target=0.05)
+        floats = SimConfig(stop_level=8.0, max_stop_level=32.0, seed=7.0, dt_target=0.05)
+        assert floats.seed == 7 and type(floats.seed) is int
+        starts = np.array([[0.5], [1.5]])
+        want = run_ensemble(OU2, starts, 2, cfg, 6, traj0=[3, 3])
+        got = run_ensemble(OU2, starts, 2.0, floats, 6.0, traj0=[3.0, np.float64(3.0)])
+        one = run_ensemble(OU2, starts, np.int64(2), cfg, np.int64(6), traj0=3.0)
+        for name in want:
+            for other in (got, one):
+                assert other[name].dtype == want[name].dtype, name
+                assert other[name].tobytes() == want[name].tobytes(), name
+        a = simulate(OU2, [0.5], 2, cfg, traj=3)
+        b = simulate(OU2, [0.5], 2.0, floats, traj=3.0)
+        assert paths_equal(a, b) and a.escalations == b.escalations
+        assert b.regimes.dtype == a.regimes.dtype
+        assert [type(v) for s in b.switches for v in (s.src, s.dst)] == \
+            [int] * (2 * len(b.switches))
+        oracle = [ctmc_oracle(make_model("ctmc2"), i, 0.5, j, 40, cfg).rows()
+                  for i, j in ((2, 3), (2.0, 3.0))]
+        assert oracle[0] == oracle[1]
+        grid = default_grid(n_radii=5.0, regimes=np.float64(3.0))
+        assert grid.regimes == 3 and type(grid.regimes) is int
+        assert grid.points.tobytes() == default_grid(n_radii=5, regimes=3).points.tobytes()
 
 
 class TestWorkerCap:
